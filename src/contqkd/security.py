@@ -37,10 +37,10 @@ import numpy as np
 
 from .attack import AttackParams, attacked_state, bipartite_reductions, build_isometry
 from .infocalc import (
-    DENSITY_FLOOR,
     SPHERE_VOLUME,
     SphereQuadrature,
-    _marginal_density,
+    _fano_form,
+    _table_information,
     default_quadrature,
     nonselected_information,
 )
@@ -141,37 +141,15 @@ def reconciled_i_ab(rho_ab: DensityMatrix, quad: SphereQuadrature | None = None)
 
     Averages the shared-basis selected information over a single basis
     direction with the sphere measure (zero-width reconciliation cells; the
-    finite-cell version lives in the protocol simulator).
+    finite-cell version lives in the protocol simulator).  With both parties
+    reading along +-n, the 2x2 table of the Fano form is
+    (1 +- a.n +- b.n +- n.T.n)/4.
     """
-    if len(rho_ab.labels) != 2 or rho_ab.dims != (2, 2):
-        raise ValueError("expected a two-qubit state")
     q = quad if quad is not None else default_quadrature()
-    rho4 = rho_ab.entries
-    rx = partial_trace(rho_ab, (rho_ab.labels[0],)).entries
-    ry = partial_trace(rho_ab, (rho_ab.labels[1],)).entries
-    kets = (q.kets, q.antipodal_kets)
-    px = (_marginal_density(rx, kets[0]), _marginal_density(rx, kets[1]))
-    py = (_marginal_density(ry, kets[0]), _marginal_density(ry, kets[1]))
-
-    evals, evecs = np.linalg.eigh(rho4)
-    total = np.zeros(len(q))
-    for k in (0, 1):
-        for l in (0, 1):
-            p = np.zeros(len(q))
-            for r in range(4):
-                lam = float(evals[r])
-                if abs(lam) < 1e-16:
-                    continue
-                psi = evecs[:, r].reshape(2, 2)
-                amp = np.einsum("ia,ab,ib->i", kets[k].conj(), psi, kets[l].conj())
-                p += lam * (amp.real**2 + amp.imag**2)
-            p = np.clip(p, 0.0, None)
-            total += p * (
-                np.log2(np.maximum(p, DENSITY_FLOOR))
-                - np.log2(np.maximum(px[k], DENSITY_FLOOR))
-                - np.log2(np.maximum(py[l], DENSITY_FLOOR))
-            )
-    value = math.fsum((total * q.weights).tolist()) / SPHERE_VOLUME
+    a, b, t = _fano_form(rho_ab)
+    n = q.vectors
+    info = _table_information(n @ a, n @ b, ((n @ t) * n).sum(axis=1))
+    value = math.fsum((info * q.weights).tolist()) / SPHERE_VOLUME
     return max(0.0, value)
 
 
@@ -219,10 +197,15 @@ def pair_fidelity_deficit(params: AttackParams) -> float:
     return max(0.0, 1.0 - overlap)
 
 
-def _info_pair(theta: float, reconciled: bool, quad: SphereQuadrature) -> tuple[float, float]:
-    """(i_ab, i_ae) at one optimal-line point; the pair the threshold compares."""
-    st = attacked_state(optimal_params(theta))
-    rab, rae, _ = bipartite_reductions(st)
+def _line_reductions(theta: float) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
+    """(rho_ab, rho_ae, rho_be) at one optimal-line point."""
+    return bipartite_reductions(attacked_state(optimal_params(theta)))
+
+
+def _info_pair(
+    rab: DensityMatrix, rae: DensityMatrix, reconciled: bool, quad: SphereQuadrature
+) -> tuple[float, float]:
+    """(i_ab, i_ae) from two line reductions; the pair the threshold compares."""
     if reconciled:
         iab = reconciled_i_ab(rab, quad)
     else:
@@ -234,10 +217,8 @@ def _line_infos(
     theta: float, reconciled: bool, quad: SphereQuadrature
 ) -> tuple[float, float, float]:
     """(i_ab, i_ae, i_be) at one optimal-line point."""
-    st = attacked_state(optimal_params(theta))
-    _, _, rbe = bipartite_reductions(st)
-    iab, iae = _info_pair(theta, reconciled, quad)
-    return iab, iae, nonselected_information(rbe, quad, quad)
+    rab, rae, rbe = _line_reductions(theta)
+    return (*_info_pair(rab, rae, reconciled, quad), nonselected_information(rbe, quad, quad))
 
 
 def sweep_curve(
@@ -264,8 +245,9 @@ def cier(i: float, i_max: float) -> float:
     """Information error rate Q = 1 - i / i_max, dimensionless in [0, 1].
 
     Rates computed by quadrature can overshoot the analytic maximum by the
-    quadrature error (~1e-5 at light resolutions), so overshoot up to 1e-4
-    clamps to Q = 0; anything larger is a usage error.
+    outer-rule error (a few 1e-9 bits at the default 32x64 resolution, up
+    to ~3e-7 at 16x32), so overshoot up to 1e-4 clamps to Q = 0; anything
+    larger is a usage error.
     """
     if i_max <= 0.0:
         raise ValueError("i_max must be positive")
@@ -293,7 +275,7 @@ def critical_point(
         raise ValueError("tol must be positive")
     q = quad if quad is not None else default_quadrature()
     evaluate = _evaluator if _evaluator is not None else (
-        lambda t: _info_pair(t, reconciled, q)
+        lambda t: _info_pair(*_line_reductions(t)[:2], reconciled, q)
     )
 
     def g(t: float) -> float:

@@ -7,8 +7,10 @@ import pytest
 
 from contqkd import (
     AttackParams,
+    DensityMatrix,
     JointTable,
     MeasurementBasis,
+    NumericalCorruptionError,
     SphereQuadrature,
     attacked_state,
     averaged_selected_information,
@@ -21,8 +23,10 @@ from contqkd import (
     tensor,
     pure_density,
     ket_from_bloch,
+    reconciled_i_ab,
 )
 from conftest import SINGLET_BITS, binary_entropy, direction_at_angle, random_direction
+import oracle
 
 # Direct evaluation of the entropy functional for the table
 # [[3/8, 1/8], [1/8, 3/8]]: 1 + (3/4) log2(3/4) + (1/4) log2(1/4).
@@ -120,7 +124,7 @@ class TestSelectedInformation:
 class TestNonselectedInformation:
     def test_singlet_closed_form(self, quad_light):
         val = nonselected_information(singlet(), quad_light, quad_light)
-        assert val == pytest.approx(SINGLET_BITS, abs=2e-5)
+        assert val == pytest.approx(SINGLET_BITS, abs=1e-12)
 
     def test_product_states_carry_nothing(self, quad_light):
         rho = tensor(
@@ -132,15 +136,39 @@ class TestNonselectedInformation:
     def test_swapped_pair_reduction_reaches_singlet_value(self, quad_light):
         _, rae, _ = bipartite_reductions(attacked_state(AttackParams(math.pi / 4, 0.0)))
         val = nonselected_information(rae, quad_light, quad_light)
-        assert val == pytest.approx(SINGLET_BITS, abs=2e-5)
+        assert val == pytest.approx(SINGLET_BITS, abs=1e-12)
 
     def test_quadrature_convergence(self):
         coarse = SphereQuadrature.gauss_product(16, 32)
         fine = SphereQuadrature.gauss_product(32, 64)
-        v1 = nonselected_information(singlet(), coarse, coarse)
-        v2 = nonselected_information(singlet(), fine, fine)
+        # The double-quadrature reference converges strictly on the singlet.
+        v1 = oracle.nonselected_information(singlet(), coarse, coarse)
+        v2 = oracle.nonselected_information(singlet(), fine, fine)
         assert abs(v2 - v1) < 1e-4
         assert abs(v2 - SINGLET_BITS) < abs(v1 - SINGLET_BITS)
+        # With the inner integral exact, the singlet is exact to roundoff at
+        # both rules, so only a reduction with no closed form can show the
+        # outer rule converging.
+        for quad in (coarse, fine):
+            err = abs(nonselected_information(singlet(), quad, quad) - SINGLET_BITS)
+            assert err <= 4 * math.ulp(SINGLET_BITS)
+        _, _, rbe = bipartite_reductions(attacked_state(AttackParams(0.7, 0.2)))
+        ref = nonselected_information(rbe, SphereQuadrature.gauss_product(128, 256))
+        e1 = abs(nonselected_information(rbe, coarse, coarse) - ref)
+        e2 = abs(nonselected_information(rbe, fine, fine) - ref)
+        assert e2 < e1
+
+    @pytest.mark.parametrize("rule", [(16, 32), (32, 64)])
+    def test_decoupled_reductions_are_exactly_zero(self, rule):
+        # Decoupled pairs carry exactly nothing; the surface benchmark checks
+        # the (0, pi/4) probe rates for an exact 0.0.
+        quad = SphereQuadrature.gauss_product(*rule)
+        _, rae, rbe = bipartite_reductions(attacked_state(AttackParams(0.0, math.pi / 4)))
+        assert nonselected_information(rae, quad, quad) == 0.0
+        assert nonselected_information(rbe, quad, quad) == 0.0
+        rab, _, rbe = bipartite_reductions(attacked_state(AttackParams(math.pi / 4, 0.0)))
+        assert nonselected_information(rab, quad, quad) == 0.0
+        assert nonselected_information(rbe, quad, quad) == 0.0
 
     def test_monotone_along_optimal_line(self, quad_light):
         thetas = np.linspace(0.0, math.pi / 4, 33)
@@ -153,6 +181,48 @@ class TestNonselectedInformation:
     def test_requires_two_qubits(self, quad_light):
         with pytest.raises(ValueError):
             nonselected_information(maximally_mixed(("A",)), quad_light, quad_light)
+
+
+def _unchecked_pair(a, b, t) -> DensityMatrix:
+    """Two-qubit operator with Fano form (a, b, T), built without validation."""
+    pauli = [
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]]),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    ]
+    eye = np.eye(2)
+    m = np.eye(4, dtype=complex)
+    for i in range(3):
+        m = m + a[i] * np.kron(pauli[i], eye) + b[i] * np.kron(eye, pauli[i])
+        for j in range(3):
+            m = m + t[i][j] * np.kron(pauli[i], pauli[j])
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "entries", m / 4.0)
+    object.__setattr__(rho, "labels", ("A", "B"))
+    object.__setattr__(rho, "dims", (2, 2))
+    return rho
+
+
+class TestPositivityChecks:
+    ZERO = (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "fano",
+        [
+            ((1.2, 0.0, 0.0), ZERO, np.zeros((3, 3))),
+            (ZERO, (0.0, 0.0, 1.2), np.zeros((3, 3))),
+            (ZERO, ZERO, -1.5 * np.eye(3)),
+        ],
+        ids=["first-marginal", "second-marginal", "joint"],
+    )
+    def test_negative_densities_raise(self, fano, quad_light):
+        rho = _unchecked_pair(*fano)
+        with pytest.raises(NumericalCorruptionError, match="dipped"):
+            nonselected_information(rho, quad_light, quad_light)
+        with pytest.raises(NumericalCorruptionError, match="dipped"):
+            reconciled_i_ab(rho, quad_light)
+        with pytest.raises(NumericalCorruptionError, match="dipped"):
+            averaged_selected_information(rho, quad_light, quad_light)
 
 
 class TestOrientationAverage:
