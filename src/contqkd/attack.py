@@ -97,15 +97,6 @@ class EveIsometry:
         v.setflags(write=False)
         return v
 
-    def kraus(self) -> tuple[np.ndarray, np.ndarray]:
-        """Kraus pair of the induced channel on Bob, indexed by probe outcome."""
-        v = self.extension_matrix()
-        a0 = v[0::2, :].copy()
-        a1 = v[1::2, :].copy()
-        a0.setflags(write=False)
-        a1.setflags(write=False)
-        return a0, a1
-
 
 def build_isometry(params: AttackParams) -> EveIsometry:
     """Assemble the probe coupling from the closed-form coefficients.
@@ -127,28 +118,6 @@ def build_isometry(params: AttackParams) -> EveIsometry:
         dtype=complex,
     )
     return EveIsometry(params, rows)
-
-
-def apply_attack(initial: DensityMatrix, iso: EveIsometry) -> DensityMatrix:
-    """Evolve a tripartite (sender, channel, probe) state through the coupling.
-
-    The probe subsystem (third label) must be in |0>: the coupling is only
-    defined on that slice.  Purity and trace are preserved exactly up to
-    roundoff because the map is an isometry.
-    """
-    if len(initial.labels) != 3 or initial.dims != (2, 2, 2):
-        raise ValueError("attack expects a three-qubit state (sender, channel, probe)")
-    arr = initial.entries.reshape(2, 2, 2, 2, 2, 2)
-    leak = max(
-        float(np.abs(arr[:, :, 1, :, :, :]).max()),
-        float(np.abs(arr[:, :, :, :, :, 1]).max()),
-    )
-    if leak > 1e-10:
-        raise ValueError(f"probe is not in |0>: residual weight {leak:.3e}")
-    sigma = np.ascontiguousarray(arr[:, :, 0, :, :, 0]).reshape(4, 4)
-    k = np.kron(np.eye(2, dtype=complex), iso.extension_matrix())
-    out = k @ sigma @ k.conj().T
-    return DensityMatrix(out, initial.labels, (2, 2, 2))
 
 
 @lru_cache(maxsize=256)

@@ -9,7 +9,10 @@ parameters reproduces the data files byte for byte.
 Angles in output files are always radians.  Input angle flags accept radians
 by default or degrees with an explicit ``deg`` suffix (e.g. ``--theta 22.5deg``).
 
-Exit codes: 0 success, 1 usage error, 2 numerical/bracket failure, 3 I/O failure.
+Exit codes: 0 success; 1 usage error, for a malformed command line or any
+parameter value the computation would reject (every value is validated while
+parsing); 2 numerical failure, for a failed bracket or a broken invariant,
+including any ValueError raised while computing; 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -19,14 +22,15 @@ import json
 import math
 import sys
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .attack import AttackParams, attacked_state, bipartite_reductions
-from .infocalc import SphereQuadrature, nonselected_information
+from .attack import AttackParams
+from .infocalc import SphereQuadrature
 from .protosim import (
+    _TRANSCRIPT_FIELDS,
     ProtocolConfig,
     SiftingPartition,
     empirical_mi,
@@ -45,11 +49,11 @@ from .security import (
     cier,
     critical_point,
     dimension_table,
+    information_rates,
     optimal_params,
     pair_fidelity_deficit,
     qber,
     qber_sphere_averaged,
-    reconciled_i_ab,
     sweep_curve,
 )
 
@@ -75,12 +79,47 @@ def _parse_angle(text: str) -> float:
     s = text.strip().lower()
     try:
         if s.endswith("deg"):
-            return math.radians(float(s[:-3]))
-        if s.endswith("rad"):
-            return float(s[:-3])
-        return float(s)
+            value = math.radians(float(s[:-3]))
+        elif s.endswith("rad"):
+            value = float(s[:-3])
+        else:
+            value = float(s)
     except ValueError:
-        raise _UsageError(f"cannot parse angle {text!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
+    return value
+
+
+def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
+    """Parser for an integer in [low, high), or in [low, inf) without ``high``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low or (high is not None and value >= high):
+            bound = f"[{low}, {high})" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+def _float_in(low: float, high: float) -> Callable[[str], float]:
+    """Parser for a float in the open interval (low, high); nan never passes."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"must lie in ({low}, {high}), got {text!r}")
+        return value
+
+    return parse
 
 
 def _py(value: Any) -> Any:
@@ -144,33 +183,22 @@ def _quad_from_args(args: argparse.Namespace) -> SphereQuadrature:
 
 
 def _add_common(p: argparse.ArgumentParser, output_required: bool = True) -> None:
-    p.add_argument("--quad-polar", type=int, default=32, help="Gauss-Legendre nodes in cos(theta)")
-    p.add_argument("--quad-azimuth", type=int, default=64, help="uniform azimuth nodes")
+    p.add_argument("--quad-polar", type=_int_in(2), default=32, help="Gauss-Legendre nodes in cos(theta)")
+    p.add_argument("--quad-azimuth", type=_int_in(4), default=64, help="uniform azimuth nodes")
     p.add_argument("--output", required=output_required, help="output file path")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    if args.theta_steps < 2 or args.phi_steps < 2:
-        raise _UsageError("grid needs at least 2 steps per axis")
     quad = _quad_from_args(args)
     thetas = np.linspace(0.0, QUARTER_PI, args.theta_steps)
     phis = np.linspace(0.0, QUARTER_PI, args.phi_steps)
     rows = []
     for t in thetas:
         for p in phis:
-            st = attacked_state(AttackParams(float(t), float(p)))
-            rab, rae, rbe = bipartite_reductions(st)
-            rows.append(
-                (
-                    float(t),
-                    float(p),
-                    nonselected_information(rab, quad, quad),
-                    nonselected_information(rae, quad, quad),
-                    nonselected_information(rbe, quad, quad),
-                )
-            )
+            rates = information_rates(AttackParams(float(t), float(p)), quad)
+            rows.append((float(t), float(p), *rates))
     manifest = _manifest(
         "surface",
         {
@@ -189,8 +217,6 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    if args.theta_steps < 2:
-        raise _UsageError("curve needs at least 2 grid points")
     quad = _quad_from_args(args)
     grid = np.linspace(0.0, QUARTER_PI, args.theta_steps)
     curve = sweep_curve(grid, reconciled=args.reconciled, quad=quad)
@@ -318,11 +344,7 @@ def simulate_summary(
     reference = None
     verdict_reference = None
     if on_line:
-        st = attacked_state(cfg.attack)
-        rab, rae, rbe = bipartite_reductions(st)
-        ref_ab = nonselected_information(rab, quad, quad)
-        ref_ae = nonselected_information(rae, quad, quad)
-        ref_be = nonselected_information(rbe, quad, quad)
+        ref_ab, ref_ae, ref_be = information_rates(cfg.attack, quad)
         reference = {
             "i_ab_bits": ref_ab,
             "i_ae_bits": ref_ae,
@@ -401,32 +423,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "csv":
         write_transcript(transcript, args.output)
     else:
-        fields = (
-            "round",
-            "disclosed",
-            "alice_u",
-            "alice_phi",
-            "alice_bit",
-            "bob_u",
-            "bob_phi",
-            "bob_bit",
-            "eve_bit",
-        )
-        rows = [
-            [
-                i,
-                int(transcript.disclosed[i]),
-                float(transcript.alice_u[i]),
-                float(transcript.alice_phi[i]),
-                int(transcript.alice_bit[i]),
-                float(transcript.bob_u[i]),
-                float(transcript.bob_phi[i]),
-                int(transcript.bob_bit[i]),
-                int(transcript.eve_bit[i]),
-            ]
-            for i in range(len(transcript))
-        ]
-        _write_table(args.output, "json", manifest, fields, rows)
+        columns = [getattr(transcript, f) for f in _TRANSCRIPT_FIELDS[1:]]
+        columns[0] = columns[0].astype(np.int8)  # the disclosed flag as 0/1, not true/false
+        rows = list(zip(range(len(transcript)), *(c.tolist() for c in columns)))
+        _write_table(args.output, "json", manifest, _TRANSCRIPT_FIELDS, rows)
     with open(args.output + ".summary.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump({"manifest": manifest, "summary": summary}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -439,30 +439,32 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("surface", help="information rates over the attack-angle square")
-    p.add_argument("--theta-steps", type=int, default=17)
-    p.add_argument("--phi-steps", type=int, default=17)
+    p.add_argument("--theta-steps", type=_int_in(2), default=17)
+    p.add_argument("--phi-steps", type=_int_in(2), default=17)
     _add_common(p)
     p.set_defaults(func=_cmd_surface)
 
     p = sub.add_parser("curve", help="rates along the optimal-eavesdropping line")
-    p.add_argument("--theta-steps", type=int, default=33)
+    p.add_argument("--theta-steps", type=_int_in(2), default=33)
     p.add_argument("--reconciled", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("critical", help="security threshold on the optimal line")
     p.add_argument("--reconciled", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-4, help="bisection tolerance, radians")
+    p.add_argument(
+        "--tol", type=_float_in(0.0, math.inf), default=1e-4, help="bisection tolerance, radians"
+    )
     _add_common(p, output_required=False)
     p.set_defaults(func=_cmd_critical)
 
     p = sub.add_parser("dims", help="alphabet-dimension scaling table")
-    p.add_argument("--d-max", type=int, default=64)
+    p.add_argument("--d-max", type=_int_in(2), default=64)
     _add_common(p)
     p.set_defaults(func=_cmd_dims)
 
     p = sub.add_parser("simulate", help="Monte Carlo protocol run")
-    p.add_argument("--rounds", type=int, default=100_000)
+    p.add_argument("--rounds", type=_int_in(1), default=100_000)
     p.add_argument("--theta", type=_parse_angle, default=0.0, help="attack angle (rad, or e.g. 22.5deg)")
     p.add_argument(
         "--phi",
@@ -470,12 +472,12 @@ def build_parser() -> _Parser:
         default=None,
         help="attack angle; defaults to pi/4 - theta (the optimal line)",
     )
-    p.add_argument("--cells-u", type=int, default=16)
-    p.add_argument("--cells-phi", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--disclose-fraction", type=float, default=0.1)
-    p.add_argument("--mi-cells-u", type=int, default=MI_CELLS_U)
-    p.add_argument("--mi-cells-phi", type=int, default=MI_CELLS_PHI)
+    p.add_argument("--cells-u", type=_int_in(1), default=16)
+    p.add_argument("--cells-phi", type=_int_in(1), default=32)
+    p.add_argument("--seed", type=_int_in(0, 2**64), default=0)
+    p.add_argument("--disclose-fraction", type=_float_in(0.0, 1.0), default=0.1)
+    p.add_argument("--mi-cells-u", type=_int_in(1), default=MI_CELLS_U)
+    p.add_argument("--mi-cells-phi", type=_int_in(1), default=MI_CELLS_PHI)
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -483,17 +485,14 @@ def build_parser() -> _Parser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError,) as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (BracketError, NumericalCorruptionError) as exc:
+    try:
+        return args.func(args)
+    except (ValueError, BracketError, NumericalCorruptionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except OSError as exc:

@@ -1,9 +1,11 @@
 """Information functionals over qubit pairs.
 
-Three routes to a mutual-information number live here:
+Four routes to a mutual-information number live here:
 
 * ``mutual_information`` — Shannon mutual information of a discrete 2x2
   outcome table, I = S_X + S_Y - S_XY in bits.
+* ``selected_information`` — the same for a pair state read out along fixed
+  unit Bloch vectors n and m (one orthogonal basis per party).
 * ``nonselected_information`` — the continuous-measurement variant: both
   parties read out with the resolution of the identity over *all* pure
   states, d(measure) = sin(theta) dtheta dphi / (2 pi), and the mutual
@@ -31,13 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import (
-    BlochDirection,
-    DensityMatrix,
-    MeasurementBasis,
-    NumericalCorruptionError,
-    expectation,
-)
+from .qstate import DensityMatrix, NumericalCorruptionError
 
 # Total sphere volume under the measure sin(theta) dtheta dphi / (2 pi).
 SPHERE_VOLUME = 2.0
@@ -101,14 +97,13 @@ class SphereQuadrature:
     ``u``, ``phi`` and ``weights`` are flat arrays of equal length; weights
     sum to the sphere volume 2 and integrate degree <= 2 polynomials in the
     Cartesian direction components exactly.  ``vectors`` caches the unit
-    Bloch vector of every node, shape (N, 3), and ``kets`` its outcome ket.
+    Bloch vector of every node, shape (N, 3).
     """
 
     u: np.ndarray
     phi: np.ndarray
     weights: np.ndarray
     vectors: np.ndarray
-    kets: np.ndarray
 
     def __init__(self, u: np.ndarray, phi: np.ndarray, weights: np.ndarray) -> None:
         u = np.asarray(u, dtype=float).reshape(-1)
@@ -126,16 +121,12 @@ class SphereQuadrature:
         if residual > 1e-10:
             raise ValueError(f"quadrature fails the degree-2 moment test: residual {residual:.3e}")
 
-        c = np.sqrt((1.0 + u) / 2.0)
-        s = np.sqrt((1.0 - u) / 2.0)
-        kets = np.stack([c.astype(complex), np.exp(1j * phi) * s], axis=1)
-        for arr in (u, phi, w, vectors, kets):
+        for arr in (u, phi, w, vectors):
             arr.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "kets", kets)
 
     @classmethod
     def gauss_product(cls, n_polar: int = 32, n_azimuth: int = 64) -> "SphereQuadrature":
@@ -156,11 +147,6 @@ class SphereQuadrature:
 
     def __len__(self) -> int:
         return int(self.u.size)
-
-    def directions(self) -> list[BlochDirection]:
-        return [
-            BlochDirection.from_cos_polar(ui, pi) for ui, pi in zip(self.u, self.phi)
-        ]
 
 
 def _moment_residual(vectors: np.ndarray, w: np.ndarray) -> float:
@@ -254,24 +240,6 @@ def nonselected_information(
     return value if value > ZERO_BITS else 0.0
 
 
-def selected_information(
-    rho_xy: DensityMatrix,
-    basis_x: MeasurementBasis,
-    basis_y: MeasurementBasis,
-) -> float:
-    """Mutual information of fixed orthogonal readouts at both parties, bits.
-
-    Symmetric under simultaneously swapping the parties and their bases.
-    """
-    _require_two_qubits(rho_xy)
-    kx = basis_x.kets()
-    ky = basis_y.kets()
-    probs = np.array(
-        [[expectation(rho_xy, (kx[k], ky[l])) for l in (0, 1)] for k in (0, 1)]
-    )
-    return mutual_information(JointTable(probs / probs.sum()))
-
-
 def _plog2p(p: np.ndarray) -> np.ndarray:
     _require_density(float(p.min()), "table")
     p = np.clip(p, 0.0, None)
@@ -290,6 +258,25 @@ def _table_information(an: np.ndarray, bm: np.ndarray, corr: np.ndarray) -> np.n
     px = 0.5 * (1.0 + s * an)
     py = 0.5 * (1.0 + s * bm)
     return _plog2p(joint).sum(axis=(0, 1)) - _plog2p(px).sum(axis=0) - _plog2p(py).sum(axis=0)
+
+
+def _unit_vector(v: np.ndarray, name: str) -> np.ndarray:
+    n = np.asarray(v, dtype=float)
+    if n.shape != (3,) or not np.isfinite(n).all() or abs(float(np.linalg.norm(n)) - 1.0) > 1e-9:
+        raise ValueError(f"{name} must be a finite unit Bloch vector, got {v!r}")
+    return n
+
+
+def selected_information(rho_xy: DensityMatrix, n: np.ndarray, m: np.ndarray) -> float:
+    """Mutual information of fixed orthogonal readouts at both parties, bits.
+
+    The first party reads along the unit Bloch vector +-n, the second along
+    +-m, so the outcome table is (1 +- a.n +- b.m +- n.T.m)/4.  Symmetric
+    under simultaneously swapping the parties and their directions.
+    """
+    n, m = _unit_vector(n, "n"), _unit_vector(m, "m")
+    a, b, t = _fano_form(rho_xy)
+    return max(0.0, float(_table_information(n @ a, m @ b, n @ t @ m)))
 
 
 def averaged_selected_information(

@@ -1,16 +1,19 @@
-"""Monte Carlo simulation of the elementary protocol step.
+"""Monte Carlo simulation of the protocol, one vectorised sampler.
 
-One round: the sender measures her half of the shared singlet along a
+One round: the sender measures its half of the shared singlet along a
 uniformly random sphere direction, the eavesdropper's probe couples to the
-channel qubit, the receiver measures along his own uniformly random
+channel qubit, the receiver measures along its own uniformly random
 direction, and the probe is read out in its computational basis.  The three
 bits are drawn from the exact joint Born distribution of the 8-dimensional
 post-attack pure state, so the transcript statistics match the analytic
-reductions by construction.
+reductions by construction.  ``run_protocol`` samples every round; there is
+no per-round driver.
 
 Randomness is counter-based: round i consumes row i of a (rounds, 5) uniform
-block drawn from a Philox generator keyed by the seed, so a transcript is a
-pure function of (seed, rounds, attack) and is reproducible bit for bit.
+block drawn from a Philox generator keyed by the seed, in the column order
+(sender u, sender phi, receiver u, receiver phi, outcome pick), so a
+transcript is a pure function of (seed, rounds, attack), a shorter run is a
+prefix of a longer one, and runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import AttackParams, attacked_pure_state
-from .qstate import BlochDirection, NumericalCorruptionError, TWO_PI
+from .qstate import NumericalCorruptionError, TWO_PI
 
 _CHUNK = 1 << 17
 _LN2 = math.log(2.0)
@@ -47,17 +50,6 @@ class ProtocolConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not (0.0 < self.disclose_fraction < 1.0):
             raise ValueError("disclose_fraction must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Outcome of one elementary step."""
-
-    alice_dir: BlochDirection
-    alice_bit: int
-    bob_dir: BlochDirection
-    bob_bit: int
-    eve_bit: int
 
 
 @dataclass(frozen=True)
@@ -132,15 +124,6 @@ class Transcript:
     def __len__(self) -> int:
         return int(self.alice_u.size)
 
-    def record(self, i: int) -> RoundRecord:
-        return RoundRecord(
-            alice_dir=BlochDirection.from_cos_polar(float(self.alice_u[i]), float(self.alice_phi[i])),
-            alice_bit=int(self.alice_bit[i]),
-            bob_dir=BlochDirection.from_cos_polar(float(self.bob_u[i]), float(self.bob_phi[i])),
-            bob_bit=int(self.bob_bit[i]),
-            eve_bit=int(self.eve_bit[i]),
-        )
-
     def subset(self, mask: np.ndarray) -> "Transcript":
         return Transcript(
             self.alice_u[mask].copy(),
@@ -187,59 +170,6 @@ def _outcome_probabilities(
 def _pick(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     cum = np.cumsum(p, axis=1)
     return (cum < r[:, None] * cum[:, -1:]).sum(axis=1)
-
-
-def round_probabilities(
-    attack: AttackParams, alice_dir: BlochDirection, bob_dir: BlochDirection
-) -> np.ndarray:
-    """Exact (2, 2, 2) outcome distribution for fixed measurement directions."""
-    state = attacked_pure_state(attack)
-    p = _outcome_probabilities(
-        state,
-        np.array([alice_dir.u]),
-        np.array([alice_dir.phi]),
-        np.array([bob_dir.u]),
-        np.array([bob_dir.phi]),
-    )
-    return p.reshape(2, 2, 2)
-
-
-def run_round_with_directions(
-    attack: AttackParams,
-    alice_dir: BlochDirection,
-    bob_dir: BlochDirection,
-    rng: np.random.Generator,
-) -> RoundRecord:
-    """One protocol round with forced measurement directions."""
-    p = round_probabilities(attack, alice_dir, bob_dir).reshape(1, 8)
-    idx = int(_pick(p, np.asarray([rng.random()]))[0])
-    return RoundRecord(
-        alice_dir=alice_dir,
-        alice_bit=(idx >> 2) & 1,
-        bob_dir=bob_dir,
-        bob_bit=(idx >> 1) & 1,
-        eve_bit=idx & 1,
-    )
-
-
-def run_round(attack: AttackParams, rng: np.random.Generator) -> RoundRecord:
-    """One protocol round; directions sampled uniformly under the sphere measure.
-
-    Consumes exactly five uniforms from ``rng`` in a fixed order, matching one
-    row of the vectorized driver.
-    """
-    draws = rng.random(5)
-    alice = BlochDirection.from_cos_polar(2.0 * draws[0] - 1.0, TWO_PI * draws[1])
-    bob = BlochDirection.from_cos_polar(2.0 * draws[2] - 1.0, TWO_PI * draws[3])
-    p = round_probabilities(attack, alice, bob).reshape(1, 8)
-    idx = int(_pick(p, draws[4:5])[0])
-    return RoundRecord(
-        alice_dir=alice,
-        alice_bit=(idx >> 2) & 1,
-        bob_dir=bob,
-        bob_bit=(idx >> 1) & 1,
-        eve_bit=idx & 1,
-    )
 
 
 def run_protocol(cfg: ProtocolConfig) -> Transcript:

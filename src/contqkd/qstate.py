@@ -1,10 +1,12 @@
-"""Exact finite-dimensional quantum state algebra on labeled qubit registers.
+"""Density matrices on labeled qubit registers: products and reductions.
 
-Kets and density matrices live on tensor products of qubit subsystems that
-are identified by string labels rather than positions, so the three distinct
-reductions of a tripartite state cannot be confused with one another.  All
-storage is dense complex arithmetic; the largest space used anywhere in this
-package is 8 = 2**3.
+States live on tensor products of qubit subsystems that are identified by
+string labels rather than positions, so the three distinct reductions of a
+tripartite state cannot be confused with one another.  All storage is dense
+complex arithmetic; the largest space used anywhere in this package is
+8 = 2**3.  Measurement directions are not represented here: every reading of
+a pair state goes through its Fano form (``infocalc._fano_form``) along unit
+Bloch vectors.
 
 Every type is immutable after construction and every operation is a pure
 function, so everything here is safe to evaluate concurrently.
@@ -12,7 +14,6 @@ function, so everything here is safe to evaluate concurrently.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,118 +31,6 @@ PSD_FLOOR = -1e-10
 
 class NumericalCorruptionError(ArithmeticError):
     """A probability or spectrum check failed beyond roundoff tolerance."""
-
-
-def _wrap(x: float, period: float = TWO_PI) -> float:
-    y = math.fmod(float(x), period)
-    return y + period if y < 0.0 else y
-
-
-@dataclass(frozen=True)
-class BlochDirection:
-    """Point on the Bloch sphere: polar angle ``theta``, azimuth ``phi``.
-
-    Angles are radians.  Canonical form is theta in [0, pi] and phi in
-    [0, 2*pi); at the two poles phi is fixed to 0 because it is physically
-    irrelevant there.
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        t = _wrap(self.theta)
-        p = float(self.phi)
-        if t > math.pi:
-            t = TWO_PI - t
-            p += math.pi
-        p = _wrap(p)
-        if t == 0.0 or t == math.pi:
-            p = 0.0
-        object.__setattr__(self, "theta", t)
-        object.__setattr__(self, "phi", p)
-
-    @classmethod
-    def from_cos_polar(cls, u: float, phi: float) -> "BlochDirection":
-        """Build a direction from cos(theta) and the azimuth."""
-        u = min(1.0, max(-1.0, float(u)))
-        return cls(math.acos(u), phi)
-
-    @property
-    def u(self) -> float:
-        """cos(theta), the natural uniform coordinate of the sphere measure."""
-        return math.cos(self.theta)
-
-    def antipode(self) -> "BlochDirection":
-        """Opposite point of the sphere; an involution."""
-        return BlochDirection(math.pi - self.theta, self.phi + math.pi)
-
-    def angle_to(self, other: "BlochDirection") -> float:
-        """Geodesic angle between two directions, in [0, pi]."""
-        c = (
-            math.cos(self.theta) * math.cos(other.theta)
-            + math.sin(self.theta) * math.sin(other.theta) * math.cos(self.phi - other.phi)
-        )
-        return math.acos(min(1.0, max(-1.0, c)))
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Qubit ket as an ordered pair of complex amplitudes.
-
-    The amplitudes are kept unit-normalized and phase-canonicalized: the
-    first nonzero amplitude is real and nonnegative, which makes equality
-    testing well defined.
-    """
-
-    amplitudes: tuple[complex, complex]
-
-    def __post_init__(self) -> None:
-        a0, a1 = (complex(a) for a in self.amplitudes)
-        norm_sq = abs(a0) ** 2 + abs(a1) ** 2
-        if abs(norm_sq - 1.0) > 1e-9:
-            raise ValueError(f"amplitudes are not normalized: |a|^2 = {norm_sq!r}")
-        norm = math.sqrt(norm_sq)
-        a0 /= norm
-        a1 /= norm
-        pivot = a0 if abs(a0) > 1e-12 else a1
-        phase = pivot / abs(pivot)
-        a0 /= phase
-        a1 /= phase
-        object.__setattr__(self, "amplitudes", (a0, a1))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array(self.amplitudes, dtype=complex)
-
-    def inner(self, other: "PureState") -> complex:
-        """<self|other>."""
-        v, w = self.vector, other.vector
-        return complex(np.vdot(v, w))
-
-
-def ket_from_bloch(d: BlochDirection) -> PureState:
-    """Ket (cos(theta/2), e^{i phi} sin(theta/2)) for a sphere direction.
-
-    Antipodal directions yield orthogonal kets.
-    """
-    half = 0.5 * d.theta
-    return PureState((math.cos(half), cmath.exp(1j * d.phi) * math.sin(half)))
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Two-outcome orthogonal basis {|v>, |v~>} fixed by a sphere direction."""
-
-    direction: BlochDirection
-
-    def kets(self) -> tuple[PureState, PureState]:
-        return ket_from_bloch(self.direction), ket_from_bloch(self.direction.antipode())
-
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        k0, k1 = self.kets()
-        v0, v1 = k0.vector, k1.vector
-        return np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,17 +97,6 @@ class DensityMatrix:
         """Tr(rho^2); equals 1 exactly for pure states."""
         return float(np.trace(self.entries @ self.entries).real)
 
-    def label_position(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown subsystem label {label!r} (have {self.labels})") from None
-
-
-def pure_density(state: PureState, label: str) -> DensityMatrix:
-    """Single-qubit projector |psi><psi| carrying one label."""
-    return DensityMatrix.from_ket(state.vector, (label,))
-
 
 def singlet(labels: Sequence[str] = ("A", "B")) -> DensityMatrix:
     """Projector onto the antisymmetric two-qubit state (|01> - |10>)/sqrt(2)."""
@@ -278,25 +156,3 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
         tuple(rho.dims[i] for i in keep_pos),
     )
 
-
-def expectation(rho: DensityMatrix, kets: Sequence[PureState]) -> float:
-    """<k1...kn| rho |k1...kn> for one ket per subsystem label.
-
-    The result is clamped into [0, 1]: values in [-1e-10, 0) are treated as
-    roundoff and returned as 0, anything further out raises
-    NumericalCorruptionError.
-    """
-    if len(kets) != len(rho.labels):
-        raise ValueError(f"need one ket per label ({len(rho.labels)}), got {len(kets)}")
-    v = np.array([1.0], dtype=complex)
-    for k in kets:
-        v = np.kron(v, k.vector)
-    val = complex(v.conj() @ rho.entries @ v)
-    if abs(val.imag) > 1e-10:
-        raise NumericalCorruptionError(f"expectation has imaginary part {val.imag!r}")
-    x = val.real
-    if x < PSD_FLOOR:
-        raise NumericalCorruptionError(f"expectation {x!r} below the corruption floor")
-    if x > 1.0 + 1e-9:
-        raise NumericalCorruptionError(f"expectation {x!r} above 1 beyond tolerance")
-    return min(1.0, max(0.0, x))

@@ -6,20 +6,22 @@ the full per-letter information; at theta = pi/4 the roles of the receiver
 and the probe are exactly swapped.  The security threshold is the parameter
 where the receiver's information stops dominating the probe's.
 
-Three disturbance figures are computed:
+Three disturbance figures are computed, each linear in the correlation
+tensor T of the attacked sender-receiver pair (Fano form, see ``infocalc``):
 
-* ``qber`` — the error probability of the transmission-basis letters under
-  the induced channel, 1 - mean_b <b| L(|b><b|) |b>.  For the two-angle
-  coupling this equals sin(theta)^2 for every phi, reproducing the anchor
-  values 0 (no attack), 1/2 (full swap) and sin(pi/8)^2 ~ 0.146 at the
-  unreconciled threshold.
-* ``qber_sphere_averaged`` — the same conditional disturbance averaged over
-  every heralded pure state with the sphere measure.  It is the quantity the
-  sifted Monte Carlo error rate estimates, and it differs from ``qber``
-  (e.g. 0.181 instead of 0.146 at the unreconciled threshold).
-* ``pair_fidelity_deficit`` — one minus the overlap of the attacked pair
-  state with the undisturbed singlet.  On the optimal line it equals
-  1 - cos(theta)^4 = 1 - (1 - sin(theta)^2)^2, and at the reconciled
+* ``qber`` = (1 + T_zz)/2 — the error probability of the transmission-basis
+  letters, both parties reading along z.  For the two-angle coupling this
+  equals sin(theta)^2 for every phi, reproducing the anchor values 0 (no
+  attack), 1/2 (full swap) and sin(pi/8)^2 ~ 0.146 at the unreconciled
+  threshold.
+* ``qber_sphere_averaged`` = mean over the sphere of (1 + n.T.n)/2 — the
+  same error with both parties reading along a shared uniformly random
+  direction n, i.e. (1 + tr T / 3)/2.  It is the quantity the sifted Monte
+  Carlo error rate estimates, and it differs from ``qber`` (e.g. 0.181
+  instead of 0.146 at the unreconciled threshold).
+* ``pair_fidelity_deficit`` = (3 + tr T)/4 — one minus the overlap of the
+  attacked pair state with the undisturbed singlet.  On the optimal line it
+  equals 1 - cos(theta)^4 = 1 - (1 - sin(theta)^2)^2, and at the reconciled
   threshold it is the reading that matches the published q0 ~ 0.42
   alongside the published Q0 ~ 0.81.
 
@@ -31,11 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .attack import AttackParams, attacked_state, bipartite_reductions, build_isometry
+from .attack import AttackParams, attacked_state, bipartite_reductions
 from .infocalc import (
     SPHERE_VOLUME,
     SphereQuadrature,
@@ -44,7 +46,7 @@ from .infocalc import (
     default_quadrature,
     nonselected_information,
 )
-from .qstate import DensityMatrix, partial_trace, singlet
+from .qstate import DensityMatrix, partial_trace
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -153,48 +155,56 @@ def reconciled_i_ab(rho_ab: DensityMatrix, quad: SphereQuadrature | None = None)
     return max(0.0, value)
 
 
+def _attacked_pair(params: AttackParams) -> DensityMatrix:
+    """Sender-receiver reduction of the attacked singlet."""
+    st = attacked_state(params)
+    return partial_trace(st, st.labels[:2])
+
+
+def _transmission_error(rab: DensityMatrix) -> float:
+    """(1 + T_zz)/2, snapped to exact zero below roundoff (1e-12)."""
+    q = 0.5 * (1.0 + float(_fano_form(rab)[2][2, 2]))
+    return q if q > 1e-12 else 0.0
+
+
 def qber(params: AttackParams) -> float:
     """Transmission-basis error probability of the induced channel.
 
-    q = 1 - (<0|L(|0><0|)|0> + <1|L(|1><1|)|1>) / 2, which for the two-angle
-    coupling evaluates to sin(theta)^2 independently of phi.  Values below
+    Both parties read along z; an error is a pair of equal bits, of
+    probability (1 + T_zz)/2 on the attacked pair.  For the two-angle
+    coupling this is sin(theta)^2 independently of phi.  Values below
     roundoff (1e-12) snap to exact zero so the no-attack case reads 0.0.
     """
-    a0, a1 = build_isometry(params).kraus()
-    f0 = abs(a0[0, 0]) ** 2 + abs(a1[0, 0]) ** 2
-    f1 = abs(a0[1, 1]) ** 2 + abs(a1[1, 1]) ** 2
-    q = 1.0 - 0.5 * float(f0 + f1)
-    return q if q > 1e-12 else 0.0
+    return _transmission_error(_attacked_pair(params))
 
 
 def qber_sphere_averaged(params: AttackParams, quad: SphereQuadrature | None = None) -> float:
     """Heralded-state disturbance averaged over the sphere.
 
-    q = 1 - (1/V) integral of <psi| L(|psi><psi|) |psi> over all pure states.
-    This is what the sifted Monte Carlo error rate converges to.
+    Both parties read along a shared direction n; the error probability
+    (1 + n.T.n)/2 is averaged over the nodes of ``quad``.  The rule
+    integrates degree-2 polynomials exactly, so the value is
+    (1 + tr T / 3)/2 to roundoff; values below 1e-12 snap to exact zero as
+    for ``qber``.  This is what the sifted Monte Carlo error rate converges
+    to.
     """
     q = quad if quad is not None else default_quadrature()
-    a0, a1 = build_isometry(params).kraus()
-    fid = np.zeros(len(q))
-    for a in (a0, a1):
-        amp = np.einsum("ia,ab,ib->i", q.kets.conj(), a, q.kets)
-        fid += amp.real**2 + amp.imag**2
-    avg = math.fsum((fid * q.weights).tolist()) / SPHERE_VOLUME
-    return max(0.0, 1.0 - avg)
+    t = _fano_form(_attacked_pair(params))[2]
+    err = 0.5 * (1.0 + ((q.vectors @ t) * q.vectors).sum(axis=1))
+    avg = math.fsum((err * q.weights).tolist()) / SPHERE_VOLUME
+    return avg if avg > 1e-12 else 0.0
 
 
 def pair_fidelity_deficit(params: AttackParams) -> float:
     """1 - overlap of the attacked pair state with the undisturbed singlet.
 
-    A third disturbance reading, reported for diagnosis: on the optimal line
+    The singlet overlap is (1 - tr T)/4, so the deficit is (3 + tr T)/4.  A
+    third disturbance reading, reported for diagnosis: on the optimal line
     it equals 1 - cos(theta)^4 and is what the published reconciled error
     figure (~0.42) matches.
     """
-    st = attacked_state(params)
-    rab = partial_trace(st, st.labels[:2])
-    ref = singlet(rab.labels).entries
-    overlap = float(np.trace(ref @ rab.entries).real)
-    return max(0.0, 1.0 - overlap)
+    t = _fano_form(_attacked_pair(params))[2]
+    return max(0.0, 0.25 * (3.0 + float(np.trace(t))))
 
 
 def _line_reductions(theta: float) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
@@ -202,22 +212,29 @@ def _line_reductions(theta: float) -> tuple[DensityMatrix, DensityMatrix, Densit
     return bipartite_reductions(attacked_state(optimal_params(theta)))
 
 
+def _receiver_rate(rab: DensityMatrix, reconciled: bool, quad: SphereQuadrature) -> float:
+    """i_ab: reconciled shared-basis rate, or the continuous-readout rate."""
+    if reconciled:
+        return reconciled_i_ab(rab, quad)
+    return nonselected_information(rab, quad, quad)
+
+
 def _info_pair(
     rab: DensityMatrix, rae: DensityMatrix, reconciled: bool, quad: SphereQuadrature
 ) -> tuple[float, float]:
     """(i_ab, i_ae) from two line reductions; the pair the threshold compares."""
-    if reconciled:
-        iab = reconciled_i_ab(rab, quad)
-    else:
-        iab = nonselected_information(rab, quad, quad)
-    return iab, nonselected_information(rae, quad, quad)
+    return _receiver_rate(rab, reconciled, quad), nonselected_information(rae, quad, quad)
 
 
-def _line_infos(
-    theta: float, reconciled: bool, quad: SphereQuadrature
+def information_rates(
+    params: AttackParams, quad: SphereQuadrature, reconciled: bool = False
 ) -> tuple[float, float, float]:
-    """(i_ab, i_ae, i_be) at one optimal-line point."""
-    rab, rae, rbe = _line_reductions(theta)
+    """(i_ab, i_ae, i_be) of the attacked singlet, in bits.
+
+    The probe's rates are continuous-readout values; ``i_ab`` is too unless
+    ``reconciled``, when it is the shared-basis rate of ``reconciled_i_ab``.
+    """
+    rab, rae, rbe = bipartite_reductions(attacked_state(params))
     return (*_info_pair(rab, rae, reconciled, quad), nonselected_information(rbe, quad, quad))
 
 
@@ -237,7 +254,7 @@ def sweep_curve(
     iae = np.empty(grid.size)
     ibe = np.empty(grid.size)
     for idx, t in enumerate(grid):
-        iab[idx], iae[idx], ibe[idx] = _line_infos(float(t), reconciled, q)
+        iab[idx], iae[idx], ibe[idx] = information_rates(optimal_params(float(t)), q, reconciled)
     return InfoCurve(grid, iab, iae, ibe, reconciled)
 
 
@@ -262,24 +279,20 @@ def critical_point(
     reconciled: bool = False,
     quad: SphereQuadrature | None = None,
     tol: float = 1e-4,
-    _evaluator: Callable[[float], tuple[float, float]] | None = None,
 ) -> SecurityReport:
     """Locate the security threshold on the optimal line by bisection.
 
     Finds the root of g(theta) = i_ab(theta) - i_ae(theta) over [0, pi/4] to
-    within ``tol`` radians.  The bracket endpoints must straddle the root
-    (g > 0 with no attack, g < 0 at the full swap); anything else signals a
-    modeling bug and raises BracketError.
+    within ``tol`` radians, which must be finite and positive.  The bracket
+    endpoints must straddle the root (g > 0 with no attack, g < 0 at the
+    full swap); anything else signals a modeling bug and raises BracketError.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     q = quad if quad is not None else default_quadrature()
-    evaluate = _evaluator if _evaluator is not None else (
-        lambda t: _info_pair(*_line_reductions(t)[:2], reconciled, q)
-    )
 
     def g(t: float) -> float:
-        iab, iae = evaluate(t)
+        iab, iae = _info_pair(*_line_reductions(t)[:2], reconciled, q)
         return iab - iae
 
     lo, hi = 0.0, QUARTER_PI
@@ -295,12 +308,13 @@ def critical_point(
         else:
             hi = mid
     theta0 = 0.5 * (lo + hi)
-    i0 = evaluate(theta0)[0]
+    rab = _line_reductions(theta0)[0]
+    i0 = _receiver_rate(rab, reconciled, q)
     i_max = RECONCILED_MAX_BITS if reconciled else NONSELECTED_MAX_BITS
     return SecurityReport(
         theta0=theta0,
         i0=i0,
-        q0=qber(optimal_params(theta0)),
+        q0=_transmission_error(rab),
         q_cier0=cier(i0, i_max),
         reconciled=reconciled,
     )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contqkd import BlochDirection, SphereQuadrature
+from contqkd import SphereQuadrature
 
 # Closed-form per-letter information of the undisturbed channel under the
 # all-states readout: 1 - 1/(2 ln 2).  Derived by reducing the double sphere
@@ -23,32 +23,29 @@ def quad_mid():
     return SphereQuadrature.gauss_product(24, 48)
 
 
-def random_direction(rng: np.random.Generator) -> BlochDirection:
-    return BlochDirection.from_cos_polar(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+def random_direction(rng: np.random.Generator) -> np.ndarray:
+    """Unit Bloch vector drawn uniformly from the sphere."""
+    u = rng.uniform(-1.0, 1.0)
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    s = math.sqrt(1.0 - u * u)
+    return np.array([s * math.cos(phi), s * math.sin(phi), u])
 
 
-def direction_from_vector(v) -> BlochDirection:
-    x, y, z = (float(c) for c in v)
-    r = math.sqrt(x * x + y * y + z * z)
-    return BlochDirection(math.acos(max(-1.0, min(1.0, z / r))), math.atan2(y, x) % (2.0 * math.pi))
-
-
-def direction_at_angle(base: BlochDirection, angle: float, rng: np.random.Generator) -> BlochDirection:
-    """A direction at the given geodesic angle from ``base``, azimuth random."""
-    n = np.array(
-        [
-            math.sin(base.theta) * math.cos(base.phi),
-            math.sin(base.theta) * math.sin(base.phi),
-            math.cos(base.theta),
-        ]
-    )
-    helper = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(n, helper)
+def direction_at_angle(base: np.ndarray, angle: float, rng: np.random.Generator) -> np.ndarray:
+    """A unit vector at the given geodesic angle from the unit vector ``base``, azimuth random."""
+    helper = np.array([1.0, 0.0, 0.0]) if abs(base[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(base, helper)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    e2 = np.cross(base, e1)
     psi = rng.uniform(0.0, 2.0 * math.pi)
-    v = math.cos(angle) * n + math.sin(angle) * (math.cos(psi) * e1 + math.sin(psi) * e2)
-    return direction_from_vector(v)
+    v = math.cos(angle) * base + math.sin(angle) * (math.cos(psi) * e1 + math.sin(psi) * e2)
+    return v / np.linalg.norm(v)
+
+
+def cos_polar_azimuth(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, phi) sampler coordinates of unit vectors, shape (..., 3) -> (...), (...)."""
+    v = np.asarray(v, dtype=float)
+    return np.clip(v[..., 2], -1.0, 1.0), np.mod(np.arctan2(v[..., 1], v[..., 0]), 2.0 * math.pi)
 
 
 def binary_entropy(p: float) -> float:

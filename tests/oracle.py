@@ -1,13 +1,18 @@
-"""Reference implementations of the two-qubit information rates.
+"""Reference implementations of the two-qubit information rates and readings.
 
-These are the original double-sphere evaluations: the joint outcome density
-is built node pair by node pair from the eigendecomposition of the state and
-the complex outcome kets of the quadrature, and the integrand
-p log2(p / (p_x p_y)) is summed over both spheres.  They are slow (O(N^2)
-per call) and carry the integrable log singularity of the integrand, so
-their own error at the 32x64 rule reaches ~7e-7 bits on the singlet.  The
-package computes the same rates from the Fano form; the tests compare the
-two.
+The information rates are the original double-sphere evaluations: the joint
+outcome density is built node pair by node pair from the eigendecomposition
+of the state and the complex outcome kets of the quadrature, and the
+integrand p log2(p / (p_x p_y)) is summed over both spheres.  They are slow
+(O(N^2) per call) and carry the integrable log singularity of the integrand,
+so their own error at the 32x64 rule reaches ~7e-7 bits on the singlet.
+
+The two-basis information, the sphere-averaged disturbance and the attack
+itself are evaluated here the original way too: Born-rule expectations on
+complex kets, the Kraus pair of the induced channel, and the Kronecker-
+extended isometry acting on a three-qubit density matrix.  The package
+computes all of these from the Fano form or the cached post-attack ket; the
+tests compare the two.
 """
 
 from __future__ import annotations
@@ -16,7 +21,17 @@ import math
 
 import numpy as np
 
-from contqkd import DensityMatrix, NumericalCorruptionError, SphereQuadrature, partial_trace
+from contqkd import (
+    AttackParams,
+    DensityMatrix,
+    EveIsometry,
+    JointTable,
+    NumericalCorruptionError,
+    SphereQuadrature,
+    build_isometry,
+    mutual_information,
+    partial_trace,
+)
 
 SPHERE_VOLUME = 2.0
 DENSITY_FLOOR = 1e-300
@@ -24,9 +39,14 @@ DENSITY_FLOOR = 1e-300
 
 def node_kets(quad: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
     """Outcome kets of every node and of its antipode, each shape (N, 2)."""
-    c = np.sqrt((1.0 + quad.u) / 2.0)
-    s = np.sqrt((1.0 - quad.u) / 2.0)
-    ph = np.exp(1j * quad.phi)
+    return outcome_kets(quad.u, quad.phi)
+
+
+def outcome_kets(u: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome kets of the directions (u, phi) and of their antipodes, each shape (N, 2)."""
+    c = np.sqrt((1.0 + u) / 2.0)
+    s = np.sqrt((1.0 - u) / 2.0)
+    ph = np.exp(1j * phi)
     kets = np.stack([c.astype(complex), ph * s], axis=1)
     anti = np.stack([s.astype(complex), -ph * c], axis=1)
     return kets, anti
@@ -116,3 +136,45 @@ def reconciled_i_ab(rho_ab: DensityMatrix, quad: SphereQuadrature) -> float:
             )
     value = math.fsum((total * quad.weights).tolist()) / SPHERE_VOLUME
     return max(0.0, value)
+
+
+def vector_kets(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome kets of the unit Bloch vector n and of its antipode -n."""
+    kets, anti = outcome_kets(np.clip(n[2:], -1.0, 1.0), np.arctan2(n[1:2], n[0:1]))
+    return kets[0], anti[0]
+
+
+def selected_information(rho_xy: DensityMatrix, n: np.ndarray, m: np.ndarray) -> float:
+    """Two-basis mutual information from the Born rule on complex kets, bits."""
+    kx, ky = vector_kets(n), vector_kets(m)
+    probs = np.empty((2, 2))
+    for k in (0, 1):
+        for l in (0, 1):
+            v = np.kron(kx[k], ky[l])
+            probs[k, l] = float((v.conj() @ rho_xy.entries @ v).real)
+    return mutual_information(JointTable(probs / probs.sum()))
+
+
+def kraus_pair(params: AttackParams) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus operators of the induced channel on the receiver, by probe outcome."""
+    v = build_isometry(params).extension_matrix()
+    return v[0::2, :], v[1::2, :]
+
+
+def qber_sphere_averaged(params: AttackParams, quad: SphereQuadrature) -> float:
+    """1 - sphere mean of the channel fidelity <psi| L(|psi><psi|) |psi>."""
+    kets, _ = node_kets(quad)
+    fid = np.zeros(len(quad))
+    for a in kraus_pair(params):
+        amp = np.einsum("ia,ab,ib->i", kets.conj(), a, kets)
+        fid += amp.real**2 + amp.imag**2
+    avg = math.fsum((fid * quad.weights).tolist()) / SPHERE_VOLUME
+    return max(0.0, 1.0 - avg)
+
+
+def apply_attack(initial: DensityMatrix, iso: EveIsometry) -> DensityMatrix:
+    """Evolve a (sender, channel, probe) state whose probe is in |0> through the coupling."""
+    arr = initial.entries.reshape(2, 2, 2, 2, 2, 2)
+    sigma = np.ascontiguousarray(arr[:, :, 0, :, :, 0]).reshape(4, 4)
+    k = np.kron(np.eye(2, dtype=complex), iso.extension_matrix())
+    return DensityMatrix(k @ sigma @ k.conj().T, initial.labels, (2, 2, 2))

@@ -224,6 +224,46 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "critical_point", boom)
         assert run(["critical", "--tol", "1e-3", *LIGHT]) == 2
 
+    def test_nonfinite_tol_rejected(self, capsys):
+        for tol in ("nan", "inf", "-inf"):
+            assert run(["critical", "--reconciled", "--tol", tol, *LIGHT]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["surface", "--phi-steps", "1"],
+            ["curve", "--quad-polar", "1"],
+            ["curve", "--quad-azimuth", "3"],
+            ["critical", "--tol", "0"],
+            ["dims", "--d-max", "1"],
+            ["simulate", "--theta", "nan"],
+            ["simulate", "--phi", "infdeg"],
+            ["simulate", "--seed", "-1"],
+            ["simulate", "--seed", str(2**64)],
+            ["simulate", "--disclose-fraction", "nan"],
+            ["simulate", "--disclose-fraction", "1"],
+            ["simulate", "--cells-u", "0"],
+            ["simulate", "--mi-cells-phi", "0"],
+            ["simulate", "--rounds", "1.5"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_rejected_at_the_boundary(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run([*argv, "--output", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invariant_failure_exits_2(self, monkeypatch, tmp_path, capsys):
+        import contqkd.security as security
+
+        # Rates that break the probe-vs-receiver dominance invariant of InfoCurve.
+        monkeypatch.setattr(security, "information_rates", lambda *args: (0.0, 0.0, 0.1))
+        out = tmp_path / "curve.csv"
+        assert run(["curve", "--theta-steps", "3", "--output", str(out), *LIGHT]) == 2
+        assert "dominance" in capsys.readouterr().err
+
 
 class TestFormatLosslessness:
     def test_csv_and_json_agree_bit_for_bit(self, tmp_path):

@@ -1,10 +1,13 @@
-"""The Fano-form information rates against the double-quadrature reference.
+"""The Fano-form rates and readings against the ket-based references.
 
 Tolerances are fixed by the reference, not by the kernel: the reference's
 own error on the continuous readout reaches 7.3e-7 bits at the 32x64 rule
 (log singularity of the integrand), so the continuous rate must agree to
-2e-6; the reconciled rate integrates the same table on the same nodes, so
-only roundoff separates the two and it must agree to 1e-12.
+2e-6.  The reconciled rate integrates the same table on the same nodes, the
+two-basis information reads the same 2x2 table, and the sphere-averaged
+disturbance averages the same degree-2 polynomial over the same nodes, so
+only roundoff separates each from its reference and they must agree to
+1e-12.
 """
 
 import math
@@ -21,12 +24,17 @@ from contqkd import (
     bipartite_reductions,
     default_quadrature,
     nonselected_information,
+    qber_sphere_averaged,
     reconciled_i_ab,
+    selected_information,
 )
 import oracle
 
 NONSELECTED_TOL = 2e-6
-RECONCILED_TOL = 1e-12
+EXACT_TOL = 1e-12
+
+# Two nonzero 3-vectors, normalized to the parties' reading directions.
+DIRECTIONS = arrays(np.float64, (2, 3), elements=st.floats(-1.0, 1.0, allow_subnormal=False))
 
 EXAMPLES = settings(
     max_examples=12,
@@ -37,28 +45,35 @@ EXAMPLES = settings(
 )
 
 
-def _check_against_reference(rho: DensityMatrix) -> None:
+def _check_against_reference(rho: DensityMatrix, directions: np.ndarray) -> None:
     quad = default_quadrature()
     got = nonselected_information(rho, quad, quad)
     ref = oracle.nonselected_information(rho, quad, quad)
     assert abs(got - ref) <= NONSELECTED_TOL, (got, ref)
     got = reconciled_i_ab(rho, quad)
     ref = oracle.reconciled_i_ab(rho, quad)
-    assert abs(got - ref) <= RECONCILED_TOL, (got, ref)
+    assert abs(got - ref) <= EXACT_TOL, (got, ref)
+    norms = np.linalg.norm(directions, axis=1)
+    assume(norms.min() > 1e-3)
+    n, m = directions / norms[:, None]
+    got = selected_information(rho, n, m)
+    ref = oracle.selected_information(rho, n, m)
+    assert abs(got - ref) <= EXACT_TOL, (got, ref)
 
 
 @EXAMPLES
 @given(
     arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0, allow_subnormal=False)),
     st.integers(1, 4),
+    DIRECTIONS,
 )
-def test_random_states_match_reference(parts, rank):
+def test_random_states_match_reference(parts, rank, directions):
     g = (parts[0] + 1j * parts[1])[:, :rank]
     m = g @ g.conj().T
     norm = float(np.trace(m).real)
     assume(norm > 1e-3)
     m = m / norm
-    _check_against_reference(DensityMatrix(0.5 * (m + m.conj().T), ("A", "B")))
+    _check_against_reference(DensityMatrix(0.5 * (m + m.conj().T), ("A", "B")), directions)
 
 
 @EXAMPLES
@@ -66,7 +81,12 @@ def test_random_states_match_reference(parts, rank):
     st.floats(0.0, math.pi / 4),
     st.floats(0.0, math.pi / 4),
     st.sampled_from([0, 1, 2]),
+    DIRECTIONS,
 )
-def test_attacked_reductions_match_reference(theta, phi, which):
-    rho = bipartite_reductions(attacked_state(AttackParams(theta, phi)))[which]
-    _check_against_reference(rho)
+def test_attacked_reductions_match_reference(theta, phi, which, directions):
+    params = AttackParams(theta, phi)
+    got = qber_sphere_averaged(params, default_quadrature())
+    ref = oracle.qber_sphere_averaged(params, default_quadrature())
+    assert abs(got - ref) <= EXACT_TOL, (got, ref)
+    rho = bipartite_reductions(attacked_state(params))[which]
+    _check_against_reference(rho, directions)

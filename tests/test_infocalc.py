@@ -9,7 +9,6 @@ from contqkd import (
     AttackParams,
     DensityMatrix,
     JointTable,
-    MeasurementBasis,
     NumericalCorruptionError,
     SphereQuadrature,
     attacked_state,
@@ -21,8 +20,6 @@ from contqkd import (
     selected_information,
     singlet,
     tensor,
-    pure_density,
-    ket_from_bloch,
     reconciled_i_ab,
 )
 from conftest import SINGLET_BITS, binary_entropy, direction_at_angle, random_direction
@@ -73,37 +70,32 @@ class TestSphereQuadrature:
             SphereQuadrature.gauss_product(1, 64)
 
     def test_directions_roundtrip(self, quad_light):
-        ds = quad_light.directions()
-        assert len(ds) == len(quad_light)
-        assert ds[0].u == pytest.approx(float(quad_light.u[0]), abs=1e-12)
+        v = quad_light.vectors
+        assert v.shape == (len(quad_light), 3)
+        np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-15)
+        np.testing.assert_allclose(v[:, 2], quad_light.u, atol=1e-15)
+        np.testing.assert_allclose(np.mod(np.arctan2(v[:, 1], v[:, 0]), 2 * math.pi), quad_light.phi, atol=1e-12)
 
 
 class TestSelectedInformation:
     def test_singlet_shared_basis_is_one_bit(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
-            b = MeasurementBasis(random_direction(rng))
-            assert selected_information(singlet(), b, b) == pytest.approx(1.0, abs=1e-12)
+            n = random_direction(rng)
+            assert selected_information(singlet(), n, n) == pytest.approx(1.0, abs=1e-12)
 
     def test_singlet_perpendicular_bases_carry_nothing(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             d1 = random_direction(rng)
             d2 = direction_at_angle(d1, math.pi / 2, rng)
-            val = selected_information(
-                singlet(), MeasurementBasis(d1), MeasurementBasis(d2)
-            )
-            assert val == pytest.approx(0.0, abs=1e-10)
+            assert selected_information(singlet(), d1, d2) == pytest.approx(0.0, abs=1e-10)
 
     def test_product_state_carries_nothing(self):
         rng = np.random.default_rng(23)
         rho = maximally_mixed(("A", "B"))
         for _ in range(5):
-            val = selected_information(
-                rho,
-                MeasurementBasis(random_direction(rng)),
-                MeasurementBasis(random_direction(rng)),
-            )
+            val = selected_information(rho, random_direction(rng), random_direction(rng))
             assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_depends_only_on_relative_angle(self):
@@ -115,10 +107,17 @@ class TestSelectedInformation:
             for _ in range(5):
                 d1 = random_direction(rng)
                 d2 = direction_at_angle(d1, angle, rng)
-                val = selected_information(
-                    singlet(), MeasurementBasis(d1), MeasurementBasis(d2)
-                )
-                assert val == pytest.approx(expected, abs=1e-10)
+                assert selected_information(singlet(), d1, d2) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "bad", [[0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [1.0, 0.0], [math.inf, 0.0, 0.0]]
+    )
+    def test_rejects_non_unit_directions(self, bad):
+        z = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="unit"):
+            selected_information(singlet(), np.array(bad), z)
+        with pytest.raises(ValueError, match="unit"):
+            selected_information(singlet(), z, np.array(bad))
 
 
 class TestNonselectedInformation:
@@ -128,7 +127,7 @@ class TestNonselectedInformation:
 
     def test_product_states_carry_nothing(self, quad_light):
         rho = tensor(
-            pure_density(ket_from_bloch(random_direction(np.random.default_rng(1))), "A"),
+            DensityMatrix.from_ket(np.array([0.6, 0.8j]), ("A",)),
             maximally_mixed(("B",)),
         )
         assert nonselected_information(rho, quad_light, quad_light) == pytest.approx(0.0, abs=1e-10)

@@ -15,20 +15,35 @@ from contqkd import (
     qber_sphere_averaged,
     read_transcript,
     run_protocol,
-    run_round,
     sift,
     write_transcript,
 )
-from contqkd.protosim import (
-    round_probabilities,
-    run_round_with_directions,
-    sifted_error_rate,
-)
-from contqkd.qstate import BlochDirection
-from conftest import random_direction
+from contqkd.attack import attacked_pure_state
+from contqkd.protosim import _CHUNK, _outcome_probabilities, _pick, sifted_error_rate
+from conftest import cos_polar_azimuth, random_direction
 
 NO_ATTACK = optimal_params(0.0)
-Z = BlochDirection(0.0, 0.0)
+Z = np.array([0.0, 0.0, 1.0])
+
+
+def born(attack: AttackParams, dirs_a: np.ndarray, dirs_b: np.ndarray) -> np.ndarray:
+    """Exact outcome distributions, shape (n, 2, 2, 2), for unit-vector rows."""
+    p = _outcome_probabilities(
+        attacked_pure_state(attack), *cos_polar_azimuth(dirs_a), *cos_polar_azimuth(dirs_b)
+    )
+    return p.reshape(-1, 2, 2, 2)
+
+
+def sample_bits(
+    attack: AttackParams, dirs_a: np.ndarray, dirs_b: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """(alice, bob, eve) bits of one round per direction row, shape (n, 3)."""
+    idx = _pick(born(attack, dirs_a, dirs_b).reshape(-1, 8), rng.random(len(dirs_a)))
+    return np.stack([(idx >> 2) & 1, (idx >> 1) & 1, idx & 1], axis=1)
+
+
+def random_directions(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.array([random_direction(rng) for _ in range(n)])
 
 
 def make_transcript(alice_bits, bob_bits) -> Transcript:
@@ -64,37 +79,31 @@ class TestRoundSampling:
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            p = round_probabilities(
+            p = born(
                 AttackParams(*rng.uniform(0, math.pi / 4, 2)),
-                random_direction(rng),
-                random_direction(rng),
+                random_directions(rng, 4),
+                random_directions(rng, 4),
             )
-            assert p.sum() == pytest.approx(1.0, abs=1e-10)
+            np.testing.assert_allclose(p.sum(axis=(1, 2, 3)), 1.0, atol=1e-10)
             assert p.min() >= 0.0
 
     def test_shared_direction_anticorrelates_without_attack(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            d = random_direction(rng)
-            rec = run_round_with_directions(NO_ATTACK, d, d, rng)
-            assert rec.bob_bit != rec.alice_bit
+        d = random_directions(rng, 200)
+        bits = sample_bits(NO_ATTACK, d, d, rng)
+        assert np.all(bits[:, 1] != bits[:, 0])
 
     def test_relative_angle_law(self):
         # Empirical anticorrelation rate against (1 + cos angle)/2.
         rng = np.random.default_rng(7)
         n = 4000
+        def unit(theta, phi):
+            v = [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+            return np.tile(v, (n, 1))
+
         for angle in (0.6, 1.4):
-            base = BlochDirection(1.0, 2.0)
-            probs = round_probabilities(
-                NO_ATTACK, base, BlochDirection(base.theta + angle, base.phi)
-            )
-            hits = 0
-            for _ in range(n):
-                r = rng.random()
-                flat = probs.reshape(8).cumsum()
-                idx = int((flat < r).sum())
-                a, b = (idx >> 2) & 1, (idx >> 1) & 1
-                hits += int(a != b)
+            bits = sample_bits(NO_ATTACK, unit(1.0, 2.0), unit(1.0 + angle, 2.0), rng)
+            hits = int((bits[:, 0] != bits[:, 1]).sum())
             expected = (1.0 + math.cos(angle)) / 2.0
             sigma = math.sqrt(expected * (1 - expected) / n)
             assert abs(hits / n - expected) < 3.5 * sigma
@@ -102,17 +111,18 @@ class TestRoundSampling:
     def test_probe_reads_letter_at_full_swap(self):
         rng = np.random.default_rng(9)
         swap = AttackParams(math.pi / 4, 0.0)
-        for _ in range(200):
-            rec = run_round_with_directions(swap, Z, random_direction(rng), rng)
-            assert rec.eve_bit != rec.alice_bit
+        bits = sample_bits(swap, np.repeat(Z[None, :], 200, axis=0), random_directions(rng, 200), rng)
+        assert np.all(bits[:, 2] != bits[:, 0])
 
     def test_run_round_consumes_five_uniforms(self):
-        rng = np.random.default_rng(11)
-        rec = run_round(NO_ATTACK, rng)
-        rng2 = np.random.default_rng(11)
-        rng2.random(5)
-        assert rng.random() == rng2.random()
-        assert rec.alice_bit in (0, 1) and rec.bob_bit in (0, 1) and rec.eve_bit in (0, 1)
+        # Each round of a run consumes five uniforms whatever the run length,
+        # so a shorter run is a prefix of a longer one.
+        attack = optimal_params(0.2)
+        short = run_protocol(ProtocolConfig(rounds=7, attack=attack, seed=11))
+        long = run_protocol(ProtocolConfig(rounds=12, attack=attack, seed=11))
+        for name in ("alice_u", "alice_phi", "alice_bit", "bob_u", "bob_phi", "bob_bit", "eve_bit"):
+            np.testing.assert_array_equal(getattr(short, name), getattr(long, name)[:7])
+        assert set(np.unique(long.alice_bit)) <= {0, 1} and set(np.unique(long.eve_bit)) <= {0, 1}
 
 
 class TestRunProtocol:
@@ -123,17 +133,25 @@ class TestRunProtocol:
         for name in ("alice_u", "alice_phi", "alice_bit", "bob_u", "bob_phi", "bob_bit", "eve_bit"):
             np.testing.assert_array_equal(getattr(t1, name), getattr(t2, name))
 
-    def test_row_equivalence_with_single_round_driver(self):
-        cfg = ProtocolConfig(rounds=20, attack=optimal_params(0.15), seed=12345)
-        batch = run_protocol(cfg)
-        gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-        for i in range(cfg.rounds):
-            rec = run_round(cfg.attack, gen)
-            assert rec.alice_dir.u == pytest.approx(float(batch.alice_u[i]), abs=1e-12)
-            assert rec.bob_dir.phi == pytest.approx(float(batch.bob_phi[i]), abs=1e-12)
-            assert rec.alice_bit == int(batch.alice_bit[i])
-            assert rec.bob_bit == int(batch.bob_bit[i])
-            assert rec.eve_bit == int(batch.eve_bit[i])
+    def test_stream_contract_across_chunk_seam(self):
+        # Round i is row i of one (rounds, 5) Philox block: directions from
+        # columns 0-3, the outcome picked from the Born distribution by
+        # column 4.  The run spans a chunk seam, the block is drawn whole.
+        cfg = ProtocolConfig(rounds=_CHUNK + 3, attack=optimal_params(0.15), seed=12345)
+        t = run_protocol(cfg)
+        draws = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.rounds, 5))
+        two_pi = 2.0 * math.pi
+        np.testing.assert_array_equal(t.alice_u, 2.0 * draws[:, 0] - 1.0)
+        np.testing.assert_array_equal(t.alice_phi, two_pi * draws[:, 1])
+        np.testing.assert_array_equal(t.bob_u, 2.0 * draws[:, 2] - 1.0)
+        np.testing.assert_array_equal(t.bob_phi, two_pi * draws[:, 3])
+        p = _outcome_probabilities(
+            attacked_pure_state(cfg.attack), t.alice_u, t.alice_phi, t.bob_u, t.bob_phi
+        )
+        idx = _pick(p, draws[:, 4])
+        np.testing.assert_array_equal(t.alice_bit, (idx >> 2) & 1)
+        np.testing.assert_array_equal(t.bob_bit, (idx >> 1) & 1)
+        np.testing.assert_array_equal(t.eve_bit, idx & 1)
 
     def test_disclosure_prefix(self):
         cfg = ProtocolConfig(rounds=1000, attack=NO_ATTACK, seed=1, disclose_fraction=0.25)
@@ -167,23 +185,15 @@ class TestSift:
         # after the sift flip the no-attack rounds anticorrelate again.
         rng = np.random.default_rng(31)
         n = 400
-        alice_u = np.empty(n)
-        alice_phi = np.empty(n)
-        bits = np.empty((n, 3), dtype=np.int8)
-        for i in range(n):
-            d = random_direction(rng)
-            rec = run_round_with_directions(NO_ATTACK, d, d.antipode(), rng)
-            alice_u[i] = d.u
-            alice_phi[i] = d.phi
-            bits[i] = (rec.alice_bit, rec.bob_bit, rec.eve_bit)
-        anti_u = -alice_u
-        anti_phi = np.mod(alice_phi + math.pi, 2 * math.pi)
+        dirs = random_directions(rng, n)
+        bits = sample_bits(NO_ATTACK, dirs, -dirs, rng).astype(np.int8)
+        alice_u, alice_phi = cos_polar_azimuth(dirs)
         t = Transcript(
             alice_u=alice_u,
             alice_phi=alice_phi,
             alice_bit=bits[:, 0].copy(),
-            bob_u=anti_u,
-            bob_phi=anti_phi,
+            bob_u=-alice_u,
+            bob_phi=np.mod(alice_phi + math.pi, 2 * math.pi),
             bob_bit=bits[:, 1].copy(),
             eve_bit=bits[:, 2].copy(),
             disclosed=np.zeros(n, dtype=bool),
@@ -258,10 +268,3 @@ class TestTranscriptIO:
         path.write_text("nope\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
             read_transcript(str(path))
-
-    def test_record_view(self):
-        cfg = ProtocolConfig(rounds=5, attack=NO_ATTACK, seed=0)
-        t = run_protocol(cfg)
-        rec = t.record(2)
-        assert rec.alice_bit == int(t.alice_bit[2])
-        assert rec.alice_dir.u == pytest.approx(float(t.alice_u[2]), abs=1e-12)

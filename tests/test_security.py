@@ -23,8 +23,9 @@ from contqkd import (
     singlet,
     sweep_curve,
 )
-from contqkd.protosim import round_probabilities
-from contqkd.qstate import BlochDirection
+from contqkd import security
+from contqkd.attack import attacked_pure_state
+from contqkd.protosim import _outcome_probabilities
 from contqkd.security import (
     NONSELECTED_MAX_BITS,
     BracketError,
@@ -120,11 +121,12 @@ class TestQber:
     def test_matches_shared_z_basis_error_of_full_dynamics(self):
         # Independent route: exact per-round outcome distribution with both
         # parties measuring along z; error = probability of equal bits.
-        z = BlochDirection(0.0, 0.0)
+        one, zero = np.array([1.0]), np.array([0.0])
         rng = np.random.default_rng(47)
         for _ in range(20):
             params = AttackParams(*rng.uniform(0.0, QUARTER, size=2))
-            probs = round_probabilities(params, z, z)
+            state = attacked_pure_state(params)
+            probs = _outcome_probabilities(state, one, zero, one, zero).reshape(2, 2, 2)
             err = float(probs[0, 0, :].sum() + probs[1, 1, :].sum())
             assert qber(params) == pytest.approx(err, abs=1e-12)
 
@@ -186,16 +188,28 @@ class TestCriticalPoint:
         assert 0.0 < rec.i0 < 1.0
         assert 0.0 <= rec.q_cier0 <= 1.0
 
-    def test_bracket_failure_raises(self):
-        def rigged(theta):
+    def test_bracket_failure_raises(self, monkeypatch):
+        def rigged(rab, rae, reconciled, quad):
             return (0.1, 0.2)  # probe always dominates: no sign change
 
+        monkeypatch.setattr(security, "_info_pair", rigged)
         with pytest.raises(BracketError):
-            critical_point(_evaluator=rigged)
+            critical_point()
+
+    def test_threshold_reading_computes_only_the_receiver_rate(self, monkeypatch, quad_light):
+        calls = []
+        real = security.nonselected_information
+        monkeypatch.setattr(security, "nonselected_information", lambda *a: calls.append(1) or real(*a))
+        critical_point(quad=quad_light, tol=0.1)
+        # The two endpoints and each bisection step compare i_ab with i_ae;
+        # the report at theta0 needs i_ab only.
+        steps = math.ceil(math.log2(QUARTER / 0.1))
+        assert len(calls) == 2 * (2 + steps) + 1
 
     def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            critical_point(tol=0.0)
+        for tol in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                critical_point(tol=tol)
 
 
 class TestDimensionScaling:
