@@ -11,11 +11,8 @@ from .attack import (
     coupling_coefficient,
 )
 from .infocalc import (
-    JointTable,
     SphereQuadrature,
-    averaged_selected_information,
     default_quadrature,
-    mutual_information,
     nonselected_information,
     selected_information,
 )
@@ -32,17 +29,14 @@ from .protosim import (
 from .qstate import (
     DensityMatrix,
     NumericalCorruptionError,
-    maximally_mixed,
     partial_trace,
     singlet,
-    tensor,
 )
 from .security import (
     InfoCurve,
     SecurityReport,
     accessible_information,
     cier,
-    critical_cier_dim,
     critical_point,
     optimal_params,
     qber,
@@ -57,7 +51,6 @@ __all__ = [
     "DensityMatrix",
     "EveIsometry",
     "InfoCurve",
-    "JointTable",
     "NumericalCorruptionError",
     "ProtocolConfig",
     "SecurityReport",
@@ -66,17 +59,13 @@ __all__ = [
     "Transcript",
     "accessible_information",
     "attacked_state",
-    "averaged_selected_information",
     "bipartite_reductions",
     "build_isometry",
     "cier",
     "coupling_coefficient",
-    "critical_cier_dim",
     "critical_point",
     "default_quadrature",
     "empirical_mi",
-    "maximally_mixed",
-    "mutual_information",
     "nonselected_information",
     "optimal_params",
     "partial_trace",
@@ -89,6 +78,5 @@ __all__ = [
     "sift",
     "singlet",
     "sweep_curve",
-    "tensor",
     "write_transcript",
 ]

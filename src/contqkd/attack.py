@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -69,10 +68,9 @@ class EveIsometry:
     orthogonal in the combined B x E space.
     """
 
-    params: AttackParams
     probe_components: np.ndarray  # shape (4, 2), rows over |0>_E, |1>_E
 
-    def __init__(self, params: AttackParams, probe_components: np.ndarray) -> None:
+    def __init__(self, probe_components: np.ndarray) -> None:
         rows = np.array(probe_components, dtype=complex)
         if rows.shape != (4, 2):
             raise ValueError(f"probe component array must be 4x2, got {rows.shape}")
@@ -84,16 +82,12 @@ class EveIsometry:
         if abs(n0 - 1.0) > 1e-12 or abs(n1 - 1.0) > 1e-12:
             raise ValueError(f"isometry columns not normalized: {n0!r}, {n1!r}")
         rows.setflags(write=False)
-        object.__setattr__(self, "params", params)
         object.__setattr__(self, "probe_components", rows)
 
     def extension_matrix(self) -> np.ndarray:
         """4x2 isometry V mapping |b>_B to B x E, rows ordered (c, e)."""
-        v = np.zeros((4, 2), dtype=complex)
-        for b in (0, 1):
-            for c in (0, 1):
-                for e in (0, 1):
-                    v[2 * c + e, b] = self.probe_components[2 * b + c, e]
+        # probe_components[2b + c, e] -> v[2c + e, b]
+        v = self.probe_components.reshape(2, 2, 2).transpose(1, 2, 0).reshape(4, 2)
         v.setflags(write=False)
         return v
 
@@ -117,31 +111,22 @@ def build_isometry(params: AttackParams) -> EveIsometry:
         ],
         dtype=complex,
     )
-    return EveIsometry(params, rows)
+    return EveIsometry(rows)
 
 
 @lru_cache(maxsize=256)
-def _attacked_pure_vector(theta: float, phi: float) -> np.ndarray:
-    """Post-attack 8-component pure state of singlet (x) |0>_E, axes (A, B, E)."""
-    iso = build_isometry(AttackParams(theta, phi))
-    v = iso.extension_matrix()
+def attacked_pure_state(params: AttackParams) -> np.ndarray:
+    """Exact post-attack pure state of singlet (x) |0>_E, shape (2, 2, 2) over (A, B, E)."""
+    v = build_isometry(params).extension_matrix()
     psi_ab = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex) / math.sqrt(2.0)
     psi = np.einsum("ab,vb->av", psi_ab, v).reshape(2, 2, 2)
     psi.setflags(write=False)
     return psi
 
 
-def attacked_pure_state(params: AttackParams) -> np.ndarray:
-    """Exact post-attack pure state vector, shape (2, 2, 2) over (A, B, E)."""
-    return _attacked_pure_vector(params.theta, params.phi)
-
-
-def attacked_state(
-    params: AttackParams, labels: Sequence[str] = ("A", "B", "E")
-) -> DensityMatrix:
-    """Density matrix of the attacked singlet, ready for the three reductions."""
-    psi = attacked_pure_state(params).reshape(-1)
-    return DensityMatrix.from_ket(psi, labels)
+def attacked_state(params: AttackParams) -> DensityMatrix:
+    """Density matrix of the attacked singlet on ("A", "B", "E"), ready for the three reductions."""
+    return DensityMatrix.from_ket(attacked_pure_state(params).reshape(-1), ("A", "B", "E"))
 
 
 def bipartite_reductions(

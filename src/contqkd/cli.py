@@ -33,6 +33,7 @@ from .protosim import (
     _TRANSCRIPT_FIELDS,
     ProtocolConfig,
     SiftingPartition,
+    Transcript,
     empirical_mi,
     empirical_mi_with_probe,
     run_protocol,
@@ -182,9 +183,12 @@ def _quad_from_args(args: argparse.Namespace) -> SphereQuadrature:
     return SphereQuadrature.gauss_product(args.quad_polar, args.quad_azimuth)
 
 
-def _add_common(p: argparse.ArgumentParser, output_required: bool = True) -> None:
+def _add_quadrature(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quad-polar", type=_int_in(2), default=32, help="Gauss-Legendre nodes in cos(theta)")
     p.add_argument("--quad-azimuth", type=_int_in(4), default=64, help="uniform azimuth nodes")
+
+
+def _add_common(p: argparse.ArgumentParser, output_required: bool = True) -> None:
     p.add_argument("--output", required=output_required, help="output file path")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
@@ -327,11 +331,9 @@ def simulate_summary(
     cfg: ProtocolConfig,
     quad: SphereQuadrature,
     mi_binning: SiftingPartition,
-    transcript=None,
+    transcript: Transcript,
 ) -> dict:
-    """Run the protocol (unless a transcript is given) and summarize it."""
-    if transcript is None:
-        transcript = run_protocol(cfg)
+    """Summarize the transcript of a protocol run with configuration ``cfg``."""
     partition = SiftingPartition(cfg.cells_u, cfg.cells_phi)
     sifted = sift(transcript, partition)
     bitwise = SiftingPartition(1, 1)
@@ -401,7 +403,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     mi_binning = SiftingPartition(args.mi_cells_u, args.mi_cells_phi)
 
     transcript = run_protocol(cfg)
-    summary = simulate_summary(cfg, quad, mi_binning, transcript=transcript)
+    summary = simulate_summary(cfg, quad, mi_binning, transcript)
 
     manifest = _manifest(
         "simulate",
@@ -441,12 +443,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("surface", help="information rates over the attack-angle square")
     p.add_argument("--theta-steps", type=_int_in(2), default=17)
     p.add_argument("--phi-steps", type=_int_in(2), default=17)
+    _add_quadrature(p)
     _add_common(p)
     p.set_defaults(func=_cmd_surface)
 
     p = sub.add_parser("curve", help="rates along the optimal-eavesdropping line")
     p.add_argument("--theta-steps", type=_int_in(2), default=33)
     p.add_argument("--reconciled", action="store_true")
+    _add_quadrature(p)
     _add_common(p)
     p.set_defaults(func=_cmd_curve)
 
@@ -455,6 +459,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--tol", type=_float_in(0.0, math.inf), default=1e-4, help="bisection tolerance, radians"
     )
+    _add_quadrature(p)
     _add_common(p, output_required=False)
     p.set_defaults(func=_cmd_critical)
 
@@ -478,6 +483,7 @@ def build_parser() -> _Parser:
     p.add_argument("--disclose-fraction", type=_float_in(0.0, 1.0), default=0.1)
     p.add_argument("--mi-cells-u", type=_int_in(1), default=MI_CELLS_U)
     p.add_argument("--mi-cells-phi", type=_int_in(1), default=MI_CELLS_PHI)
+    _add_quadrature(p)
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 

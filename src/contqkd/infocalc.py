@@ -1,19 +1,15 @@
 """Information functionals over qubit pairs.
 
-Four routes to a mutual-information number live here:
+Two routes to a mutual-information number live here:
 
-* ``mutual_information`` — Shannon mutual information of a discrete 2x2
-  outcome table, I = S_X + S_Y - S_XY in bits.
-* ``selected_information`` — the same for a pair state read out along fixed
-  unit Bloch vectors n and m (one orthogonal basis per party).
+* ``selected_information`` — Shannon mutual information, in bits, of a pair
+  state read out along fixed unit Bloch vectors n and m (one orthogonal
+  basis per party).
 * ``nonselected_information`` — the continuous-measurement variant: both
   parties read out with the resolution of the identity over *all* pure
   states, d(measure) = sin(theta) dtheta dphi / (2 pi), and the mutual
   information of the resulting joint density is evaluated by spherical
   quadrature.
-* ``averaged_selected_information`` — the orientation average of the
-  discrete-basis mutual information over both spheres.  It exists to check
-  numerically that the average reproduces the continuous value.
 
 Every two-qubit state enters in its Fano form (U. Fano, Rev. Mod. Phys. 55,
 855 (1983); R. and M. Horodecki, Phys. Rev. A 54, 1838 (1996)): Bloch vectors
@@ -45,49 +41,11 @@ DENSITY_FLOOR = 1e-300
 # zero rate (product states come out within +-3e-16) and reads as 0.0.
 ZERO_BITS = 1e-14
 
-_BLOCK = 256  # row block size for the orientation-average sweep
-
 # Below this ratio r/alpha the inner sphere integral uses its Taylor series.
 _SERIES_X = 1e-2
 
 # Identity and Pauli matrices x, y, z stacked along the first axis.
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-
-
-@dataclass(frozen=True, eq=False)
-class JointTable:
-    """2x2 joint probability table of two binary measurements."""
-
-    probs: np.ndarray
-
-    def __init__(self, probs: np.ndarray) -> None:
-        p = np.array(probs, dtype=float)
-        if p.shape != (2, 2):
-            raise ValueError(f"joint table must be 2x2, got shape {p.shape}")
-        if p.min() < -1e-12:
-            raise ValueError(f"negative probability {p.min()!r} in joint table")
-        p = np.clip(p, 0.0, None)
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"joint table sums to {total!r}, expected 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-
-def _entropy_bits(p: np.ndarray) -> float:
-    p = p[p > 0.0]
-    return float(-(p * np.log2(p)).sum())
-
-
-def mutual_information(table: JointTable) -> float:
-    """I = S_X + S_Y - S_XY in bits, with the 0 log 0 = 0 convention.
-
-    For a valid 2x2 table the result lies in [0, 1]; tiny negative roundoff
-    is clamped to 0.
-    """
-    p = table.probs
-    i = _entropy_bits(p.sum(axis=1)) + _entropy_bits(p.sum(axis=0)) - _entropy_bits(p.reshape(-1))
-    return max(0.0, i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +69,8 @@ class SphereQuadrature:
         w = np.asarray(weights, dtype=float).reshape(-1)
         if not (u.size == phi.size == w.size) or u.size == 0:
             raise ValueError("u, phi and weights must be equal-length nonempty arrays")
+        if not (np.isfinite(u).all() and np.isfinite(phi).all() and np.isfinite(w).all()):
+            raise ValueError("quadrature nodes and weights must be finite")
         if w.min() <= 0.0:
             raise ValueError("quadrature weights must be positive")
         if abs(math.fsum(w.tolist()) - SPHERE_VOLUME) > 1e-10:
@@ -160,15 +120,15 @@ def _moment_residual(vectors: np.ndarray, w: np.ndarray) -> float:
     return float(max(first, second))
 
 
-@lru_cache(maxsize=8)
-def default_quadrature(n_polar: int = 32, n_azimuth: int = 64) -> SphereQuadrature:
-    """Shared default rule; cached because its nodes are reused heavily."""
-    return SphereQuadrature.gauss_product(n_polar, n_azimuth)
+@lru_cache(maxsize=1)
+def default_quadrature() -> SphereQuadrature:
+    """Shared default 32x64 rule; cached because its nodes are reused heavily."""
+    return SphereQuadrature.gauss_product()
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:
-    if len(rho.labels) != 2 or rho.dims != (2, 2):
-        raise ValueError(f"expected a two-qubit state, got labels {rho.labels} dims {rho.dims}")
+    if len(rho.labels) != 2:
+        raise ValueError(f"expected a two-qubit state, got labels {rho.labels}")
 
 
 def _require_density(low: float, kind: str) -> None:
@@ -277,27 +237,3 @@ def selected_information(rho_xy: DensityMatrix, n: np.ndarray, m: np.ndarray) ->
     n, m = _unit_vector(n, "n"), _unit_vector(m, "m")
     a, b, t = _fano_form(rho_xy)
     return max(0.0, float(_table_information(n @ a, m @ b, n @ t @ m)))
-
-
-def averaged_selected_information(
-    rho_xy: DensityMatrix,
-    quad_x: SphereQuadrature | None = None,
-    quad_y: SphereQuadrature | None = None,
-) -> float:
-    """Orientation average of the two-basis mutual information, in bits.
-
-    Averages selected_information over both basis spheres with the volume
-    measure, normalized by V^2 = 4.  Used solely to test that this average
-    reproduces nonselected_information.
-    """
-    qx = quad_x if quad_x is not None else default_quadrature()
-    qy = quad_y if quad_y is not None else default_quadrature()
-    a, b, t = _fano_form(rho_xy)
-    bm = (qy.vectors @ b)[None, :]
-    row_totals = np.zeros(len(qx))
-    for start in range(0, len(qx), _BLOCK):
-        nx = qx.vectors[start : start + _BLOCK]
-        info = _table_information((nx @ a)[:, None], bm, (nx @ t) @ qy.vectors.T)
-        row_totals[start : start + _BLOCK] = (info * qy.weights[None, :]).sum(axis=1)
-    total = math.fsum((row_totals * qx.weights).tolist())
-    return max(0.0, total / (SPHERE_VOLUME**2))

