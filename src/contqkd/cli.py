@@ -2,9 +2,12 @@
 
 Every command emits machine-readable data in one of two formats (CSV with a
 header row, or JSON shaped {"manifest": ..., "data": ...}) plus a manifest
-sidecar recording the full parameter set, seed, quadrature resolution, tool
+sidecar recording every parsed option, seed, quadrature resolution, tool
 version and wall-clock duration.  Re-running a command with the manifest's
-parameters reproduces the data files byte for byte.
+parameters reproduces the data files byte for byte within one
+Python/numpy/BLAS environment.  ``critical`` prints its report to stdout and
+writes files only with ``--output``; ``--format`` without ``--output`` is a
+usage error.
 
 Angles in output files are always radians.  Input angle flags accept radians
 by default or degrees with an explicit ``deg`` suffix (e.g. ``--theta 22.5deg``).
@@ -30,7 +33,6 @@ from . import __version__
 from .attack import AttackParams
 from .infocalc import SphereQuadrature
 from .protosim import (
-    _TRANSCRIPT_FIELDS,
     ProtocolConfig,
     SiftingPartition,
     Transcript,
@@ -39,6 +41,7 @@ from .protosim import (
     run_protocol,
     sift,
     sifted_error_rate,
+    transcript_columns,
     write_transcript,
 )
 from .qstate import NumericalCorruptionError
@@ -143,21 +146,9 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _manifest(command: str, params: dict, seed: int | None, quad: tuple[int, int] | None) -> dict:
-    return {
-        "command": command,
-        "parameters": {k: _py(v) for k, v in params.items()},
-        "seed": seed,
-        "quadrature": list(quad) if quad else None,
-        "version": __version__,
-    }
-
-
-def _write_manifest(path: str, manifest: dict, started: float) -> None:
-    body = dict(manifest)
-    body["wall_seconds"] = time.monotonic() - started
-    with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -170,13 +161,8 @@ def _write_table(
             for row in rows:
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
     else:
-        payload = {
-            "manifest": manifest,
-            "data": {"columns": list(columns), "rows": [[_py(x) for x in row] for row in rows]},
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        data = {"columns": list(columns), "rows": [[_py(x) for x in row] for row in rows]}
+        _write_json(path, {"manifest": manifest, "data": data})
 
 
 def _quad_from_args(args: argparse.Namespace) -> SphereQuadrature:
@@ -190,11 +176,10 @@ def _add_quadrature(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser, output_required: bool = True) -> None:
     p.add_argument("--output", required=output_required, help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    p.add_argument("--format", choices=("csv", "json"), help="output format")
 
 
-def _cmd_surface(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_surface(args: argparse.Namespace, manifest: dict) -> None:
     quad = _quad_from_args(args)
     thetas = np.linspace(0.0, QUARTER_PI, args.theta_steps)
     phis = np.linspace(0.0, QUARTER_PI, args.phi_steps)
@@ -203,24 +188,10 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         for p in phis:
             rates = information_rates(AttackParams(float(t), float(p)), quad)
             rows.append((float(t), float(p), *rates))
-    manifest = _manifest(
-        "surface",
-        {
-            "theta_steps": args.theta_steps,
-            "phi_steps": args.phi_steps,
-            "format": args.format,
-            "output": args.output,
-        },
-        None,
-        (args.quad_polar, args.quad_azimuth),
-    )
     _write_table(args.output, args.format, manifest, ("theta", "phi", "i_ab", "i_ae", "i_be"), rows)
-    _write_manifest(args.output, manifest, started)
-    return 0
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_curve(args: argparse.Namespace, manifest: dict) -> None:
     quad = _quad_from_args(args)
     grid = np.linspace(0.0, QUARTER_PI, args.theta_steps)
     curve = sweep_curve(grid, reconciled=args.reconciled, quad=quad)
@@ -237,22 +208,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
                 cier(float(curve.i_ab[k]), i_max),
             )
         )
-    manifest = _manifest(
-        "curve",
-        {
-            "theta_steps": args.theta_steps,
-            "reconciled": args.reconciled,
-            "format": args.format,
-            "output": args.output,
-        },
-        None,
-        (args.quad_polar, args.quad_azimuth),
-    )
     _write_table(
         args.output, args.format, manifest, ("theta", "i_ab", "i_ae", "i_be", "qber", "cier"), rows
     )
-    _write_manifest(args.output, manifest, started)
-    return 0
 
 
 def critical_report(reconciled: bool, quad: SphereQuadrature, tol: float) -> dict:
@@ -287,44 +245,26 @@ def critical_report(reconciled: bool, quad: SphereQuadrature, tol: float) -> dic
     }
 
 
-def _cmd_critical(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_critical(args: argparse.Namespace, manifest: dict) -> None:
     quad = _quad_from_args(args)
     data = critical_report(args.reconciled, quad, args.tol)
-    manifest = _manifest(
-        "critical",
-        {"reconciled": args.reconciled, "tol": args.tol, "format": args.format},
-        None,
-        (args.quad_polar, args.quad_azimuth),
-    )
     payload = {"manifest": manifest, "data": data}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if args.output:
-        if args.format == "csv":
-            cols = ("reconciled", "theta0", "i0_bits", "qber0", "cier0", "i_max_bits")
-            _write_table(args.output, "csv", manifest, cols, [[data[c] for c in cols]])
-        else:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text + "\n")
-        _write_manifest(args.output, manifest, started)
-    return 0
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    if args.output and args.format == "csv":
+        cols = ("reconciled", "theta0", "i0_bits", "qber0", "cier0", "i_max_bits")
+        _write_table(args.output, "csv", manifest, cols, [[data[c] for c in cols]])
+    elif args.output:
+        _write_json(args.output, payload)
 
 
-def _cmd_dims(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_dims(args: argparse.Namespace, manifest: dict) -> None:
     ds, acc, imax, q = dimension_table(args.d_max)
     rows = [
         (int(ds[i]), float(acc[i]), float(imax[i]), float(q[i])) for i in range(ds.size)
     ]
-    manifest = _manifest(
-        "dims", {"d_max": args.d_max, "format": args.format, "output": args.output}, None, None
-    )
     _write_table(
         args.output, args.format, manifest, ("d", "accessible_bits", "i_max_bits", "critical_cier"), rows
     )
-    _write_manifest(args.output, manifest, started)
-    return 0
 
 
 def simulate_summary(
@@ -388,9 +328,9 @@ def simulate_summary(
     return summary
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _cmd_simulate(args: argparse.Namespace, manifest: dict) -> None:
     phi = args.phi if args.phi is not None else QUARTER_PI - args.theta
+    manifest["parameters"]["phi"] = phi
     cfg = ProtocolConfig(
         rounds=args.rounds,
         attack=AttackParams(args.theta, phi),
@@ -405,35 +345,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     transcript = run_protocol(cfg)
     summary = simulate_summary(cfg, quad, mi_binning, transcript)
 
-    manifest = _manifest(
-        "simulate",
-        {
-            "rounds": cfg.rounds,
-            "theta": cfg.attack.theta,
-            "phi": cfg.attack.phi,
-            "cells_u": cfg.cells_u,
-            "cells_phi": cfg.cells_phi,
-            "disclose_fraction": cfg.disclose_fraction,
-            "mi_cells_u": args.mi_cells_u,
-            "mi_cells_phi": args.mi_cells_phi,
-            "format": args.format,
-            "output": args.output,
-        },
-        cfg.seed,
-        (args.quad_polar, args.quad_azimuth),
-    )
     if args.format == "csv":
         write_transcript(transcript, args.output)
     else:
-        columns = [getattr(transcript, f) for f in _TRANSCRIPT_FIELDS[1:]]
-        columns[0] = columns[0].astype(np.int8)  # the disclosed flag as 0/1, not true/false
-        rows = list(zip(range(len(transcript)), *(c.tolist() for c in columns)))
-        _write_table(args.output, "json", manifest, _TRANSCRIPT_FIELDS, rows)
-    with open(args.output + ".summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"manifest": manifest, "summary": summary}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(args.output, manifest, started)
-    return 0
+        columns = transcript_columns(transcript)
+        rows = list(zip(*(c.tolist() for c in columns.values())))
+        _write_table(args.output, "json", manifest, list(columns), rows)
+    _write_json(args.output + ".summary.json", {"manifest": manifest, "summary": summary})
 
 
 def build_parser() -> _Parser:
@@ -491,13 +409,33 @@ def build_parser() -> _Parser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    """Parse, run one command, then write its manifest sidecar; return the exit code."""
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.format and not args.output:
+            parser.error("--format needs --output")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    started = time.monotonic()
+    args.format = args.format or "csv"
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    seed = options.pop("seed", None)
+    rule = [options.pop("quad_polar"), options.pop("quad_azimuth")] if "quad_polar" in options else None
+    manifest = {
+        "command": args.command,
+        "parameters": options,
+        "seed": seed,
+        "quadrature": rule,
+        "version": __version__,
+    }
     try:
-        return args.func(args)
+        args.func(args, manifest)
+        if args.output:
+            manifest["wall_seconds"] = time.monotonic() - started
+            _write_json(args.output + ".manifest.json", manifest)
+        return 0
     except (ValueError, BracketError, NumericalCorruptionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

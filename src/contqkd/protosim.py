@@ -13,7 +13,13 @@ Randomness is counter-based: round i consumes row i of a (rounds, 5) uniform
 block drawn from a Philox generator keyed by the seed, in the column order
 (sender u, sender phi, receiver u, receiver phi, outcome pick), so a
 transcript is a pure function of (seed, rounds, attack), a shorter run is a
-prefix of a longer one, and runs are reproducible bit for bit.
+prefix of a longer one, and runs are reproducible bit for bit within one
+Python/numpy/BLAS environment.
+
+``_TRANSCRIPT_FIELDS`` is the one transcript schema: round index, disclosed
+flag (0/1), then the sender's (u, phi, bit), the receiver's (u, phi, bit) and
+the probe bit.  ``transcript_columns`` gives every renderer the columns in
+that order; ``read_transcript`` rejects a file that breaks the schema.
 """
 
 from __future__ import annotations
@@ -325,45 +331,50 @@ _TRANSCRIPT_FIELDS = (
 )
 
 
+def transcript_columns(transcript: Transcript) -> dict[str, np.ndarray]:
+    """The file columns in schema order: round index, disclosed as 0/1, the data."""
+    data = [getattr(transcript, f) for f in _TRANSCRIPT_FIELDS[2:]]
+    return dict(
+        zip(_TRANSCRIPT_FIELDS, (np.arange(len(transcript)), transcript.disclosed.astype(np.int8), *data))
+    )
+
+
 def write_transcript(transcript: Transcript, path: str) -> None:
-    """One record per line in the documented field order; floats round-trip."""
+    """One CSV record per round, rendered one ``_CHUNK`` at a time; floats round-trip."""
+    columns = transcript_columns(transcript)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_TRANSCRIPT_FIELDS) + "\n")
-        for i in range(len(transcript)):
-            fh.write(
-                ",".join(
-                    (
-                        str(i),
-                        str(int(transcript.disclosed[i])),
-                        repr(float(transcript.alice_u[i])),
-                        repr(float(transcript.alice_phi[i])),
-                        str(int(transcript.alice_bit[i])),
-                        repr(float(transcript.bob_u[i])),
-                        repr(float(transcript.bob_phi[i])),
-                        str(int(transcript.bob_bit[i])),
-                        str(int(transcript.eve_bit[i])),
-                    )
-                )
-                + "\n"
-            )
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(transcript), _CHUNK):
+            # str of a Python float is its shortest round-trip repr.
+            chunk = [map(str, c[start : start + _CHUNK].tolist()) for c in columns.values()]
+            fh.writelines(",".join(row) + "\n" for row in zip(*chunk))
 
 
 def read_transcript(path: str) -> Transcript:
-    """Parse a transcript file written by write_transcript."""
+    """Parse a file written by write_transcript; ValueError if it breaks the schema.
+
+    Valid rows have one field per column, rounds 0..n-1, bits and the
+    disclosed flag in {0, 1}, u in [-1, 1] and phi in [0, 2 pi).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != _TRANSCRIPT_FIELDS:
             raise ValueError(f"unexpected transcript header {header}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    n = len(rows)
-    cols = list(zip(*rows)) if n else [[]] * len(_TRANSCRIPT_FIELDS)
-    return Transcript(
-        alice_u=np.array([float(x) for x in cols[2]]),
-        alice_phi=np.array([float(x) for x in cols[3]]),
-        alice_bit=np.array([int(x) for x in cols[4]], dtype=np.int8),
-        bob_u=np.array([float(x) for x in cols[5]]),
-        bob_phi=np.array([float(x) for x in cols[6]]),
-        bob_bit=np.array([int(x) for x in cols[7]], dtype=np.int8),
-        eve_bit=np.array([int(x) for x in cols[8]], dtype=np.int8),
-        disclosed=np.array([bool(int(x)) for x in cols[1]]),
-    )
+    if rows and set(map(len, rows)) != {len(_TRANSCRIPT_FIELDS)}:
+        raise ValueError(f"every transcript row must have {len(_TRANSCRIPT_FIELDS)} fields")
+    text = dict(zip(_TRANSCRIPT_FIELDS, zip(*rows))) if rows else dict.fromkeys(_TRANSCRIPT_FIELDS, ())
+    columns = {f: np.fromiter(map(float, v), dtype=float, count=len(v)) for f, v in text.items()}
+    if not np.array_equal(columns.pop("round"), np.arange(len(rows))):
+        raise ValueError("transcript rounds must run 0..n-1 in order")
+    for field, col in columns.items():
+        if field.endswith("_u"):
+            ok = (col >= -1.0) & (col <= 1.0)
+        elif field.endswith("_phi"):
+            ok = (col >= 0.0) & (col < TWO_PI)
+        else:  # a bit, or the disclosed flag
+            ok = (col == 0.0) | (col == 1.0)
+            columns[field] = col.astype(bool if field == "disclosed" else np.int8)
+        if not ok.all():
+            raise ValueError(f"transcript {field} out of range in row {int(np.argmin(ok))}")
+    return Transcript(**columns)

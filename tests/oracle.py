@@ -20,6 +20,9 @@ the orientation average of the two-basis information
 (``averaged_selected_information``), the product and maximally mixed states
 (``tensor``, ``maximally_mixed``) and the scalar dimension threshold
 (``critical_cier_dim``) are test helpers: no package path computes with them.
+
+``render_transcript`` is the original round-by-round transcript renderer, the
+reference for the column-wise CSV writer and the JSON transcript rows.
 """
 
 from __future__ import annotations
@@ -274,3 +277,25 @@ def apply_attack(initial: DensityMatrix, iso: EveIsometry) -> DensityMatrix:
     sigma = np.ascontiguousarray(arr[:, :, 0, :, :, 0]).reshape(4, 4)
     k = np.kron(np.eye(2, dtype=complex), iso.extension_matrix())
     return DensityMatrix(k @ sigma @ k.conj().T, initial.labels)
+
+
+def render_transcript(transcript) -> str:
+    """Transcript file text, one round at a time in the documented field order."""
+    lines = ["round,disclosed,alice_u,alice_phi,alice_bit,bob_u,bob_phi,bob_bit,eve_bit"]
+    for i in range(len(transcript)):
+        lines.append(
+            ",".join(
+                (
+                    str(i),
+                    str(int(transcript.disclosed[i])),
+                    repr(float(transcript.alice_u[i])),
+                    repr(float(transcript.alice_phi[i])),
+                    str(int(transcript.alice_bit[i])),
+                    repr(float(transcript.bob_u[i])),
+                    repr(float(transcript.bob_phi[i])),
+                    str(int(transcript.bob_bit[i])),
+                    str(int(transcript.eve_bit[i])),
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"

@@ -2,14 +2,39 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contqkd
+from contqkd import ProtocolConfig, optimal_params, run_protocol, write_transcript
 from contqkd.cli import MI_CELLS_PHI, MI_CELLS_U, _parse_angle, run
+from contqkd.protosim import _CHUNK
 from conftest import SINGLET_BITS
+from oracle import render_transcript
 
 LIGHT = ["--quad-polar", "12", "--quad-azimuth", "24"]
+
+
+def argv_from_manifest(manifest):
+    """The command line a manifest records, rebuilt from its keys alone."""
+    argv = [manifest["command"]]
+    for key, value in manifest["parameters"].items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False and value is not None:
+            argv += [flag, str(value)]
+    if manifest["quadrature"] is not None:
+        polar, azimuth = manifest["quadrature"]
+        argv += ["--quad-polar", str(polar), "--quad-azimuth", str(azimuth)]
+    if manifest["seed"] is not None:
+        argv += ["--seed", str(manifest["seed"])]
+    return argv
 
 
 def read_csv(path):
@@ -50,22 +75,31 @@ class TestSurface:
         assert (out.parent / (out.name + ".manifest.json")).exists()
 
     def test_manifest_rerun_reproduces_bytes(self, tmp_path):
-        out = tmp_path / "surface.csv"
-        args = ["surface", "--theta-steps", "2", "--phi-steps", "2", "--output", str(out), *LIGHT]
-        assert run(args) == 0
-        first = out.read_bytes()
-        manifest = json.loads((tmp_path / "surface.csv.manifest.json").read_text())
-        rebuilt = [
-            "surface",
-            "--theta-steps", str(manifest["parameters"]["theta_steps"]),
-            "--phi-steps", str(manifest["parameters"]["phi_steps"]),
-            "--quad-polar", str(manifest["quadrature"][0]),
-            "--quad-azimuth", str(manifest["quadrature"][1]),
-            "--format", manifest["parameters"]["format"],
-            "--output", str(out),
+        # Every command in both formats, each option away from its default:
+        # the argv rebuilt from the manifest alone must reproduce every file
+        # byte for byte, so a manifest that drops an option fails here.
+        commands = [
+            ["surface", "--theta-steps", "2", "--phi-steps", "3", *LIGHT],
+            ["curve", "--theta-steps", "3", *LIGHT],
+            ["curve", "--theta-steps", "3", "--reconciled", *LIGHT],
+            ["dims", "--d-max", "5"],
+            ["critical", "--reconciled", "--tol", "1e-3", *LIGHT],
+            [
+                "simulate", "--rounds", "300", "--theta", "0.2", "--phi", "0.3",
+                "--cells-u", "4", "--cells-phi", "6", "--seed", "7",
+                "--disclose-fraction", "0.25", "--mi-cells-u", "3", "--mi-cells-phi", "5", *LIGHT,
+            ],
+            ["simulate", "--rounds", "300", "--theta", "22.5deg", "--seed", "8", *LIGHT],
         ]
-        assert run(rebuilt) == 0
-        assert out.read_bytes() == first
+        for argv in commands:
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"{argv[0]}.{fmt}"
+                assert run([*argv, "--format", fmt, "--output", str(out)]) == 0
+                written = [out, *tmp_path.glob(out.name + ".summary.json")]
+                first = [path.read_bytes() for path in written]
+                manifest = json.loads((tmp_path / (out.name + ".manifest.json")).read_text())
+                assert run(argv_from_manifest(manifest)) == 0, manifest
+                assert [path.read_bytes() for path in written] == first, argv
 
 
 class TestCurve:
@@ -167,6 +201,9 @@ class TestSimulate:
             math.sin(math.pi / 8) ** 2, abs=1e-9
         )
         assert summary["sifted"]["expected_keep_rate"] == pytest.approx(2.0 / 512.0)
+        # --phi was omitted: the manifest records the resolved pi/4 - theta.
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["parameters"]["phi"] == pytest.approx(math.pi / 8, abs=1e-15)
 
     def test_off_line_has_no_reference(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -179,6 +216,24 @@ class TestSimulate:
         summary = json.loads((tmp_path / "run.csv.summary.json").read_text())["summary"]
         assert summary["on_optimal_line"] is False
         assert summary["quadrature_reference"] is None
+
+    def test_writers_match_rowwise_reference_across_chunk_seam(self, tmp_path):
+        rounds, theta, seed = _CHUNK + 3, 0.2, 4
+        transcript = run_protocol(ProtocolConfig(rounds=rounds, attack=optimal_params(theta), seed=seed))
+        reference = render_transcript(transcript)
+        write_transcript(transcript, str(tmp_path / "run.csv"))
+        assert (tmp_path / "run.csv").read_text() == reference
+        out = tmp_path / "run.json"
+        assert run(
+            [
+                "simulate", "--rounds", str(rounds), "--theta", str(theta), "--seed", str(seed),
+                "--format", "json", "--output", str(out), *LIGHT,
+            ]
+        ) == 0
+        data = json.loads(out.read_text())["data"]
+        lines = reference.splitlines()
+        assert ",".join(data["columns"]) == lines[0]
+        assert [",".join(map(str, row)) for row in data["rows"]] == lines[1:]
 
     def test_transcript_roundtrip_json(self, tmp_path):
         out = tmp_path / "run.json"
@@ -223,6 +278,18 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli_mod, "critical_point", boom)
         assert run(["critical", "--tol", "1e-3", *LIGHT]) == 2
+
+    def test_format_without_output_rejected(self, capsys):
+        # --format only shapes the --output file; the report on stdout is JSON.
+        for fmt in ("csv", "json"):
+            assert run(["critical", "--tol", "1e-2", "--format", fmt, *LIGHT]) == 1
+            captured = capsys.readouterr()
+            assert "usage error" in captured.err
+            assert captured.out == ""
+        assert run(["critical", "--tol", "1e-2", *LIGHT]) == 0
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        assert manifest["parameters"]["format"] == "csv"
+        assert manifest["parameters"]["output"] is None
 
     def test_nonfinite_tol_rejected(self, capsys):
         for tol in ("nan", "inf", "-inf"):
@@ -278,3 +345,21 @@ class TestFormatLosslessness:
         parsed = [[float(x) for x in row] for row in rows]
         stored = json.loads(json_out.read_text())["data"]["rows"]
         assert parsed == stored
+
+
+class TestProcessBoundary:
+    def test_exit_status_reaches_the_process(self, tmp_path):
+        package_root = str(Path(contqkd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+
+        def contqkd_main(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "contqkd", *argv], capture_output=True, text=True, env=env, timeout=120
+            )
+
+        done = contqkd_main("critical", "--quad-polar", "4", "--quad-azimuth", "8", "--tol", "1e-2")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["data"]["theta0"] == pytest.approx(math.pi / 8, abs=1e-2)
+        assert contqkd_main("critical", "--no-such-flag").returncode == 1
+        missing = tmp_path / "missing" / "dims.csv"
+        assert contqkd_main("dims", "--d-max", "4", "--output", str(missing)).returncode == 3

@@ -251,6 +251,27 @@ class TestEmpiricalMi:
         assert val == pytest.approx(1.0, abs=0.08)
 
 
+def _set_field(name: str, value: str):
+    def edit(fields: list[str], header: list[str]) -> None:
+        fields[header.index(name)] = value
+
+    return edit
+
+
+# One record of a valid transcript, broken in one way each.
+BROKEN_RECORDS = {
+    "bit 7": _set_field("alice_bit", "7"),
+    "u 3.0": _set_field("alice_u", "3.0"),
+    "phi -9": _set_field("bob_phi", "-9"),
+    "phi 2pi": _set_field("alice_phi", repr(2.0 * math.pi)),
+    "disclosed 2": _set_field("disclosed", "2"),
+    "u nan": _set_field("bob_u", "nan"),
+    "repeated round": _set_field("round", "0"),
+    "extra field": lambda fields, header: fields.append("0"),
+    "short row": lambda fields, header: fields.pop(),
+}
+
+
 class TestTranscriptIO:
     def test_roundtrip(self, tmp_path):
         cfg = ProtocolConfig(rounds=200, attack=optimal_params(0.1), seed=3)
@@ -262,6 +283,30 @@ class TestTranscriptIO:
         np.testing.assert_array_equal(back.bob_phi, t.bob_phi)
         np.testing.assert_array_equal(back.eve_bit, t.eve_bit)
         np.testing.assert_array_equal(back.disclosed, t.disclosed)
+
+    @pytest.mark.parametrize("edit", list(BROKEN_RECORDS.values()), ids=list(BROKEN_RECORDS))
+    def test_record_outside_the_schema_rejected(self, tmp_path, edit):
+        t = run_protocol(ProtocolConfig(rounds=4, attack=optimal_params(0.1), seed=3))
+        path = tmp_path / "transcript.csv"
+        write_transcript(t, str(path))
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        edit(fields, lines[0].split(","))
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            read_transcript(str(path))
+
+    def test_boundary_values_accepted(self, tmp_path):
+        path = tmp_path / "transcript.csv"
+        path.write_text(
+            "round,disclosed,alice_u,alice_phi,alice_bit,bob_u,bob_phi,bob_bit,eve_bit\n"
+            "0,1,-1.0,0.0,0,1.0,6.283185307179585,1,1\n"
+        )
+        t = read_transcript(str(path))
+        assert (t.alice_u[0], t.bob_u[0], t.alice_phi[0]) == (-1.0, 1.0, 0.0)
+        assert t.bob_phi[0] < 2.0 * math.pi
+        assert t.disclosed.dtype == bool and t.bob_bit.dtype == np.int8
 
     def test_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
