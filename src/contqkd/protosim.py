@@ -7,7 +7,10 @@ direction, and the probe is read out in its computational basis.  The three
 bits are drawn from the exact joint Born distribution of the 8-dimensional
 post-attack pure state, so the transcript statistics match the analytic
 reductions by construction.  ``run_protocol`` samples every round; there is
-no per-round driver.
+no per-round driver.  The law is real: with v = (1, n) for each party's unit
+Bloch vector n, p(a, b, e) = (v_A (x) v_B) @ W, where the fixed 16x8 matrix W
+is read once per run off the Pauli tensor <psi| sigma_i (x) sigma_j (x)
+sigma_k |psi> of the post-attack state, so each chunk costs one real matmul.
 
 Randomness is counter-based: round i consumes row i of a (rounds, 5) uniform
 block drawn from a Philox generator keyed by the seed, in the column order
@@ -25,14 +28,17 @@ that order; ``read_transcript`` rejects a file that breaks the schema.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .attack import AttackParams, attacked_pure_state
+from .infocalc import _PAULI
 from .qstate import NumericalCorruptionError, TWO_PI
 
 _CHUNK = 1 << 17
+_DENSE_CELLS = 1 << 16
 _LN2 = math.log(2.0)
 
 
@@ -133,30 +139,38 @@ class Transcript:
         return Transcript(*(getattr(self, f.name)[mask] for f in fields(self)))
 
 
-def _basis_kets(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Stack of the two basis kets per direction, shape (n, 2, 2)."""
-    c = np.sqrt((1.0 + u) * 0.5)
-    s = np.sqrt((1.0 - u) * 0.5)
-    ph = np.exp(1j * phi)
-    kets = np.empty((u.size, 2, 2), dtype=complex)
-    kets[:, 0, 0] = c
-    kets[:, 0, 1] = ph * s
-    kets[:, 1, 0] = s
-    kets[:, 1, 1] = -ph * c
-    return kets
+def _law_matrix(state: np.ndarray) -> np.ndarray:
+    """The fixed 16x8 real matrix W of the joint law p(a, b, e) = (v_A (x) v_B) @ W.
 
-
-def _outcome_probabilities(
-    state: np.ndarray, u_a: np.ndarray, phi_a: np.ndarray, u_b: np.ndarray, phi_b: np.ndarray
-) -> np.ndarray:
-    """Joint Born distribution over (alice_bit, bob_bit, eve_bit), shape (n, 8).
-
-    Validates that each row sums to 1 within 1e-10.
+    With C_ijk = <psi| sigma_i (x) sigma_j (x) sigma_k |psi> the Pauli tensor
+    of the post-attack state and the probe read along z,
+    W[(i, j), (a, b, e)] = (-1)^{a [i > 0]} (-1)^{b [j > 0]} (C_ij0 + (-1)^e C_ij3) / 8.
     """
-    ka = _basis_kets(u_a, phi_a)
-    kb = _basis_kets(u_b, phi_b)
-    amps = np.einsum("naj,nbk,jke->nabe", ka.conj(), kb.conj(), state)
-    p = (amps.real**2 + amps.imag**2).reshape(-1, 8)
+    c = np.einsum(
+        "xyz,ixX,jyY,kzZ,XYZ->ijk", state.conj(), _PAULI, _PAULI, _PAULI, state, optimize=True
+    ).real
+    flip = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])  # flip[a, i] = (-1)^{a [i > 0]}
+    probe = np.stack([c[:, :, 0] + c[:, :, 3], c[:, :, 0] - c[:, :, 3]], axis=-1)
+    return (np.einsum("ai,bj,ije->ijabe", flip, flip, probe) / 8.0).reshape(16, 8)
+
+
+def _bloch_rows(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Rows v = (1, n) of the directions with n = (sin t cos phi, sin t sin phi, u), shape (m, 4)."""
+    s = np.sqrt((1.0 - u) * (1.0 + u))
+    return np.stack([np.ones_like(u), s * np.cos(phi), s * np.sin(phi), u], axis=1)
+
+
+def _joint_law(
+    w: np.ndarray, u_a: np.ndarray, phi_a: np.ndarray, u_b: np.ndarray, phi_b: np.ndarray
+) -> np.ndarray:
+    """Joint Born distribution over (alice_bit, bob_bit, eve_bit), shape (m, 8).
+
+    One real matmul (v_A (x) v_B) @ W; validates that each row sums to 1
+    within 1e-10.
+    """
+    va = _bloch_rows(u_a, phi_a)
+    vb = _bloch_rows(u_b, phi_b)
+    p = (va[:, :, None] * vb[:, None, :]).reshape(-1, 16) @ w
     deviation = float(np.abs(p.sum(axis=1) - 1.0).max())
     if deviation > 1e-10:
         raise NumericalCorruptionError(f"round probabilities sum off by {deviation:.3e}")
@@ -174,7 +188,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     The first floor(disclose_fraction * rounds) rounds are flagged as
     disclosed for parameter estimation and excluded from key material.
     """
-    state = attacked_pure_state(cfg.attack)
+    w = _law_matrix(attacked_pure_state(cfg.attack))
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
     n = int(cfg.rounds)
 
@@ -191,7 +205,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         pa = TWO_PI * draws[:, 1]
         ub = 2.0 * draws[:, 2] - 1.0
         pb = TWO_PI * draws[:, 3]
-        p = _outcome_probabilities(state, ua, pa, ub, pb)
+        p = _joint_law(w, ua, pa, ub, pb)
         idx = _pick(p, draws[:, 4])
         alice_u[start:stop] = ua
         alice_phi[start:stop] = pa
@@ -235,21 +249,38 @@ def sift(transcript: Transcript, partition: SiftingPartition) -> Transcript:
     return replace(kept, bob_bit=bob_bit)
 
 
+def _pair_counts(codes_x: np.ndarray, codes_y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Counts of the occupied joint cells in pair-code order, the marginal
+    counts at each of them, and the numbers of occupied x and y cells.
+
+    One ``np.bincount`` over the dense pair codes, marginals from its row and
+    column sums.  A table with more cells than max(rounds, _DENSE_CELLS)
+    (binnings finer than the sample) is counted by sorting instead, so memory
+    stays O(rounds).
+    """
+    span = int(codes_y.max()) + 1
+    rows = int(codes_x.max()) + 1
+    pairs = codes_x.astype(np.int64) * span + codes_y.astype(np.int64)
+    if rows * span <= max(pairs.size, _DENSE_CELLS):
+        table = np.bincount(pairs, minlength=rows * span).reshape(rows, span)
+        nx, ny = table.sum(axis=1), table.sum(axis=0)
+        ix, iy = np.nonzero(table)
+        return table[ix, iy], nx[ix], ny[iy], int(np.count_nonzero(nx)), int(np.count_nonzero(ny))
+    uj, cj = np.unique(pairs, return_counts=True)
+    ux, cx = np.unique(codes_x, return_counts=True)
+    uy, cy = np.unique(codes_y, return_counts=True)
+    return cj, cx[np.searchsorted(ux, uj // span)], cy[np.searchsorted(uy, uj % span)], ux.size, uy.size
+
+
 def _plugin_mi(codes_x: np.ndarray, codes_y: np.ndarray, miller_madow: bool) -> float:
     """Plug-in mutual information of two integer code streams, in bits."""
     n = codes_x.size
     if n == 0:
         raise ValueError("cannot estimate information from an empty record set")
-    span = int(codes_y.max()) + 1
-    pairs = codes_x.astype(np.int64) * span + codes_y.astype(np.int64)
-    uj, cj = np.unique(pairs, return_counts=True)
-    ux, cx = np.unique(codes_x, return_counts=True)
-    uy, cy = np.unique(codes_y, return_counts=True)
-    nx = cx[np.searchsorted(ux, uj // span)]
-    ny = cy[np.searchsorted(uy, uj % span)]
+    cj, nx, ny, kx, ky = _pair_counts(codes_x, codes_y)
     mi = float(np.sum((cj / n) * np.log2(cj.astype(float) * n / (nx * ny))))
     if miller_madow:
-        mi -= (uj.size - ux.size - uy.size + 1) / (2.0 * n * _LN2)
+        mi -= (cj.size - kx - ky + 1) / (2.0 * n * _LN2)
     return max(0.0, mi)
 
 
@@ -354,18 +385,25 @@ def read_transcript(path: str) -> Transcript:
     """Parse a file written by write_transcript; ValueError if it breaks the schema.
 
     Valid rows have one field per column, rounds 0..n-1, bits and the
-    disclosed flag in {0, 1}, u in [-1, 1] and phi in [0, 2 pi).
+    disclosed flag in {0, 1}, u in [-1, 1] and phi in [0, 2 pi).  Blank lines
+    are skipped; a '#' line is a malformed row, not a comment.  The body is
+    parsed in one ``np.loadtxt`` pass, so memory goes to the numeric table only.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != _TRANSCRIPT_FIELDS:
             raise ValueError(f"unexpected transcript header {header}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if rows and set(map(len, rows)) != {len(_TRANSCRIPT_FIELDS)}:
-        raise ValueError(f"every transcript row must have {len(_TRANSCRIPT_FIELDS)} fields")
-    text = dict(zip(_TRANSCRIPT_FIELDS, zip(*rows))) if rows else dict.fromkeys(_TRANSCRIPT_FIELDS, ())
-    columns = {f: np.fromiter(map(float, v), dtype=float, count=len(v)) for f, v in text.items()}
-    if not np.array_equal(columns.pop("round"), np.arange(len(rows))):
+        with warnings.catch_warnings():
+            # A header-only file is an empty transcript.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(filter(str.strip, fh), delimiter=",", dtype=float, ndmin=2, comments=None)
+    width = len(_TRANSCRIPT_FIELDS)
+    rows = table.shape[0]
+    if rows and table.shape[1] != width:
+        raise ValueError(f"every transcript row must have {width} fields")
+    columns = dict(zip(_TRANSCRIPT_FIELDS, map(np.ascontiguousarray, table.reshape(rows, width).T)))
+    del table
+    if not np.array_equal(columns.pop("round"), np.arange(rows)):
         raise ValueError("transcript rounds must run 0..n-1 in order")
     for field, col in columns.items():
         if field.endswith("_u"):

@@ -17,7 +17,6 @@ from contqkd import (
     singlet,
 )
 from contqkd.attack import attacked_pure_state
-from contqkd.protosim import _basis_kets
 import oracle
 
 QUARTER = math.pi / 4
@@ -213,5 +212,5 @@ class TestDirectionLayout:
         assert np.linalg.norm(amp_e1) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_direction_angle_helper(self):
-        k1 = _basis_kets(np.array([math.cos(0.3)]), np.array([1.0]))[0, 0]
+        k1 = oracle.basis_kets(np.array([math.cos(0.3)]), np.array([1.0]))[0, 0]
         assert abs(np.vdot(k1, k1)) == pytest.approx(1.0, abs=1e-12)

@@ -363,3 +363,30 @@ class TestProcessBoundary:
         assert contqkd_main("critical", "--no-such-flag").returncode == 1
         missing = tmp_path / "missing" / "dims.csv"
         assert contqkd_main("dims", "--d-max", "4", "--output", str(missing)).returncode == 3
+
+    def test_transcripts_identical_across_blas_thread_counts(self, tmp_path):
+        # The sampler's per-chunk matmul goes through BLAS; the bytes written
+        # must not depend on how many threads BLAS uses.
+        package_root = str(Path(contqkd.__file__).resolve().parents[1])
+        written = {}
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]),
+            )
+            workdir = tmp_path / f"threads{threads}"
+            workdir.mkdir()
+            for fmt in ("csv", "json"):
+                # A relative output path keeps the manifests equal too.
+                argv = ["simulate", "--rounds", str(_CHUNK + 3), "--theta", "0.3", "--seed", "21", *LIGHT]
+                done = subprocess.run(
+                    [sys.executable, "-m", "contqkd", *argv, "--format", fmt, "--output", f"run.{fmt}"],
+                    capture_output=True, text=True, env=env, cwd=workdir, timeout=120,
+                )
+                assert done.returncode == 0, done.stderr
+                written[threads, fmt] = [
+                    (workdir / name).read_bytes() for name in (f"run.{fmt}", f"run.{fmt}.summary.json")
+                ]
+        for fmt in ("csv", "json"):
+            assert written["1", fmt] == written["2", fmt]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contqkd import (
     AttackParams,
@@ -19,17 +21,30 @@ from contqkd import (
     write_transcript,
 )
 from contqkd.attack import attacked_pure_state
-from contqkd.protosim import _CHUNK, _outcome_probabilities, _pick, sifted_error_rate
+from contqkd.protosim import (
+    _CHUNK,
+    _joint_law,
+    _law_matrix,
+    _party_codes,
+    _pick,
+    _plugin_mi,
+    sifted_error_rate,
+)
 from conftest import cos_polar_azimuth, random_direction
+import oracle
 
 NO_ATTACK = optimal_params(0.0)
 Z = np.array([0.0, 0.0, 1.0])
 
+# The real law and the complex Born rule differ by roundoff only (max |dp|
+# measured at 3.9e-16 to 5.6e-16 over random attacks and directions).
+LAW_TOL = 1e-15
+
 
 def born(attack: AttackParams, dirs_a: np.ndarray, dirs_b: np.ndarray) -> np.ndarray:
     """Exact outcome distributions, shape (n, 2, 2, 2), for unit-vector rows."""
-    p = _outcome_probabilities(
-        attacked_pure_state(attack), *cos_polar_azimuth(dirs_a), *cos_polar_azimuth(dirs_b)
+    p = _joint_law(
+        _law_matrix(attacked_pure_state(attack)), *cos_polar_azimuth(dirs_a), *cos_polar_azimuth(dirs_b)
     )
     return p.reshape(-1, 2, 2, 2)
 
@@ -114,6 +129,21 @@ class TestRoundSampling:
         bits = sample_bits(swap, np.repeat(Z[None, :], 200, axis=0), random_directions(rng, 200), rng)
         assert np.all(bits[:, 2] != bits[:, 0])
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        angles=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_law_matches_complex_born_rule(self, angles, seed):
+        rng = np.random.default_rng(seed)
+        state = attacked_pure_state(AttackParams(*angles))
+        ua, pa = cos_polar_azimuth(random_directions(rng, 16))
+        ub, pb = cos_polar_azimuth(random_directions(rng, 16))
+        ua[:2], ub[1:3] = (1.0, -1.0), (1.0, -1.0)  # poles, where sin(theta) vanishes
+        got = _joint_law(_law_matrix(state), ua, pa, ub, pb)
+        ref = oracle.outcome_probabilities(state, ua, pa, ub, pb)
+        assert float(np.abs(got - ref).max()) <= LAW_TOL
+
     def test_run_round_consumes_five_uniforms(self):
         # Each round of a run consumes five uniforms whatever the run length,
         # so a shorter run is a prefix of a longer one.
@@ -136,7 +166,8 @@ class TestRunProtocol:
     def test_stream_contract_across_chunk_seam(self):
         # Round i is row i of one (rounds, 5) Philox block: directions from
         # columns 0-3, the outcome picked from the Born distribution by
-        # column 4.  The run spans a chunk seam, the block is drawn whole.
+        # column 4.  The run spans a chunk seam, the block is drawn whole, and
+        # the reference law is the complex Born rule of the oracle.
         cfg = ProtocolConfig(rounds=_CHUNK + 3, attack=optimal_params(0.15), seed=12345)
         t = run_protocol(cfg)
         draws = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.rounds, 5))
@@ -145,7 +176,7 @@ class TestRunProtocol:
         np.testing.assert_array_equal(t.alice_phi, two_pi * draws[:, 1])
         np.testing.assert_array_equal(t.bob_u, 2.0 * draws[:, 2] - 1.0)
         np.testing.assert_array_equal(t.bob_phi, two_pi * draws[:, 3])
-        p = _outcome_probabilities(
+        p = oracle.outcome_probabilities(
             attacked_pure_state(cfg.attack), t.alice_u, t.alice_phi, t.bob_u, t.bob_phi
         )
         idx = _pick(p, draws[:, 4])
@@ -243,6 +274,20 @@ class TestEmpiricalMi:
         with pytest.raises(ValueError, match="empty"):
             empirical_mi(t, one, one)
 
+    @pytest.mark.parametrize("cells", [(1, 1), (8, 16), (64, 128)], ids=["bits", "dense", "sparse"])
+    def test_counting_matches_sorted_reference_bit_for_bit(self, cells):
+        # (64, 128) cells give a pair table larger than the sample, which is
+        # counted by sorting; the others take the one-bincount path.
+        t = run_protocol(ProtocolConfig(rounds=20_000, attack=optimal_params(0.35), seed=13))
+        part = SiftingPartition(*cells)
+        for fold in (False, True):
+            ca = _party_codes(t.alice_u, t.alice_phi, t.alice_bit, part, fold)
+            cb = _party_codes(t.bob_u, t.bob_phi, t.bob_bit, part, fold)
+            for x, y in ((ca, cb), (ca, t.eve_bit.astype(np.int64)), (cb, t.eve_bit.astype(np.int64))):
+                for mm in (False, True):
+                    got = _plugin_mi(x, y, mm)
+                    assert type(got) is float and got == oracle.plugin_mi(x, y, mm)
+
     def test_sifted_rate_approaches_one_bit(self):
         cfg = ProtocolConfig(rounds=300_000, attack=NO_ATTACK, seed=23)
         sifted = sift(run_protocol(cfg), SiftingPartition(16, 32))
@@ -312,4 +357,30 @@ class TestTranscriptIO:
         path = tmp_path / "bad.csv"
         path.write_text("nope\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
+            read_transcript(str(path))
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "transcript.csv"
+        path.write_text("round,disclosed,alice_u,alice_phi,alice_bit,bob_u,bob_phi,bob_bit,eve_bit\n")
+        t = read_transcript(str(path))
+        assert len(t) == 0
+        assert t.disclosed.dtype == bool and t.eve_bit.dtype == np.int8 and t.alice_u.dtype == float
+
+    def test_blank_lines_skipped(self, tmp_path):
+        t = run_protocol(ProtocolConfig(rounds=4, attack=optimal_params(0.1), seed=3))
+        path = tmp_path / "transcript.csv"
+        write_transcript(t, str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines[:2], "", *lines[2:4], "  \t", *lines[4:], "", ""]) + "\n")
+        back = read_transcript(str(path))
+        np.testing.assert_array_equal(back.alice_phi, t.alice_phi)
+        np.testing.assert_array_equal(back.eve_bit, t.eve_bit)
+
+    def test_comment_line_rejected(self, tmp_path):
+        t = run_protocol(ProtocolConfig(rounds=4, attack=optimal_params(0.1), seed=3))
+        path = tmp_path / "transcript.csv"
+        write_transcript(t, str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines[:2], "# a comment", *lines[2:]]) + "\n")
+        with pytest.raises(ValueError):
             read_transcript(str(path))

@@ -2,7 +2,8 @@
 
 A measurement direction is a unit Bloch vector, or its (u, phi) coordinates
 in the sampler.  Two readings of a state along directions remain: the
-complex outcome kets of the Monte Carlo sampler (``protosim._basis_kets``)
+complex outcome kets of the reference sampler (``oracle.basis_kets``), whose
+Born rule the package's real joint law (``protosim._joint_law``) reproduces,
 and the Fano-form outcome densities (``infocalc._fano_form``).
 """
 
@@ -23,17 +24,17 @@ from contqkd import (
 )
 from contqkd.attack import attacked_pure_state
 from contqkd.infocalc import _fano_form
-from contqkd.protosim import _basis_kets, _outcome_probabilities
+from contqkd.protosim import _joint_law, _law_matrix
 from conftest import cos_polar_azimuth, random_direction
-from oracle import maximally_mixed, tensor
+from oracle import basis_kets, maximally_mixed, tensor
 
 KET0 = np.array([1.0, 0.0])
 
 
 def kets_of(n: np.ndarray) -> np.ndarray:
-    """The sampler's two outcome kets (along n, along -n) of one unit vector."""
+    """The reference sampler's two outcome kets (along n, along -n) of one unit vector."""
     u, phi = cos_polar_azimuth(n)
-    return _basis_kets(np.array([u]), np.array([phi]))[0]
+    return basis_kets(np.array([u]), np.array([phi]))[0]
 
 
 def fano_density(rho: DensityMatrix, n: np.ndarray, m: np.ndarray) -> float:
@@ -58,37 +59,37 @@ class TestBlochDirection:
         ua, pa = -u, np.mod(phi + math.pi, 2.0 * math.pi)
         np.testing.assert_allclose(-ua, u, atol=1e-12)
         np.testing.assert_allclose(np.mod(pa + math.pi, 2.0 * math.pi), phi, atol=1e-12)
-        overlap = np.einsum("ni,ni->n", _basis_kets(u, phi)[:, 1].conj(), _basis_kets(ua, pa)[:, 0])
+        overlap = np.einsum("ni,ni->n", basis_kets(u, phi)[:, 1].conj(), basis_kets(ua, pa)[:, 0])
         np.testing.assert_allclose(np.abs(overlap), 1.0, atol=1e-12)
 
     def test_pole_azimuth_fixed(self):
         # At a pole the azimuth is physically irrelevant: the outcome
         # distribution of every round is the same for every phi.
-        state = attacked_pure_state(optimal_params(0.3))
+        w = _law_matrix(attacked_pure_state(optimal_params(0.3)))
         phis = np.array([0.0, 1.3, 2.2, 5.0])
         ub, pb = np.full(4, 0.4), np.full(4, 1.7)
         for pole in (1.0, -1.0):
-            p = _outcome_probabilities(state, np.full(4, pole), phis, ub, pb)
+            p = _joint_law(w, np.full(4, pole), phis, ub, pb)
             np.testing.assert_allclose(p, np.broadcast_to(p[0], p.shape), atol=1e-15)
 
 
 class TestKets:
     def test_north_pole_is_zero_ket(self):
-        k = _basis_kets(np.array([1.0]), np.array([2.1]))[0, 0]
+        k = basis_kets(np.array([1.0]), np.array([2.1]))[0, 0]
         np.testing.assert_allclose(k, [1.0, 0.0], atol=1e-15)
 
     def test_south_pole_is_one_ket(self):
-        k = _basis_kets(np.array([-1.0]), np.array([0.0]))[0, 0]
+        k = basis_kets(np.array([-1.0]), np.array([0.0]))[0, 0]
         np.testing.assert_allclose(k, [0.0, 1.0], atol=1e-15)
 
     def test_equator_is_balanced(self):
-        k = _basis_kets(np.array([0.0]), np.array([0.0]))[0, 0]
+        k = basis_kets(np.array([0.0]), np.array([0.0]))[0, 0]
         np.testing.assert_allclose(k, [1 / math.sqrt(2)] * 2, atol=1e-15)
 
     def test_antipodal_kets_orthogonal(self):
         rng = np.random.default_rng(11)
         u, phi = cos_polar_azimuth(np.array([random_direction(rng) for _ in range(1000)]))
-        kets = _basis_kets(u, phi)
+        kets = basis_kets(u, phi)
         cross = np.einsum("ni,ni->n", kets[:, 0].conj(), kets[:, 1])
         assert float(np.abs(cross).max()) < 1e-12
 
@@ -96,7 +97,7 @@ class TestKets:
         # The first amplitude of every outcome ket along n is real and >= 0.
         rng = np.random.default_rng(12)
         u, phi = cos_polar_azimuth(np.array([random_direction(rng) for _ in range(200)]))
-        first = _basis_kets(u, phi)[:, 0, 0]
+        first = basis_kets(u, phi)[:, 0, 0]
         assert np.all(first.imag == 0.0)
         assert np.all(first.real >= 0.0)
 
@@ -105,7 +106,7 @@ class TestKets:
             DensityMatrix(np.outer([1.0, 1.0], [1.0, 1.0]), ("A",))
         rng = np.random.default_rng(13)
         u, phi = cos_polar_azimuth(np.array([random_direction(rng) for _ in range(200)]))
-        norms = np.linalg.norm(_basis_kets(u, phi), axis=2)
+        norms = np.linalg.norm(basis_kets(u, phi), axis=2)
         np.testing.assert_allclose(norms, 1.0, atol=1e-14)
 
 
@@ -181,7 +182,7 @@ class TestPartialTrace:
         np.testing.assert_allclose(out.entries, singlet().entries, atol=1e-14)
 
     def test_composition_one_at_a_time(self):
-        k = _basis_kets(np.array([math.cos(1.1)]), np.array([0.4]))[0, 0]
+        k = basis_kets(np.array([math.cos(1.1)]), np.array([0.4]))[0, 0]
         rho = tensor(singlet(), DensityMatrix.from_ket(k, ("E",)))
         two_step = partial_trace(partial_trace(rho, ("A", "B")), ("A",))
         one_step = partial_trace(rho, ("A",))
@@ -236,6 +237,6 @@ class TestMeasurementBasis:
     def test_projectors_resolve_identity(self):
         rng = np.random.default_rng(17)
         u, phi = cos_polar_azimuth(np.array([random_direction(rng) for _ in range(100)]))
-        kets = _basis_kets(u, phi)
+        kets = basis_kets(u, phi)
         proj = np.einsum("nki,nkj->nij", kets, kets.conj())
         np.testing.assert_allclose(proj, np.broadcast_to(np.eye(2), proj.shape), atol=1e-12)

@@ -23,7 +23,6 @@ from contqkd import (
 )
 from contqkd import security
 from contqkd.attack import attacked_pure_state
-from contqkd.protosim import _outcome_probabilities
 from contqkd.security import (
     NONSELECTED_MAX_BITS,
     BracketError,
@@ -31,7 +30,7 @@ from contqkd.security import (
     pair_fidelity_deficit,
 )
 from conftest import SINGLET_BITS
-from oracle import critical_cier_dim, maximally_mixed
+from oracle import critical_cier_dim, maximally_mixed, outcome_probabilities
 
 QUARTER = math.pi / 4
 
@@ -125,7 +124,7 @@ class TestQber:
         for _ in range(20):
             params = AttackParams(*rng.uniform(0.0, QUARTER, size=2))
             state = attacked_pure_state(params)
-            probs = _outcome_probabilities(state, one, zero, one, zero).reshape(2, 2, 2)
+            probs = outcome_probabilities(state, one, zero, one, zero).reshape(2, 2, 2)
             err = float(probs[0, 0, :].sum() + probs[1, 1, :].sum())
             assert qber(params) == pytest.approx(err, abs=1e-12)
 
