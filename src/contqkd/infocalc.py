@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import DensityMatrix, NumericalCorruptionError
+from .qstate import PAULI, DensityMatrix, NumericalCorruptionError
 
 # Total sphere volume under the measure sin(theta) dtheta dphi / (2 pi).
 SPHERE_VOLUME = 2.0
@@ -43,9 +43,6 @@ ZERO_BITS = 1e-14
 
 # Below this ratio r/alpha the inner sphere integral uses its Taylor series.
 _SERIES_X = 1e-2
-
-# Identity and Pauli matrices x, y, z stacked along the first axis.
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +145,7 @@ def _fano_form(rho_xy: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     _require_two_qubits(rho_xy)
     r = rho_xy.entries.reshape(2, 2, 2, 2)  # <ij| rho |kl> at [i, j, k, l]
-    corr = np.einsum("ijkl,pki,qlj->pq", r, _PAULI, _PAULI).real
+    corr = np.einsum("ijkl,pki,qlj->pq", r, PAULI, PAULI).real
     a, b, t = corr[1:, 0], corr[0, 1:], corr[1:, 1:]
     _require_density(0.5 - 0.5 * float(max(np.linalg.norm(a), np.linalg.norm(b))), "marginal")
     return a, b, t

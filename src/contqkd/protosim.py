@@ -34,11 +34,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .attack import AttackParams, attacked_pure_state
-from .infocalc import _PAULI
-from .qstate import NumericalCorruptionError, TWO_PI
+from .qstate import PAULI, NumericalCorruptionError, TWO_PI
 
 _CHUNK = 1 << 17
-_DENSE_CELLS = 1 << 16
 _LN2 = math.log(2.0)
 
 
@@ -147,7 +145,7 @@ def _law_matrix(state: np.ndarray) -> np.ndarray:
     W[(i, j), (a, b, e)] = (-1)^{a [i > 0]} (-1)^{b [j > 0]} (C_ij0 + (-1)^e C_ij3) / 8.
     """
     c = np.einsum(
-        "xyz,ixX,jyY,kzZ,XYZ->ijk", state.conj(), _PAULI, _PAULI, _PAULI, state, optimize=True
+        "xyz,ixX,jyY,kzZ,XYZ->ijk", state.conj(), PAULI, PAULI, PAULI, state, optimize=True
     ).real
     flip = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])  # flip[a, i] = (-1)^{a [i > 0]}
     probe = np.stack([c[:, :, 0] + c[:, :, 3], c[:, :, 0] - c[:, :, 3]], axis=-1)
@@ -249,38 +247,21 @@ def sift(transcript: Transcript, partition: SiftingPartition) -> Transcript:
     return replace(kept, bob_bit=bob_bit)
 
 
-def _pair_counts(codes_x: np.ndarray, codes_y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Counts of the occupied joint cells in pair-code order, the marginal
-    counts at each of them, and the numbers of occupied x and y cells.
-
-    One ``np.bincount`` over the dense pair codes, marginals from its row and
-    column sums.  A table with more cells than max(rounds, _DENSE_CELLS)
-    (binnings finer than the sample) is counted by sorting instead, so memory
-    stays O(rounds).
-    """
-    span = int(codes_y.max()) + 1
-    rows = int(codes_x.max()) + 1
-    pairs = codes_x.astype(np.int64) * span + codes_y.astype(np.int64)
-    if rows * span <= max(pairs.size, _DENSE_CELLS):
-        table = np.bincount(pairs, minlength=rows * span).reshape(rows, span)
-        nx, ny = table.sum(axis=1), table.sum(axis=0)
-        ix, iy = np.nonzero(table)
-        return table[ix, iy], nx[ix], ny[iy], int(np.count_nonzero(nx)), int(np.count_nonzero(ny))
-    uj, cj = np.unique(pairs, return_counts=True)
-    ux, cx = np.unique(codes_x, return_counts=True)
-    uy, cy = np.unique(codes_y, return_counts=True)
-    return cj, cx[np.searchsorted(ux, uj // span)], cy[np.searchsorted(uy, uj % span)], ux.size, uy.size
-
-
 def _plugin_mi(codes_x: np.ndarray, codes_y: np.ndarray, miller_madow: bool) -> float:
     """Plug-in mutual information of two integer code streams, in bits."""
     n = codes_x.size
     if n == 0:
         raise ValueError("cannot estimate information from an empty record set")
-    cj, nx, ny, kx, ky = _pair_counts(codes_x, codes_y)
+    span = int(codes_y.max()) + 1
+    pairs = codes_x.astype(np.int64) * span + codes_y.astype(np.int64)
+    uj, cj = np.unique(pairs, return_counts=True)
+    ux, cx = np.unique(codes_x, return_counts=True)
+    uy, cy = np.unique(codes_y, return_counts=True)
+    nx = cx[np.searchsorted(ux, uj // span)]
+    ny = cy[np.searchsorted(uy, uj % span)]
     mi = float(np.sum((cj / n) * np.log2(cj.astype(float) * n / (nx * ny))))
     if miller_madow:
-        mi -= (cj.size - kx - ky + 1) / (2.0 * n * _LN2)
+        mi -= (uj.size - ux.size - uy.size + 1) / (2.0 * n * _LN2)
     return max(0.0, mi)
 
 
@@ -387,7 +368,8 @@ def read_transcript(path: str) -> Transcript:
     Valid rows have one field per column, rounds 0..n-1, bits and the
     disclosed flag in {0, 1}, u in [-1, 1] and phi in [0, 2 pi).  Blank lines
     are skipped; a '#' line is a malformed row, not a comment.  The body is
-    parsed in one ``np.loadtxt`` pass, so memory goes to the numeric table only.
+    parsed in one ``np.loadtxt`` pass; peak memory is that numeric table (9
+    floats per round) plus the four float columns copied out of it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -401,7 +383,8 @@ def read_transcript(path: str) -> Transcript:
     rows = table.shape[0]
     if rows and table.shape[1] != width:
         raise ValueError(f"every transcript row must have {width} fields")
-    columns = dict(zip(_TRANSCRIPT_FIELDS, map(np.ascontiguousarray, table.reshape(rows, width).T)))
+    # Views into the table, each replaced below by a contiguous copy of its own.
+    columns = dict(zip(_TRANSCRIPT_FIELDS, table.reshape(rows, width).T))
     del table
     if not np.array_equal(columns.pop("round"), np.arange(rows)):
         raise ValueError("transcript rounds must run 0..n-1 in order")
@@ -412,7 +395,8 @@ def read_transcript(path: str) -> Transcript:
             ok = (col >= 0.0) & (col < TWO_PI)
         else:  # a bit, or the disclosed flag
             ok = (col == 0.0) | (col == 1.0)
-            columns[field] = col.astype(bool if field == "disclosed" else np.int8)
+            col = col.astype(bool if field == "disclosed" else np.int8)
         if not ok.all():
             raise ValueError(f"transcript {field} out of range in row {int(np.argmin(ok))}")
+        columns[field] = np.ascontiguousarray(col)
     return Transcript(**columns)

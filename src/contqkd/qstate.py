@@ -6,7 +6,8 @@ tripartite state cannot be confused with one another.  All storage is dense
 complex arithmetic; the largest space used anywhere in this package is
 8 = 2**3.  Measurement directions are not represented here: every reading of
 a pair state goes through its Fano form (``infocalc._fano_form``) along unit
-Bloch vectors.
+Bloch vectors.  ``PAULI`` is the one Pauli basis (identity, x, y, z) that the
+package expands states in.
 
 Every type is immutable after construction and every operation is a pure
 function, so everything here is safe to evaluate concurrently.
@@ -27,6 +28,10 @@ ATOL = 1e-12
 # Eigenvalue / probability floor below which a value signals a logic bug
 # rather than accumulated roundoff.
 PSD_FLOOR = -1e-10
+
+# Identity and Pauli matrices x, y, z stacked along the first axis.
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+PAULI.setflags(write=False)
 
 
 class NumericalCorruptionError(ArithmeticError):

@@ -25,8 +25,6 @@ The Monte Carlo round law is the original complex Born rule too: the two
 outcome kets of each direction (``basis_kets``) contracted with the post-attack
 ket in one three-operand ``einsum`` (``outcome_probabilities``).  The package
 samples from the real law (v_A (x) v_B) @ W instead; the tests compare the two.
-``plugin_mi`` is the sort-based histogram estimator that the package's
-``np.bincount`` count replaced.
 
 ``render_transcript`` is the original round-by-round transcript renderer, the
 reference for the column-wise CSV writer and the JSON transcript rows.
@@ -161,22 +159,6 @@ def outcome_probabilities(
     kb = basis_kets(u_b, phi_b)
     amps = np.einsum("naj,nbk,jke->nabe", ka.conj(), kb.conj(), state)
     return (amps.real**2 + amps.imag**2).reshape(-1, 8)
-
-
-def plugin_mi(codes_x: np.ndarray, codes_y: np.ndarray, miller_madow: bool) -> float:
-    """Plug-in mutual information of two integer code streams in bits, counted by sorting."""
-    n = codes_x.size
-    span = int(codes_y.max()) + 1
-    pairs = codes_x.astype(np.int64) * span + codes_y.astype(np.int64)
-    uj, cj = np.unique(pairs, return_counts=True)
-    ux, cx = np.unique(codes_x, return_counts=True)
-    uy, cy = np.unique(codes_y, return_counts=True)
-    nx = cx[np.searchsorted(ux, uj // span)]
-    ny = cy[np.searchsorted(uy, uj % span)]
-    mi = float(np.sum((cj / n) * np.log2(cj.astype(float) * n / (nx * ny))))
-    if miller_madow:
-        mi -= (uj.size - ux.size - uy.size + 1) / (2.0 * n * math.log(2.0))
-    return max(0.0, mi)
 
 
 def _pair_density(rho4: np.ndarray, kets_x: np.ndarray, kets_y: np.ndarray) -> np.ndarray:

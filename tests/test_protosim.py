@@ -25,9 +25,7 @@ from contqkd.protosim import (
     _CHUNK,
     _joint_law,
     _law_matrix,
-    _party_codes,
     _pick,
-    _plugin_mi,
     sifted_error_rate,
 )
 from conftest import cos_polar_azimuth, random_direction
@@ -273,20 +271,6 @@ class TestEmpiricalMi:
         one = SiftingPartition(1, 1)
         with pytest.raises(ValueError, match="empty"):
             empirical_mi(t, one, one)
-
-    @pytest.mark.parametrize("cells", [(1, 1), (8, 16), (64, 128)], ids=["bits", "dense", "sparse"])
-    def test_counting_matches_sorted_reference_bit_for_bit(self, cells):
-        # (64, 128) cells give a pair table larger than the sample, which is
-        # counted by sorting; the others take the one-bincount path.
-        t = run_protocol(ProtocolConfig(rounds=20_000, attack=optimal_params(0.35), seed=13))
-        part = SiftingPartition(*cells)
-        for fold in (False, True):
-            ca = _party_codes(t.alice_u, t.alice_phi, t.alice_bit, part, fold)
-            cb = _party_codes(t.bob_u, t.bob_phi, t.bob_bit, part, fold)
-            for x, y in ((ca, cb), (ca, t.eve_bit.astype(np.int64)), (cb, t.eve_bit.astype(np.int64))):
-                for mm in (False, True):
-                    got = _plugin_mi(x, y, mm)
-                    assert type(got) is float and got == oracle.plugin_mi(x, y, mm)
 
     def test_sifted_rate_approaches_one_bit(self):
         cfg = ProtocolConfig(rounds=300_000, attack=NO_ATTACK, seed=23)
