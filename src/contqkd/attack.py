@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -114,7 +113,6 @@ def build_isometry(params: AttackParams) -> EveIsometry:
     return EveIsometry(rows)
 
 
-@lru_cache(maxsize=256)
 def attacked_pure_state(params: AttackParams) -> np.ndarray:
     """Exact post-attack pure state of singlet (x) |0>_E, shape (2, 2, 2) over (A, B, E)."""
     v = build_isometry(params).extension_matrix()

@@ -1,10 +1,13 @@
 """Command-line front end: surface/curve/critical/dims tables and simulation runs.
 
-Every command emits machine-readable data in one of two formats (CSV with a
-header row, or JSON shaped {"manifest": ..., "data": ...}) plus a manifest
-sidecar recording every parsed option, seed, quadrature resolution, tool
-version and wall-clock duration.  Re-running a command with the manifest's
-parameters reproduces the data files byte for byte within one
+The table commands (surface, curve, critical, dims) emit machine-readable
+data in one of two formats chosen by ``--format`` (CSV with a header row, or
+JSON shaped {"manifest": ..., "data": ...}).  ``simulate`` has no
+``--format``: it writes the csv transcript of ``protosim.write_transcript``
+plus a JSON summary sidecar.  Every command with ``--output`` also writes a
+JSON manifest sidecar recording every parsed option, seed, quadrature
+resolution, tool version and wall-clock duration.  Re-running a command with
+the manifest's parameters reproduces the data files byte for byte within one
 Python/numpy/BLAS environment.  ``critical`` prints its report to stdout and
 writes files only with ``--output``; ``--format`` without ``--output`` is a
 usage error.
@@ -41,7 +44,6 @@ from .protosim import (
     run_protocol,
     sift,
     sifted_error_rate,
-    transcript_columns,
     write_transcript,
 )
 from .qstate import NumericalCorruptionError
@@ -126,19 +128,7 @@ def _float_in(low: float, high: float) -> Callable[[str], float]:
     return parse
 
 
-def _py(value: Any) -> Any:
-    """Coerce numpy scalars to plain Python for stable repr/json output."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
 def _fmt(value: Any) -> str:
-    value = _py(value)
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
@@ -161,7 +151,7 @@ def _write_table(
             for row in rows:
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
     else:
-        data = {"columns": list(columns), "rows": [[_py(x) for x in row] for row in rows]}
+        data = {"columns": list(columns), "rows": [list(row) for row in rows]}
         _write_json(path, {"manifest": manifest, "data": data})
 
 
@@ -344,13 +334,7 @@ def _cmd_simulate(args: argparse.Namespace, manifest: dict) -> None:
 
     transcript = run_protocol(cfg)
     summary = simulate_summary(cfg, quad, mi_binning, transcript)
-
-    if args.format == "csv":
-        write_transcript(transcript, args.output)
-    else:
-        columns = transcript_columns(transcript)
-        rows = list(zip(*(c.tolist() for c in columns.values())))
-        _write_table(args.output, "json", manifest, list(columns), rows)
+    write_transcript(transcript, args.output)
     _write_json(args.output + ".summary.json", {"manifest": manifest, "summary": summary})
 
 
@@ -402,7 +386,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mi-cells-u", type=_int_in(1), default=MI_CELLS_U)
     p.add_argument("--mi-cells-phi", type=_int_in(1), default=MI_CELLS_PHI)
     _add_quadrature(p)
-    _add_common(p)
+    p.add_argument("--output", required=True, help="transcript csv path")
     p.set_defaults(func=_cmd_simulate)
 
     return parser
@@ -413,13 +397,14 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.format and not args.output:
+        if getattr(args, "format", None) and not args.output:
             parser.error("--format needs --output")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     started = time.monotonic()
-    args.format = args.format or "csv"
+    if hasattr(args, "format"):
+        args.format = args.format or "csv"
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     seed = options.pop("seed", None)
     rule = [options.pop("quad_polar"), options.pop("quad_azimuth")] if "quad_polar" in options else None

@@ -134,7 +134,7 @@ def _require_density(low: float, kind: str) -> None:
         raise NumericalCorruptionError(f"{kind} density dipped to {low!r}")
 
 
-def _fano_form(rho_xy: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fano_form(rho_xy: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local Bloch vectors ``a``, ``b`` and correlation tensor ``T`` of a pair.
 
     a_i = Tr rho (s_i x 1), b_j = Tr rho (1 x s_j) and T_ij = Tr rho (s_i x s_j),
@@ -187,7 +187,7 @@ def nonselected_information(
     ``ZERO_BITS`` read as 0.0.
     """
     qx = quad_x if quad_x is not None else default_quadrature()
-    a, b, t = _fano_form(rho_xy)
+    a, b, t = fano_form(rho_xy)
     alpha = 0.25 * (1.0 + qx.vectors @ a)
     r = 0.25 * np.linalg.norm(b + qx.vectors @ t, axis=1)
     _require_density(float((alpha - r).min()), "joint")
@@ -203,7 +203,7 @@ def _plog2p(p: np.ndarray) -> np.ndarray:
     return p * np.log2(np.maximum(p, DENSITY_FLOOR))
 
 
-def _table_information(an: np.ndarray, bm: np.ndarray, corr: np.ndarray) -> np.ndarray:
+def table_information(an: np.ndarray, bm: np.ndarray, corr: np.ndarray) -> np.ndarray:
     """Mutual information, bits, of the 2x2 tables (1 +- a.n +- b.m +- n.T.m)/4.
 
     Row k of a table reads the first qubit along +-n, column l the second
@@ -232,5 +232,5 @@ def selected_information(rho_xy: DensityMatrix, n: np.ndarray, m: np.ndarray) ->
     under simultaneously swapping the parties and their directions.
     """
     n, m = _unit_vector(n, "n"), _unit_vector(m, "m")
-    a, b, t = _fano_form(rho_xy)
-    return max(0.0, float(_table_information(n @ a, m @ b, n @ t @ m)))
+    a, b, t = fano_form(rho_xy)
+    return max(0.0, float(table_information(n @ a, m @ b, n @ t @ m)))

@@ -9,8 +9,9 @@ post-attack pure state, so the transcript statistics match the analytic
 reductions by construction.  ``run_protocol`` samples every round; there is
 no per-round driver.  The law is real: with v = (1, n) for each party's unit
 Bloch vector n, p(a, b, e) = (v_A (x) v_B) @ W, where the fixed 16x8 matrix W
-is read once per run off the Pauli tensor <psi| sigma_i (x) sigma_j (x)
-sigma_k |psi> of the post-attack state, so each chunk costs one real matmul.
+is read once per run off the Pauli tensor Tr rho (sigma_i (x) sigma_j (x)
+sigma_k) of ``attacked_state``, the same density matrix the analysis reads,
+so each chunk costs one real matmul.
 
 Randomness is counter-based: round i consumes row i of a (rounds, 5) uniform
 block drawn from a Philox generator keyed by the seed, in the column order
@@ -19,10 +20,11 @@ transcript is a pure function of (seed, rounds, attack), a shorter run is a
 prefix of a longer one, and runs are reproducible bit for bit within one
 Python/numpy/BLAS environment.
 
-``_TRANSCRIPT_FIELDS`` is the one transcript schema: round index, disclosed
-flag (0/1), then the sender's (u, phi, bit), the receiver's (u, phi, bit) and
-the probe bit.  ``transcript_columns`` gives every renderer the columns in
-that order; ``read_transcript`` rejects a file that breaks the schema.
+A transcript file is csv, and ``_TRANSCRIPT_FIELDS`` is its one schema: round
+index, disclosed flag (0/1), then the sender's (u, phi, bit), the receiver's
+(u, phi, bit) and the probe bit.  ``write_transcript`` is the only renderer;
+``read_transcript`` reads its files back and rejects a file that breaks the
+schema.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .attack import AttackParams, attacked_pure_state
-from .qstate import PAULI, NumericalCorruptionError, TWO_PI
+from .attack import AttackParams, attacked_state
+from .qstate import PAULI, DensityMatrix, NumericalCorruptionError, TWO_PI
 
 _CHUNK = 1 << 17
 _LN2 = math.log(2.0)
@@ -137,15 +139,15 @@ class Transcript:
         return Transcript(*(getattr(self, f.name)[mask] for f in fields(self)))
 
 
-def _law_matrix(state: np.ndarray) -> np.ndarray:
+def _law_matrix(rho: DensityMatrix) -> np.ndarray:
     """The fixed 16x8 real matrix W of the joint law p(a, b, e) = (v_A (x) v_B) @ W.
 
-    With C_ijk = <psi| sigma_i (x) sigma_j (x) sigma_k |psi> the Pauli tensor
-    of the post-attack state and the probe read along z,
+    With C_ijk = Tr rho (sigma_i (x) sigma_j (x) sigma_k) the Pauli tensor of
+    the attacked state and the probe read along z,
     W[(i, j), (a, b, e)] = (-1)^{a [i > 0]} (-1)^{b [j > 0]} (C_ij0 + (-1)^e C_ij3) / 8.
     """
     c = np.einsum(
-        "xyz,ixX,jyY,kzZ,XYZ->ijk", state.conj(), PAULI, PAULI, PAULI, state, optimize=True
+        "xyzXYZ,iXx,jYy,kZz->ijk", rho.entries.reshape((2,) * 6), PAULI, PAULI, PAULI, optimize=True
     ).real
     flip = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])  # flip[a, i] = (-1)^{a [i > 0]}
     probe = np.stack([c[:, :, 0] + c[:, :, 3], c[:, :, 0] - c[:, :, 3]], axis=-1)
@@ -184,9 +186,11 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     """Simulate ``cfg.rounds`` elementary steps; deterministic given the seed.
 
     The first floor(disclose_fraction * rounds) rounds are flagged as
-    disclosed for parameter estimation and excluded from key material.
+    disclosed for parameter estimation.  The flag is only recorded: ``sift``,
+    the information estimates and the error rates read every round, and the
+    run summary only counts the flagged ones.
     """
-    w = _law_matrix(attacked_pure_state(cfg.attack))
+    w = _law_matrix(attacked_state(cfg.attack))
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
     n = int(cfg.rounds)
 
@@ -343,22 +347,15 @@ _TRANSCRIPT_FIELDS = (
 )
 
 
-def transcript_columns(transcript: Transcript) -> dict[str, np.ndarray]:
-    """The file columns in schema order: round index, disclosed as 0/1, the data."""
-    data = [getattr(transcript, f) for f in _TRANSCRIPT_FIELDS[2:]]
-    return dict(
-        zip(_TRANSCRIPT_FIELDS, (np.arange(len(transcript)), transcript.disclosed.astype(np.int8), *data))
-    )
-
-
 def write_transcript(transcript: Transcript, path: str) -> None:
-    """One CSV record per round, rendered one ``_CHUNK`` at a time; floats round-trip."""
-    columns = transcript_columns(transcript)
+    """One CSV record per round in ``_TRANSCRIPT_FIELDS`` order, one ``_CHUNK`` at a time; floats round-trip."""
+    data = [getattr(transcript, f) for f in _TRANSCRIPT_FIELDS[2:]]
+    columns = (np.arange(len(transcript)), transcript.disclosed.astype(np.int8), *data)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
+        fh.write(",".join(_TRANSCRIPT_FIELDS) + "\n")
         for start in range(0, len(transcript), _CHUNK):
             # str of a Python float is its shortest round-trip repr.
-            chunk = [map(str, c[start : start + _CHUNK].tolist()) for c in columns.values()]
+            chunk = [map(str, c[start : start + _CHUNK].tolist()) for c in columns]
             fh.writelines(",".join(row) + "\n" for row in zip(*chunk))
 
 

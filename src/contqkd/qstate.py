@@ -5,7 +5,7 @@ string labels rather than positions, so the three distinct reductions of a
 tripartite state cannot be confused with one another.  All storage is dense
 complex arithmetic; the largest space used anywhere in this package is
 8 = 2**3.  Measurement directions are not represented here: every reading of
-a pair state goes through its Fano form (``infocalc._fano_form``) along unit
+a pair state goes through its Fano form (``infocalc.fano_form``) along unit
 Bloch vectors.  ``PAULI`` is the one Pauli basis (identity, x, y, z) that the
 package expands states in.
 

@@ -41,10 +41,10 @@ from .attack import AttackParams, attacked_state, bipartite_reductions
 from .infocalc import (
     SPHERE_VOLUME,
     SphereQuadrature,
-    _fano_form,
-    _table_information,
     default_quadrature,
+    fano_form,
     nonselected_information,
+    table_information,
 )
 from .qstate import DensityMatrix, partial_trace
 
@@ -148,9 +148,9 @@ def reconciled_i_ab(rho_ab: DensityMatrix, quad: SphereQuadrature | None = None)
     (1 +- a.n +- b.n +- n.T.n)/4.
     """
     q = quad if quad is not None else default_quadrature()
-    a, b, t = _fano_form(rho_ab)
+    a, b, t = fano_form(rho_ab)
     n = q.vectors
-    info = _table_information(n @ a, n @ b, ((n @ t) * n).sum(axis=1))
+    info = table_information(n @ a, n @ b, ((n @ t) * n).sum(axis=1))
     value = math.fsum((info * q.weights).tolist()) / SPHERE_VOLUME
     return max(0.0, value)
 
@@ -163,7 +163,7 @@ def _attacked_pair(params: AttackParams) -> DensityMatrix:
 
 def _transmission_error(rab: DensityMatrix) -> float:
     """(1 + T_zz)/2, snapped to exact zero below roundoff (1e-12)."""
-    q = 0.5 * (1.0 + float(_fano_form(rab)[2][2, 2]))
+    q = 0.5 * (1.0 + float(fano_form(rab)[2][2, 2]))
     return q if q > 1e-12 else 0.0
 
 
@@ -189,7 +189,7 @@ def qber_sphere_averaged(params: AttackParams, quad: SphereQuadrature | None = N
     to.
     """
     q = quad if quad is not None else default_quadrature()
-    t = _fano_form(_attacked_pair(params))[2]
+    t = fano_form(_attacked_pair(params))[2]
     err = 0.5 * (1.0 + ((q.vectors @ t) * q.vectors).sum(axis=1))
     avg = math.fsum((err * q.weights).tolist()) / SPHERE_VOLUME
     return avg if avg > 1e-12 else 0.0
@@ -203,7 +203,7 @@ def pair_fidelity_deficit(params: AttackParams) -> float:
     it equals 1 - cos(theta)^4 and is what the published reconciled error
     figure (~0.42) matches.
     """
-    t = _fano_form(_attacked_pair(params))[2]
+    t = fano_form(_attacked_pair(params))[2]
     return max(0.0, 0.25 * (3.0 + float(np.trace(t))))
 
 

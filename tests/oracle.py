@@ -48,7 +48,7 @@ from contqkd import (
     build_isometry,
     partial_trace,
 )
-from contqkd.infocalc import _fano_form, _table_information
+from contqkd.infocalc import fano_form, table_information
 
 SPHERE_VOLUME = 2.0
 DENSITY_FLOOR = 1e-300
@@ -115,12 +115,12 @@ def averaged_selected_information(
     basis spheres with the volume measure, normalized by V^2 = 4; the tests
     check that this average reproduces the continuous-readout value.
     """
-    a, b, t = _fano_form(rho_xy)
+    a, b, t = fano_form(rho_xy)
     bm = (quad_y.vectors @ b)[None, :]
     row_totals = np.zeros(len(quad_x))
     for start in range(0, len(quad_x), _BLOCK):
         nx = quad_x.vectors[start : start + _BLOCK]
-        info = _table_information((nx @ a)[:, None], bm, (nx @ t) @ quad_y.vectors.T)
+        info = table_information((nx @ a)[:, None], bm, (nx @ t) @ quad_y.vectors.T)
         row_totals[start : start + _BLOCK] = (info * quad_y.weights[None, :]).sum(axis=1)
     total = math.fsum((row_totals * quad_x.weights).tolist())
     return max(0.0, total / (SPHERE_VOLUME**2))

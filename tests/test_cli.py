@@ -75,15 +75,18 @@ class TestSurface:
         assert (out.parent / (out.name + ".manifest.json")).exists()
 
     def test_manifest_rerun_reproduces_bytes(self, tmp_path):
-        # Every command in both formats, each option away from its default:
-        # the argv rebuilt from the manifest alone must reproduce every file
-        # byte for byte, so a manifest that drops an option fails here.
-        commands = [
+        # Every table command in both formats and simulate with its one csv
+        # transcript, each option away from its default: the argv rebuilt
+        # from the manifest alone must reproduce every file byte for byte, so
+        # a manifest that drops an option fails here.
+        tables = [
             ["surface", "--theta-steps", "2", "--phi-steps", "3", *LIGHT],
             ["curve", "--theta-steps", "3", *LIGHT],
             ["curve", "--theta-steps", "3", "--reconciled", *LIGHT],
             ["dims", "--d-max", "5"],
             ["critical", "--reconciled", "--tol", "1e-3", *LIGHT],
+        ]
+        simulations = [
             [
                 "simulate", "--rounds", "300", "--theta", "0.2", "--phi", "0.3",
                 "--cells-u", "4", "--cells-phi", "6", "--seed", "7",
@@ -91,15 +94,15 @@ class TestSurface:
             ],
             ["simulate", "--rounds", "300", "--theta", "22.5deg", "--seed", "8", *LIGHT],
         ]
-        for argv in commands:
-            for fmt in ("csv", "json"):
-                out = tmp_path / f"{argv[0]}.{fmt}"
-                assert run([*argv, "--format", fmt, "--output", str(out)]) == 0
-                written = [out, *tmp_path.glob(out.name + ".summary.json")]
-                first = [path.read_bytes() for path in written]
-                manifest = json.loads((tmp_path / (out.name + ".manifest.json")).read_text())
-                assert run(argv_from_manifest(manifest)) == 0, manifest
-                assert [path.read_bytes() for path in written] == first, argv
+        commands = [[*argv, "--format", fmt] for argv in tables for fmt in ("csv", "json")] + simulations
+        for k, argv in enumerate(commands):
+            out = tmp_path / f"out{k}"
+            assert run([*argv, "--output", str(out)]) == 0
+            written = [out, *tmp_path.glob(out.name + ".summary.json")]
+            first = [path.read_bytes() for path in written]
+            manifest = json.loads((tmp_path / (out.name + ".manifest.json")).read_text())
+            assert run(argv_from_manifest(manifest)) == 0, manifest
+            assert [path.read_bytes() for path in written] == first, argv
 
 
 class TestCurve:
@@ -223,29 +226,6 @@ class TestSimulate:
         reference = render_transcript(transcript)
         write_transcript(transcript, str(tmp_path / "run.csv"))
         assert (tmp_path / "run.csv").read_text() == reference
-        out = tmp_path / "run.json"
-        assert run(
-            [
-                "simulate", "--rounds", str(rounds), "--theta", str(theta), "--seed", str(seed),
-                "--format", "json", "--output", str(out), *LIGHT,
-            ]
-        ) == 0
-        data = json.loads(out.read_text())["data"]
-        lines = reference.splitlines()
-        assert ",".join(data["columns"]) == lines[0]
-        assert [",".join(map(str, row)) for row in data["rows"]] == lines[1:]
-
-    def test_transcript_roundtrip_json(self, tmp_path):
-        out = tmp_path / "run.json"
-        assert run(
-            [
-                "simulate", "--rounds", "50", "--seed", "9", "--format", "json",
-                "--output", str(out), *LIGHT,
-            ]
-        ) == 0
-        payload = json.loads(out.read_text())
-        assert payload["data"]["columns"][0] == "round"
-        assert len(payload["data"]["rows"]) == 50
 
 
 class TestExitCodes:
@@ -314,6 +294,8 @@ class TestExitCodes:
             ["simulate", "--cells-u", "0"],
             ["simulate", "--mi-cells-phi", "0"],
             ["simulate", "--rounds", "1.5"],
+            ["simulate", "--format", "json"],
+            ["simulate", "--format", "csv"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -366,9 +348,7 @@ class TestProcessBoundary:
 
     def test_transcripts_identical_across_blas_thread_counts(self, tmp_path):
         # The sampler's per-chunk matmul goes through BLAS; the bytes written
-        # must not depend on how many threads BLAS uses.  Only csv is run: the
-        # json writer renders the same Transcript, and the two renderers are
-        # held to one row reference in TestSimulate.
+        # must not depend on how many threads BLAS uses.
         package_root = str(Path(contqkd.__file__).resolve().parents[1])
         written = {}
         for threads in ("1", "2"):

@@ -1,6 +1,9 @@
-"""Package surface: ``contqkd.__all__`` names exactly what the package exports."""
+"""Package surface: ``contqkd.__all__`` names exactly what the package exports,
+and no module imports another module's underscore names."""
 
+import ast
 import types
+from pathlib import Path
 
 import contqkd
 
@@ -13,3 +16,16 @@ def test_all_matches_exported_names():
     }
     assert len(contqkd.__all__) == len(set(contqkd.__all__))
     assert set(contqkd.__all__) == exported | {"__version__"}
+
+
+def test_no_module_imports_a_sibling_private_name():
+    # Dunder names such as __version__ are public; _name is its module's own.
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    offenders = []
+    for path in sorted(Path(contqkd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("contqkd")):
+                offenders += [f"{path.name}: {a.name}" for a in node.names if private(a.name)]
+    assert offenders == []

@@ -12,6 +12,7 @@ from contqkd import (
     ProtocolConfig,
     SiftingPartition,
     Transcript,
+    attacked_state,
     empirical_mi,
     optimal_params,
     qber_sphere_averaged,
@@ -42,7 +43,7 @@ LAW_TOL = 1e-15
 def born(attack: AttackParams, dirs_a: np.ndarray, dirs_b: np.ndarray) -> np.ndarray:
     """Exact outcome distributions, shape (n, 2, 2, 2), for unit-vector rows."""
     p = _joint_law(
-        _law_matrix(attacked_pure_state(attack)), *cos_polar_azimuth(dirs_a), *cos_polar_azimuth(dirs_b)
+        _law_matrix(attacked_state(attack)), *cos_polar_azimuth(dirs_a), *cos_polar_azimuth(dirs_b)
     )
     return p.reshape(-1, 2, 2, 2)
 
@@ -134,12 +135,12 @@ class TestRoundSampling:
     )
     def test_real_law_matches_complex_born_rule(self, angles, seed):
         rng = np.random.default_rng(seed)
-        state = attacked_pure_state(AttackParams(*angles))
+        attack = AttackParams(*angles)
         ua, pa = cos_polar_azimuth(random_directions(rng, 16))
         ub, pb = cos_polar_azimuth(random_directions(rng, 16))
         ua[:2], ub[1:3] = (1.0, -1.0), (1.0, -1.0)  # poles, where sin(theta) vanishes
-        got = _joint_law(_law_matrix(state), ua, pa, ub, pb)
-        ref = oracle.outcome_probabilities(state, ua, pa, ub, pb)
+        got = _joint_law(_law_matrix(attacked_state(attack)), ua, pa, ub, pb)
+        ref = oracle.outcome_probabilities(attacked_pure_state(attack), ua, pa, ub, pb)
         assert float(np.abs(got - ref).max()) <= LAW_TOL
 
     def test_run_round_consumes_five_uniforms(self):

@@ -4,7 +4,7 @@ A measurement direction is a unit Bloch vector, or its (u, phi) coordinates
 in the sampler.  Two readings of a state along directions remain: the
 complex outcome kets of the reference sampler (``oracle.basis_kets``), whose
 Born rule the package's real joint law (``protosim._joint_law``) reproduces,
-and the Fano-form outcome densities (``infocalc._fano_form``).
+and the Fano-form outcome densities (``infocalc.fano_form``).
 """
 
 import math
@@ -15,6 +15,7 @@ import pytest
 from contqkd import (
     DensityMatrix,
     ProtocolConfig,
+    attacked_state,
     nonselected_information,
     optimal_params,
     partial_trace,
@@ -22,8 +23,7 @@ from contqkd import (
     run_protocol,
     singlet,
 )
-from contqkd.attack import attacked_pure_state
-from contqkd.infocalc import _fano_form
+from contqkd.infocalc import fano_form
 from contqkd.protosim import _joint_law, _law_matrix
 from conftest import cos_polar_azimuth, random_direction
 from oracle import basis_kets, maximally_mixed, tensor
@@ -39,7 +39,7 @@ def kets_of(n: np.ndarray) -> np.ndarray:
 
 def fano_density(rho: DensityMatrix, n: np.ndarray, m: np.ndarray) -> float:
     """Outcome density (1 + a.n + b.m + n.T.m)/4 of reading +n, +m."""
-    a, b, t = _fano_form(rho)
+    a, b, t = fano_form(rho)
     return 0.25 * (1.0 + a @ n + b @ m + n @ t @ m)
 
 
@@ -65,7 +65,7 @@ class TestBlochDirection:
     def test_pole_azimuth_fixed(self):
         # At a pole the azimuth is physically irrelevant: the outcome
         # distribution of every round is the same for every phi.
-        w = _law_matrix(attacked_pure_state(optimal_params(0.3)))
+        w = _law_matrix(attacked_state(optimal_params(0.3)))
         phis = np.array([0.0, 1.3, 2.2, 5.0])
         ub, pb = np.full(4, 0.4), np.full(4, 1.7)
         for pole in (1.0, -1.0):
@@ -214,9 +214,9 @@ class TestExpectation:
     def test_ket_count_enforced(self):
         # One direction per party: the Fano form is defined for pairs only.
         with pytest.raises(ValueError, match="two-qubit"):
-            _fano_form(maximally_mixed(("A",)))
+            fano_form(maximally_mixed(("A",)))
         with pytest.raises(ValueError, match="two-qubit"):
-            _fano_form(maximally_mixed(("A", "B", "E")))
+            fano_form(maximally_mixed(("A", "B", "E")))
 
     def test_values_clamped_to_unit_interval(self):
         rng = np.random.default_rng(13)
