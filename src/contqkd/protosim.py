@@ -22,14 +22,18 @@ Python/numpy/BLAS environment.
 
 A transcript file is csv, and ``_TRANSCRIPT_FIELDS`` is its one schema: round
 index, disclosed flag (0/1), then the sender's (u, phi, bit), the receiver's
-(u, phi, bit) and the probe bit.  ``write_transcript`` is the only renderer;
-``read_transcript`` reads its files back and rejects a file that breaks the
-schema.
+(u, phi, bit) and the probe bit.  ``write_transcript`` is the only writer:
+float ``repr`` bounds it, so a pool of spawned processes, one per usable
+core, renders blocks of rows and the calling process writes them in round
+order.  ``read_transcript`` reads its files back and rejects a file that
+breaks the schema.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -38,8 +42,19 @@ import numpy as np
 from .attack import AttackParams, attacked_state
 from .qstate import PAULI, DensityMatrix, NumericalCorruptionError, TWO_PI
 
-_CHUNK = 1 << 17
+_CHUNK = 1 << 17  # rounds sampled at a time
+_RENDER_ROWS = 1 << 14  # rounds per transcript-rendering task
 _LN2 = math.log(2.0)
+
+
+def _check_int(name: str, value: object, low: int, high: float = math.inf) -> None:
+    """ValueError unless ``value`` is an integer in [low, high); an integral float is not one."""
+    try:
+        ok = low <= operator.index(value) < high
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,12 +69,10 @@ class ProtocolConfig:
     disclose_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if int(self.rounds) != self.rounds or self.rounds < 1:
-            raise ValueError(f"rounds must be a positive integer, got {self.rounds!r}")
-        if self.cells_u < 1 or self.cells_phi < 1:
-            raise ValueError("cell counts must be >= 1")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _check_int("rounds", self.rounds, 1)
+        _check_int("cells_u", self.cells_u, 1)
+        _check_int("cells_phi", self.cells_phi, 1)
+        _check_int("seed", self.seed, 0, 2**64)
         if not (0.0 < self.disclose_fraction < 1.0):
             raise ValueError("disclose_fraction must lie in (0, 1)")
 
@@ -77,8 +90,8 @@ class SiftingPartition:
     cells_phi: int
 
     def __post_init__(self) -> None:
-        if self.cells_u < 1 or self.cells_phi < 1:
-            raise ValueError("cell counts must be >= 1")
+        _check_int("cells_u", self.cells_u, 1)
+        _check_int("cells_phi", self.cells_phi, 1)
 
     @property
     def n_cells(self) -> int:
@@ -347,16 +360,47 @@ _TRANSCRIPT_FIELDS = (
 )
 
 
+def _render_rows(block: tuple) -> str:
+    """CSV text of one block of rounds: (first round index, *column slices) in ``_TRANSCRIPT_FIELDS[1:]`` order."""
+    start, *columns = block
+    rows = zip(range(start, start + len(columns[0])), *(c.tolist() for c in columns))
+    # %r of a Python float is its shortest round-trip repr; %d of a bool is 0/1.
+    return "".join(["%d,%d,%r,%r,%d,%r,%r,%d,%d\n" % row for row in rows])
+
+
 def write_transcript(transcript: Transcript, path: str) -> None:
-    """One CSV record per round in ``_TRANSCRIPT_FIELDS`` order, one ``_CHUNK`` at a time; floats round-trip."""
-    data = [getattr(transcript, f) for f in _TRANSCRIPT_FIELDS[2:]]
-    columns = (np.arange(len(transcript)), transcript.disclosed.astype(np.int8), *data)
+    """One CSV record per round in ``_TRANSCRIPT_FIELDS`` order; floats round-trip.
+
+    Float ``repr`` bounds the writer, so a pool of spawned processes, at most
+    one per usable core and one per block, renders blocks of ``_RENDER_ROWS``
+    rounds (``_render_rows``) and this process writes the returned text in
+    block order: the file does not depend on the worker count.  With one
+    block or one core this process renders alone.  Spawned workers start
+    fresh interpreters, so nothing forks a process whose BLAS threads run,
+    and they import the caller's main module, which must therefore guard its
+    entry point with ``if __name__ == "__main__"`` (an unguarded one raises
+    ``BrokenProcessPool``).  Each task carries its own column slices, and
+    blocks stay small so the blocks and text in flight add little to the
+    caller's peak memory.
+    """
+    columns = [transcript.disclosed, *(getattr(transcript, f) for f in _TRANSCRIPT_FIELDS[2:])]
+    starts = range(0, len(transcript), _RENDER_ROWS)
+    blocks = ((start, *(c[start : start + _RENDER_ROWS] for c in columns)) for start in starts)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(starts))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_TRANSCRIPT_FIELDS) + "\n")
-        for start in range(0, len(transcript), _CHUNK):
-            # str of a Python float is its shortest round-trip repr.
-            chunk = [map(str, c[start : start + _CHUNK].tolist()) for c in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*chunk))
+        if workers < 2:
+            fh.writelines(map(_render_rows, blocks))
+            return
+        # Imported here, not at import time: it would add to every command's start-up.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # A worker that dies, say on importing an unguarded main module, breaks
+        # the executor and raises here; a multiprocessing.Pool would respawn it forever.
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            fh.writelines(pool.map(_render_rows, blocks))
 
 
 def read_transcript(path: str) -> Transcript:

@@ -2,6 +2,9 @@
 and no module imports another module's underscore names."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -29,3 +32,13 @@ def test_no_module_imports_a_sibling_private_name():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("contqkd")):
                 offenders += [f"{path.name}: {a.name}" for a in node.names if private(a.name)]
     assert offenders == []
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # The transcript writer imports multiprocessing when it runs, so no command
+    # pays for that import at start-up.
+    src = str(Path(contqkd.__file__).parent.parent)
+    code = "import sys, contqkd.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,12 +1,19 @@
 """Monte Carlo driver: sampling exactness, sifting, empirical information."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contqkd
 from contqkd import (
     AttackParams,
     ProtocolConfig,
@@ -24,6 +31,7 @@ from contqkd import (
 from contqkd.attack import attacked_pure_state
 from contqkd.protosim import (
     _CHUNK,
+    _RENDER_ROWS,
     _joint_law,
     _law_matrix,
     _pick,
@@ -87,6 +95,24 @@ class TestConfig:
     def test_bad_cells_rejected(self):
         with pytest.raises(ValueError, match="cell"):
             ProtocolConfig(rounds=10, attack=NO_ATTACK, cells_u=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.7), ("seed", 1.0), ("seed", -1), ("seed", 2**64), ("rounds", 10.0), ("cells_phi", 4.0)],
+    )
+    def test_non_integer_or_out_of_range_count_rejected(self, field, value):
+        # Philox would truncate a float key, so seed=1.7 would run as seed 1.
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(**{"rounds": 10, "attack": NO_ATTACK, field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = ProtocolConfig(rounds=np.int64(10), attack=NO_ATTACK, seed=np.uint64(2**64 - 1))
+        assert len(run_protocol(cfg)) == 10
+
+    @pytest.mark.parametrize("cells", [(2.5, 4), (2, 4.0), (0, 4)])
+    def test_partition_counts_must_be_positive_integers(self, cells):
+        with pytest.raises(ValueError, match="cells_"):
+            SiftingPartition(*cells)
 
 
 class TestRoundSampling:
@@ -303,6 +329,62 @@ BROKEN_RECORDS = {
 
 
 class TestTranscriptIO:
+    @pytest.mark.parametrize("cpus", [None, 1, 4], ids=["affinity", "1cpu", "4cpu"])
+    @pytest.mark.parametrize("rounds", [_RENDER_ROWS + 3, 2 * _RENDER_ROWS + 3])
+    def test_writer_matches_rowwise_reference_across_block_seams(self, tmp_path, monkeypatch, rounds, cpus):
+        # The file is the same whatever the number of rendering workers.
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        t = run_protocol(ProtocolConfig(rounds=rounds, attack=optimal_params(0.25), seed=31))
+        path = tmp_path / "transcript.csv"
+        write_transcript(t, str(path))
+        assert path.read_text() == oracle.render_transcript(t)
+
+    def test_empty_transcript_is_the_header_line(self, tmp_path):
+        t = run_protocol(ProtocolConfig(rounds=50, attack=NO_ATTACK, seed=2))
+        empty = t.subset(np.zeros(len(t), dtype=bool))
+        path = tmp_path / "transcript.csv"
+        write_transcript(empty, str(path))
+        assert path.read_text() == oracle.render_transcript(empty)
+        assert path.read_text().count("\n") == 1
+
+    def test_cpu_count_stands_in_for_a_missing_affinity_call(self, tmp_path, monkeypatch):
+        # Platforms without os.sched_getaffinity (macOS, Windows) size the pool by os.cpu_count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        t = run_protocol(ProtocolConfig(rounds=2 * _RENDER_ROWS + 3, attack=optimal_params(0.25), seed=32))
+        path = tmp_path / "transcript.csv"
+        write_transcript(t, str(path))
+        assert path.read_text() == oracle.render_transcript(t)
+
+    def test_worker_failure_raises_and_leaves_no_worker(self, tmp_path):
+        # A NaN bit cannot be rendered with %d, so the worker holding the
+        # second block raises.
+        t = run_protocol(ProtocolConfig(rounds=3 * _RENDER_ROWS, attack=NO_ATTACK, seed=5))
+        eve_bit = t.eve_bit.astype(float)
+        eve_bit[_RENDER_ROWS + 1] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            write_transcript(replace(t, eve_bit=eve_bit), str(tmp_path / "transcript.csv"))
+        assert multiprocessing.active_children() == []
+
+    def test_unguarded_script_fails_instead_of_hanging(self, tmp_path):
+        # Spawned workers import the main module; one without a __main__
+        # guard starts a pool while bootstrapping, which must fail, not hang.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import os\n"
+            "from contqkd import ProtocolConfig, optimal_params, run_protocol, write_transcript\n"
+            "from contqkd.protosim import _RENDER_ROWS\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "t = run_protocol(ProtocolConfig(rounds=_RENDER_ROWS + 1, attack=optimal_params(0.0), seed=1))\n"
+            f"write_transcript(t, {str(tmp_path / 'transcript.csv')!r})\n"
+        )
+        src = str(Path(contqkd.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode != 0
+        assert "BrokenProcessPool" in out.stderr
+
     def test_roundtrip(self, tmp_path):
         cfg = ProtocolConfig(rounds=200, attack=optimal_params(0.1), seed=3)
         t = run_protocol(cfg)
