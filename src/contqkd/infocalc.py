@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import PAULI, DensityMatrix, NumericalCorruptionError
+from .qstate import DensityMatrix, NumericalCorruptionError, pauli_tensor
 
 # Total sphere volume under the measure sin(theta) dtheta dphi / (2 pi).
 SPHERE_VOLUME = 2.0
@@ -119,7 +119,10 @@ def _moment_residual(vectors: np.ndarray, w: np.ndarray) -> float:
 
 @lru_cache(maxsize=1)
 def default_quadrature() -> SphereQuadrature:
-    """Shared default 32x64 rule; cached because its nodes are reused heavily."""
+    """The 32x64 rule of the command-line defaults, built once and cached.
+
+    No function here falls back to it: every rate takes its rule from the caller.
+    """
     return SphereQuadrature.gauss_product()
 
 
@@ -144,8 +147,7 @@ def fano_form(rho_xy: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray
     NumericalCorruptionError.
     """
     _require_two_qubits(rho_xy)
-    r = rho_xy.entries.reshape(2, 2, 2, 2)  # <ij| rho |kl> at [i, j, k, l]
-    corr = np.einsum("ijkl,pki,qlj->pq", r, PAULI, PAULI).real
+    corr = pauli_tensor(rho_xy)
     a, b, t = corr[1:, 0], corr[0, 1:], corr[1:, 1:]
     _require_density(0.5 - 0.5 * float(max(np.linalg.norm(a), np.linalg.norm(b))), "marginal")
     return a, b, t
@@ -172,7 +174,7 @@ def _sphere_relative_entropy(alpha: np.ndarray | float, r: np.ndarray | float) -
 
 def nonselected_information(
     rho_xy: DensityMatrix,
-    quad_x: SphereQuadrature | None = None,
+    quad_x: SphereQuadrature,
     quad_y: SphereQuadrature | None = None,
 ) -> float:
     """Mutual information of the all-states continuous readout, in bits.
@@ -182,16 +184,15 @@ def nonselected_information(
     and r = |b + T^T n|/4, so the inner integral is exact and ``quad_y`` is
     not used.  Since p_x = 2 alpha node by node and the p_y term is the same
     closed form at alpha = 1/2, r = |b|/2, the p ln(alpha) parts of the three
-    terms cancel and only the bounded remainder is summed over ``quad_x``, in
-    a fixed order, so the result is bit-reproducible.  Values below
-    ``ZERO_BITS`` read as 0.0.
+    terms cancel and only the bounded remainder is summed over the caller's
+    rule ``quad_x``, in a fixed order, so the result is bit-reproducible.
+    Values below ``ZERO_BITS`` read as 0.0.
     """
-    qx = quad_x if quad_x is not None else default_quadrature()
     a, b, t = fano_form(rho_xy)
-    alpha = 0.25 * (1.0 + qx.vectors @ a)
-    r = 0.25 * np.linalg.norm(b + qx.vectors @ t, axis=1)
+    alpha = 0.25 * (1.0 + quad_x.vectors @ a)
+    r = 0.25 * np.linalg.norm(b + quad_x.vectors @ t, axis=1)
     _require_density(float((alpha - r).min()), "joint")
-    joint = math.fsum((qx.weights * _sphere_relative_entropy(alpha, r)).tolist())
+    joint = math.fsum((quad_x.weights * _sphere_relative_entropy(alpha, r)).tolist())
     marginal = float(_sphere_relative_entropy(0.5, 0.5 * float(np.linalg.norm(b))))
     value = (joint - marginal) / math.log(2.0)
     return value if value > ZERO_BITS else 0.0

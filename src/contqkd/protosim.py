@@ -9,12 +9,13 @@ post-attack pure state, so the transcript statistics match the analytic
 reductions by construction.  ``run_protocol`` samples every round; there is
 no per-round driver.  The law is real: with v = (1, n) for each party's unit
 Bloch vector n, p(a, b, e) = (v_A (x) v_B) @ W, where the fixed 16x8 matrix W
-is read once per run off the Pauli tensor Tr rho (sigma_i (x) sigma_j (x)
-sigma_k) of ``attacked_state``, the same density matrix the analysis reads,
-so each chunk costs one real matmul.
+is read once per run off ``qstate.pauli_tensor`` of ``attacked_state``, the
+same density matrix and the same Pauli expansion the analysis reads.  Rounds
+go in blocks of ``_BLOCK`` (16,384): each block is sampled with one real
+matmul and later rendered to transcript text as one task.
 
 Randomness is counter-based: round i consumes row i of a (rounds, 5) uniform
-block drawn from a Philox generator keyed by the seed, in the column order
+array drawn from a Philox generator keyed by the seed, in the column order
 (sender u, sender phi, receiver u, receiver phi, outcome pick), so a
 transcript is a pure function of (seed, rounds, attack), a shorter run is a
 prefix of a longer one, and runs are reproducible bit for bit within one
@@ -24,7 +25,7 @@ A transcript file is csv, and ``_TRANSCRIPT_FIELDS`` is its one schema: round
 index, disclosed flag (0/1), then the sender's (u, phi, bit), the receiver's
 (u, phi, bit) and the probe bit.  ``write_transcript`` is the only writer:
 float ``repr`` bounds it, so a pool of spawned processes, one per usable
-core, renders blocks of rows and the calling process writes them in round
+core, renders the blocks and the calling process writes them in round
 order.  ``read_transcript`` reads its files back and rejects a file that
 breaks the schema.
 """
@@ -40,10 +41,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .attack import AttackParams, attacked_state
-from .qstate import PAULI, DensityMatrix, NumericalCorruptionError, TWO_PI
+from .qstate import DensityMatrix, NumericalCorruptionError, TWO_PI, pauli_tensor
 
-_CHUNK = 1 << 17  # rounds sampled at a time
-_RENDER_ROWS = 1 << 14  # rounds per transcript-rendering task
+_BLOCK = 1 << 14  # rounds sampled, and rendered to transcript text, at a time
 _LN2 = math.log(2.0)
 
 
@@ -159,9 +159,7 @@ def _law_matrix(rho: DensityMatrix) -> np.ndarray:
     the attacked state and the probe read along z,
     W[(i, j), (a, b, e)] = (-1)^{a [i > 0]} (-1)^{b [j > 0]} (C_ij0 + (-1)^e C_ij3) / 8.
     """
-    c = np.einsum(
-        "xyzXYZ,iXx,jYy,kZz->ijk", rho.entries.reshape((2,) * 6), PAULI, PAULI, PAULI, optimize=True
-    ).real
+    c = pauli_tensor(rho)
     flip = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])  # flip[a, i] = (-1)^{a [i > 0]}
     probe = np.stack([c[:, :, 0] + c[:, :, 3], c[:, :, 0] - c[:, :, 3]], axis=-1)
     return (np.einsum("ai,bj,ije->ijabe", flip, flip, probe) / 8.0).reshape(16, 8)
@@ -213,8 +211,8 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     bob_phi = np.empty(n)
     bits = np.empty(n, dtype=np.int8)
 
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
         draws = gen.random((stop - start, 5))
         ua = 2.0 * draws[:, 0] - 1.0
         pa = TWO_PI * draws[:, 1]
@@ -283,12 +281,12 @@ def _plugin_mi(codes_x: np.ndarray, codes_y: np.ndarray, miller_madow: bool) -> 
 
 
 def _party_codes(
-    u: np.ndarray,
-    phi: np.ndarray,
-    bit: np.ndarray,
-    binning: SiftingPartition,
-    fold_antipodal: bool,
+    transcript: Transcript, party: str, binning: SiftingPartition, fold_antipodal: bool
 ) -> np.ndarray:
+    """Integer symbol of each round of ``party`` ('alice' or 'bob'): its direction cell and bit."""
+    if party not in ("alice", "bob"):
+        raise ValueError(f"party must be 'alice' or 'bob', got {party!r}")
+    u, phi, bit = (getattr(transcript, f"{party}_{column}") for column in ("u", "phi", "bit"))
     if fold_antipodal:
         # Bin the effective outcome direction (basis direction, or its
         # antipode when the second outcome fired).  The dropped "which
@@ -318,8 +316,8 @@ def empirical_mi(
     """
     if len(transcript) == 0:
         raise ValueError("cannot estimate information from an empty record set")
-    ca = _party_codes(transcript.alice_u, transcript.alice_phi, transcript.alice_bit, binning_a, fold_antipodal)
-    cb = _party_codes(transcript.bob_u, transcript.bob_phi, transcript.bob_bit, binning_b, fold_antipodal)
+    ca = _party_codes(transcript, "alice", binning_a, fold_antipodal)
+    cb = _party_codes(transcript, "bob", binning_b, fold_antipodal)
     return _plugin_mi(ca, cb, miller_madow)
 
 
@@ -331,12 +329,7 @@ def empirical_mi_with_probe(
     fold_antipodal: bool = False,
 ) -> float:
     """Histogram mutual information between one party and the probe bit."""
-    if party == "alice":
-        codes = _party_codes(transcript.alice_u, transcript.alice_phi, transcript.alice_bit, binning, fold_antipodal)
-    elif party == "bob":
-        codes = _party_codes(transcript.bob_u, transcript.bob_phi, transcript.bob_bit, binning, fold_antipodal)
-    else:
-        raise ValueError(f"party must be 'alice' or 'bob', got {party!r}")
+    codes = _party_codes(transcript, party, binning, fold_antipodal)
     return _plugin_mi(codes, transcript.eve_bit.astype(np.int64), miller_madow)
 
 
@@ -372,7 +365,7 @@ def write_transcript(transcript: Transcript, path: str) -> None:
     """One CSV record per round in ``_TRANSCRIPT_FIELDS`` order; floats round-trip.
 
     Float ``repr`` bounds the writer, so a pool of spawned processes, at most
-    one per usable core and one per block, renders blocks of ``_RENDER_ROWS``
+    one per usable core and one per block, renders blocks of ``_BLOCK``
     rounds (``_render_rows``) and this process writes the returned text in
     block order: the file does not depend on the worker count.  With one
     block or one core this process renders alone.  Spawned workers start
@@ -384,8 +377,8 @@ def write_transcript(transcript: Transcript, path: str) -> None:
     caller's peak memory.
     """
     columns = [transcript.disclosed, *(getattr(transcript, f) for f in _TRANSCRIPT_FIELDS[2:])]
-    starts = range(0, len(transcript), _RENDER_ROWS)
-    blocks = ((start, *(c[start : start + _RENDER_ROWS] for c in columns)) for start in starts)
+    starts = range(0, len(transcript), _BLOCK)
+    blocks = ((start, *(c[start : start + _BLOCK] for c in columns)) for start in starts)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, len(starts))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

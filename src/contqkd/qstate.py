@@ -6,8 +6,9 @@ tripartite state cannot be confused with one another.  All storage is dense
 complex arithmetic; the largest space used anywhere in this package is
 8 = 2**3.  Measurement directions are not represented here: every reading of
 a pair state goes through its Fano form (``infocalc.fano_form``) along unit
-Bloch vectors.  ``PAULI`` is the one Pauli basis (identity, x, y, z) that the
-package expands states in.
+Bloch vectors.  ``pauli_tensor`` is the one expansion of a state in the Pauli
+basis (identity, x, y, z); every reader of a state's Pauli coefficients goes
+through it.
 
 Every type is immutable after construction and every operation is a pure
 function, so everything here is safe to evaluate concurrently.
@@ -30,8 +31,8 @@ ATOL = 1e-12
 PSD_FLOOR = -1e-10
 
 # Identity and Pauli matrices x, y, z stacked along the first axis.
-PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-PAULI.setflags(write=False)
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI.setflags(write=False)
 
 
 class NumericalCorruptionError(ArithmeticError):
@@ -109,3 +110,18 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
     reduced = np.einsum("ajbj->ab", arr)
     return DensityMatrix(reduced, tuple(rho.labels[i] for i in keep_pos))
 
+
+def pauli_tensor(rho: DensityMatrix) -> np.ndarray:
+    """Real tensor C[i1, .., in] = Tr rho (s_i1 x .. x s_in) of a 1-3 qubit state.
+
+    Indices run over (identity, x, y, z), so C[0, .., 0] = 1 and, for a
+    pair, C[1:, 0], C[0, 1:] and C[1:, 1:] are its Fano form.  One plain
+    ``np.einsum`` contraction with a fixed summation order.
+    """
+    n = len(rho.labels)
+    if not 1 <= n <= 3:
+        raise ValueError(f"expected 1 to 3 qubits, got labels {rho.labels}")
+    rows, cols, out = "abc"[:n], "def"[:n], "xyz"[:n]
+    # <rows| rho |cols> times s_o[col, row] for each subsystem, summed.
+    spec = rows + cols + "," + ",".join(o + c + r for o, c, r in zip(out, cols, rows)) + "->" + out
+    return np.einsum(spec, rho.entries.reshape((2,) * (2 * n)), *[_PAULI] * n).real

@@ -38,15 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .attack import AttackParams, attacked_state, bipartite_reductions
-from .infocalc import (
-    SPHERE_VOLUME,
-    SphereQuadrature,
-    default_quadrature,
-    fano_form,
-    nonselected_information,
-    table_information,
-)
-from .qstate import DensityMatrix, partial_trace
+from .infocalc import SPHERE_VOLUME, SphereQuadrature, fano_form, nonselected_information, table_information
+from .qstate import DensityMatrix
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -138,32 +131,30 @@ def optimal_params(theta: float) -> AttackParams:
     return AttackParams(t, QUARTER_PI - t)
 
 
-def reconciled_i_ab(rho_ab: DensityMatrix, quad: SphereQuadrature | None = None) -> float:
+def reconciled_i_ab(rho_ab: DensityMatrix, quad: SphereQuadrature) -> float:
     """Receiver information after ideal basis reconciliation, in bits.
 
     Averages the shared-basis selected information over a single basis
-    direction with the sphere measure (zero-width reconciliation cells; the
-    finite-cell version lives in the protocol simulator).  With both parties
-    reading along +-n, the 2x2 table of the Fano form is
-    (1 +- a.n +- b.n +- n.T.n)/4.
+    direction with the sphere measure, discretized by the caller's rule
+    ``quad`` (zero-width reconciliation cells; the finite-cell version lives
+    in the protocol simulator).  With both parties reading along +-n, the
+    2x2 table of the Fano form is (1 +- a.n +- b.n +- n.T.n)/4.
     """
-    q = quad if quad is not None else default_quadrature()
     a, b, t = fano_form(rho_ab)
-    n = q.vectors
+    n = quad.vectors
     info = table_information(n @ a, n @ b, ((n @ t) * n).sum(axis=1))
-    value = math.fsum((info * q.weights).tolist()) / SPHERE_VOLUME
+    value = math.fsum((info * quad.weights).tolist()) / SPHERE_VOLUME
     return max(0.0, value)
 
 
-def _attacked_pair(params: AttackParams) -> DensityMatrix:
-    """Sender-receiver reduction of the attacked singlet."""
-    st = attacked_state(params)
-    return partial_trace(st, st.labels[:2])
+def _pair_correlations(params: AttackParams) -> np.ndarray:
+    """Correlation tensor T of the attacked sender-receiver pair."""
+    return fano_form(bipartite_reductions(attacked_state(params))[0])[2]
 
 
-def _transmission_error(rab: DensityMatrix) -> float:
+def _transmission_error(t: np.ndarray) -> float:
     """(1 + T_zz)/2, snapped to exact zero below roundoff (1e-12)."""
-    q = 0.5 * (1.0 + float(fano_form(rab)[2][2, 2]))
+    q = 0.5 * (1.0 + float(t[2, 2]))
     return q if q > 1e-12 else 0.0
 
 
@@ -175,23 +166,22 @@ def qber(params: AttackParams) -> float:
     coupling this is sin(theta)^2 independently of phi.  Values below
     roundoff (1e-12) snap to exact zero so the no-attack case reads 0.0.
     """
-    return _transmission_error(_attacked_pair(params))
+    return _transmission_error(_pair_correlations(params))
 
 
-def qber_sphere_averaged(params: AttackParams, quad: SphereQuadrature | None = None) -> float:
+def qber_sphere_averaged(params: AttackParams, quad: SphereQuadrature) -> float:
     """Heralded-state disturbance averaged over the sphere.
 
     Both parties read along a shared direction n; the error probability
-    (1 + n.T.n)/2 is averaged over the nodes of ``quad``.  The rule
-    integrates degree-2 polynomials exactly, so the value is
+    (1 + n.T.n)/2 is averaged over the nodes of the caller's rule ``quad``.
+    Every rule here integrates degree-2 polynomials exactly, so the value is
     (1 + tr T / 3)/2 to roundoff; values below 1e-12 snap to exact zero as
     for ``qber``.  This is what the sifted Monte Carlo error rate converges
     to.
     """
-    q = quad if quad is not None else default_quadrature()
-    t = fano_form(_attacked_pair(params))[2]
-    err = 0.5 * (1.0 + ((q.vectors @ t) * q.vectors).sum(axis=1))
-    avg = math.fsum((err * q.weights).tolist()) / SPHERE_VOLUME
+    t = _pair_correlations(params)
+    err = 0.5 * (1.0 + ((quad.vectors @ t) * quad.vectors).sum(axis=1))
+    avg = math.fsum((err * quad.weights).tolist()) / SPHERE_VOLUME
     return avg if avg > 1e-12 else 0.0
 
 
@@ -203,7 +193,7 @@ def pair_fidelity_deficit(params: AttackParams) -> float:
     it equals 1 - cos(theta)^4 and is what the published reconciled error
     figure (~0.42) matches.
     """
-    t = fano_form(_attacked_pair(params))[2]
+    t = _pair_correlations(params)
     return max(0.0, 0.25 * (3.0 + float(np.trace(t))))
 
 
@@ -219,13 +209,6 @@ def _receiver_rate(rab: DensityMatrix, reconciled: bool, quad: SphereQuadrature)
     return nonselected_information(rab, quad, quad)
 
 
-def _info_pair(
-    rab: DensityMatrix, rae: DensityMatrix, reconciled: bool, quad: SphereQuadrature
-) -> tuple[float, float]:
-    """(i_ab, i_ae) from two line reductions; the pair the threshold compares."""
-    return _receiver_rate(rab, reconciled, quad), nonselected_information(rae, quad, quad)
-
-
 def information_rates(
     params: AttackParams, quad: SphereQuadrature, reconciled: bool = False
 ) -> tuple[float, float, float]:
@@ -235,22 +218,21 @@ def information_rates(
     ``reconciled``, when it is the shared-basis rate of ``reconciled_i_ab``.
     """
     rab, rae, rbe = bipartite_reductions(attacked_state(params))
-    return (*_info_pair(rab, rae, reconciled, quad), nonselected_information(rbe, quad, quad))
+    return (
+        _receiver_rate(rab, reconciled, quad),
+        nonselected_information(rae, quad, quad),
+        nonselected_information(rbe, quad, quad),
+    )
 
 
-def sweep_curve(
-    thetas: Sequence[float],
-    reconciled: bool = False,
-    quad: SphereQuadrature | None = None,
-) -> InfoCurve:
-    """Evaluate the three information rates on a grid along the optimal line."""
+def sweep_curve(thetas: Sequence[float], reconciled: bool = False, *, quad: SphereQuadrature) -> InfoCurve:
+    """Evaluate the three information rates, with the rule ``quad``, on a grid along the optimal line."""
     grid = np.asarray(list(thetas), dtype=float)
-    q = quad if quad is not None else default_quadrature()
     iab = np.empty(grid.size)
     iae = np.empty(grid.size)
     ibe = np.empty(grid.size)
     for idx, t in enumerate(grid):
-        iab[idx], iae[idx], ibe[idx] = information_rates(optimal_params(float(t)), q, reconciled)
+        iab[idx], iae[idx], ibe[idx] = information_rates(optimal_params(float(t)), quad, reconciled)
     return InfoCurve(grid, iab, iae, ibe, reconciled)
 
 
@@ -260,8 +242,10 @@ def cier(i: float, i_max: float) -> float:
     Rates computed by quadrature can overshoot the analytic maximum by the
     outer-rule error (a few 1e-9 bits at the default 32x64 resolution, up
     to ~3e-7 at 16x32), so overshoot up to 1e-4 clamps to Q = 0; anything
-    larger is a usage error.
+    larger, and a non-finite ``i`` or ``i_max``, is a usage error.
     """
+    if not (math.isfinite(i) and math.isfinite(i_max)):
+        raise ValueError(f"information {i!r} and its maximum {i_max!r} must be finite")
     if i_max <= 0.0:
         raise ValueError("i_max must be positive")
     if i < -1e-12:
@@ -271,25 +255,22 @@ def cier(i: float, i_max: float) -> float:
     return min(1.0, max(0.0, 1.0 - float(i) / float(i_max)))
 
 
-def critical_point(
-    reconciled: bool = False,
-    quad: SphereQuadrature | None = None,
-    tol: float = 1e-4,
-) -> SecurityReport:
+def critical_point(reconciled: bool = False, *, quad: SphereQuadrature, tol: float) -> SecurityReport:
     """Locate the security threshold on the optimal line by bisection.
 
-    Finds the root of g(theta) = i_ab(theta) - i_ae(theta) over [0, pi/4] to
-    within ``tol`` radians, which must be finite and positive.  The bracket
-    endpoints must straddle the root (g > 0 with no attack, g < 0 at the
-    full swap); anything else signals a modeling bug and raises BracketError.
+    Finds the root of g(theta) = i_ab(theta) - i_ae(theta) over [0, pi/4],
+    with the rates integrated by the rule ``quad``, to within ``tol``
+    radians, which must be finite and positive; a ``tol`` below the spacing
+    of doubles there stops at two adjacent doubles.  The bracket endpoints
+    must straddle the root (g > 0 with no attack, g < 0 at the full swap);
+    anything else signals a modeling bug and raises BracketError.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    q = quad if quad is not None else default_quadrature()
 
     def g(t: float) -> float:
-        iab, iae = _info_pair(*_line_reductions(t)[:2], reconciled, q)
-        return iab - iae
+        rab, rae, _ = _line_reductions(t)
+        return _receiver_rate(rab, reconciled, quad) - nonselected_information(rae, quad, quad)
 
     lo, hi = 0.0, QUARTER_PI
     g_lo, g_hi = g(lo), g(hi)
@@ -299,18 +280,20 @@ def critical_point(
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
         if g(mid) > 0.0:
             lo = mid
         else:
             hi = mid
     theta0 = 0.5 * (lo + hi)
     rab = _line_reductions(theta0)[0]
-    i0 = _receiver_rate(rab, reconciled, q)
+    i0 = _receiver_rate(rab, reconciled, quad)
     i_max = RECONCILED_MAX_BITS if reconciled else NONSELECTED_MAX_BITS
     return SecurityReport(
         theta0=theta0,
         i0=i0,
-        q0=_transmission_error(rab),
+        q0=_transmission_error(fano_form(rab)[2]),
         q_cier0=cier(i0, i_max),
         reconciled=reconciled,
     )
@@ -320,13 +303,9 @@ def accessible_information(d: int) -> float:
     """Per-letter information ceiling of the uniform pure-state alphabet, bits.
 
     log2(d) - (1/ln 2) * sum_{k=2..d} 1/k; strictly increasing in d with
-    limit (1 - euler_gamma)/ln 2 ~ 0.61 bits.
+    limit (1 - euler_gamma)/ln 2 ~ 0.61 bits: the last row of ``dimension_table(d)``.
     """
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
-    tail = float(np.sum(1.0 / np.arange(2, d + 1, dtype=float)))
-    return math.log2(d) - tail / math.log(2.0)
+    return float(dimension_table(d)[1][-1])
 
 
 def dimension_table(d_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

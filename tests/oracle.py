@@ -44,7 +44,6 @@ from contqkd import (
     EveIsometry,
     NumericalCorruptionError,
     SphereQuadrature,
-    accessible_information,
     build_isometry,
     partial_trace,
 )
@@ -127,8 +126,13 @@ def averaged_selected_information(
 
 
 def critical_cier_dim(d: int) -> float:
-    """Threshold information error rate in dimension d: 1 - accessible / log2(d)."""
-    return 1.0 - accessible_information(d) / math.log2(d)
+    """Threshold information error rate in dimension d: 1 - accessible / log2(d).
+
+    The accessible information log2(d) - (1/ln 2) sum_{k=2..d} 1/k is summed
+    here with ``math.fsum``, independently of the package's table.
+    """
+    accessible = math.log2(d) - math.fsum(1.0 / k for k in range(2, d + 1)) / math.log(2.0)
+    return 1.0 - accessible / math.log2(d)
 
 
 def node_kets(quad: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ import pytest
 import contqkd
 from contqkd import ProtocolConfig, optimal_params, run_protocol, write_transcript
 from contqkd.cli import MI_CELLS_PHI, MI_CELLS_U, _parse_angle, run
-from contqkd.protosim import _CHUNK
+from contqkd.protosim import _BLOCK
 from conftest import SINGLET_BITS
 from oracle import render_transcript
 
@@ -157,6 +157,20 @@ class TestCritical:
         printed = capsys.readouterr().out
         assert "theta0" in printed
 
+    def test_tol_below_double_spacing_returns(self):
+        # --tol accepts any positive float; one below the spacing of doubles
+        # at the threshold must still end the bisection.  A subprocess with a
+        # timeout turns a hang into a failure.
+        src = str(Path(contqkd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["critical", "--tol", "1e-300", "--quad-polar", "4", "--quad-azimuth", "8"]
+        done = subprocess.run(
+            [sys.executable, "-m", "contqkd", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        theta0 = json.loads(done.stdout)["data"]["theta0"]
+        assert abs(theta0 - math.pi / 8) <= 1e-15
+
 
 class TestDims:
     def test_rows_and_monotonicity(self, tmp_path):
@@ -221,7 +235,7 @@ class TestSimulate:
         assert summary["quadrature_reference"] is None
 
     def test_writers_match_rowwise_reference_across_chunk_seam(self, tmp_path):
-        rounds, theta, seed = _CHUNK + 3, 0.2, 4
+        rounds, theta, seed = _BLOCK + 3, 0.2, 4
         transcript = run_protocol(ProtocolConfig(rounds=rounds, attack=optimal_params(theta), seed=seed))
         reference = render_transcript(transcript)
         write_transcript(transcript, str(tmp_path / "run.csv"))
@@ -347,7 +361,7 @@ class TestProcessBoundary:
         assert contqkd_main("dims", "--d-max", "4", "--output", str(missing)).returncode == 3
 
     def test_transcripts_identical_across_blas_thread_counts(self, tmp_path):
-        # The sampler's per-chunk matmul goes through BLAS; the bytes written
+        # The sampler's per-block matmul goes through BLAS; the bytes written
         # must not depend on how many threads BLAS uses.
         package_root = str(Path(contqkd.__file__).resolve().parents[1])
         written = {}
@@ -360,7 +374,7 @@ class TestProcessBoundary:
             workdir = tmp_path / f"threads{threads}"
             workdir.mkdir()
             # A relative output path keeps the manifests equal too.
-            argv = ["simulate", "--rounds", str(_CHUNK + 3), "--theta", "0.3", "--seed", "21", *LIGHT]
+            argv = ["simulate", "--rounds", str(_BLOCK + 3), "--theta", "0.3", "--seed", "21", *LIGHT]
             done = subprocess.run(
                 [sys.executable, "-m", "contqkd", *argv, "--output", "run.csv"],
                 capture_output=True, text=True, env=env, cwd=workdir, timeout=120,

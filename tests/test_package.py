@@ -1,5 +1,6 @@
 """Package surface: ``contqkd.__all__`` names exactly what the package exports,
-and no module imports another module's underscore names."""
+no module imports another module's underscore names, and each modelling
+choice has one owner module."""
 
 import ast
 import os
@@ -32,6 +33,17 @@ def test_no_module_imports_a_sibling_private_name():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("contqkd")):
                 offenders += [f"{path.name}: {a.name}" for a in node.names if private(a.name)]
     assert offenders == []
+
+
+def test_only_attack_reduces_states():
+    # ``attack.bipartite_reductions`` is the one reducer of the attacked state;
+    # the package ``__init__`` only re-exports ``partial_trace``.
+    importers = []
+    for path in sorted(Path(contqkd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "partial_trace" for a in node.names):
+                importers.append(path.name)
+    assert sorted(importers) == ["__init__.py", "attack.py"]
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():

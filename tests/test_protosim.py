@@ -30,8 +30,7 @@ from contqkd import (
 )
 from contqkd.attack import attacked_pure_state
 from contqkd.protosim import (
-    _CHUNK,
-    _RENDER_ROWS,
+    _BLOCK,
     _joint_law,
     _law_matrix,
     _pick,
@@ -189,11 +188,11 @@ class TestRunProtocol:
             np.testing.assert_array_equal(getattr(t1, name), getattr(t2, name))
 
     def test_stream_contract_across_chunk_seam(self):
-        # Round i is row i of one (rounds, 5) Philox block: directions from
+        # Round i is row i of one (rounds, 5) Philox array: directions from
         # columns 0-3, the outcome picked from the Born distribution by
-        # column 4.  The run spans a chunk seam, the block is drawn whole, and
-        # the reference law is the complex Born rule of the oracle.
-        cfg = ProtocolConfig(rounds=_CHUNK + 3, attack=optimal_params(0.15), seed=12345)
+        # column 4.  The run spans a sampling-block seam, the array is drawn
+        # whole, and the reference law is the complex Born rule of the oracle.
+        cfg = ProtocolConfig(rounds=_BLOCK + 3, attack=optimal_params(0.15), seed=12345)
         t = run_protocol(cfg)
         draws = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.rounds, 5))
         two_pi = 2.0 * math.pi
@@ -330,7 +329,7 @@ BROKEN_RECORDS = {
 
 class TestTranscriptIO:
     @pytest.mark.parametrize("cpus", [None, 1, 4], ids=["affinity", "1cpu", "4cpu"])
-    @pytest.mark.parametrize("rounds", [_RENDER_ROWS + 3, 2 * _RENDER_ROWS + 3])
+    @pytest.mark.parametrize("rounds", [_BLOCK + 3, 2 * _BLOCK + 3])
     def test_writer_matches_rowwise_reference_across_block_seams(self, tmp_path, monkeypatch, rounds, cpus):
         # The file is the same whatever the number of rendering workers.
         if cpus is not None:
@@ -352,7 +351,7 @@ class TestTranscriptIO:
         # Platforms without os.sched_getaffinity (macOS, Windows) size the pool by os.cpu_count.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        t = run_protocol(ProtocolConfig(rounds=2 * _RENDER_ROWS + 3, attack=optimal_params(0.25), seed=32))
+        t = run_protocol(ProtocolConfig(rounds=2 * _BLOCK + 3, attack=optimal_params(0.25), seed=32))
         path = tmp_path / "transcript.csv"
         write_transcript(t, str(path))
         assert path.read_text() == oracle.render_transcript(t)
@@ -360,9 +359,9 @@ class TestTranscriptIO:
     def test_worker_failure_raises_and_leaves_no_worker(self, tmp_path):
         # A NaN bit cannot be rendered with %d, so the worker holding the
         # second block raises.
-        t = run_protocol(ProtocolConfig(rounds=3 * _RENDER_ROWS, attack=NO_ATTACK, seed=5))
+        t = run_protocol(ProtocolConfig(rounds=3 * _BLOCK, attack=NO_ATTACK, seed=5))
         eve_bit = t.eve_bit.astype(float)
-        eve_bit[_RENDER_ROWS + 1] = math.nan
+        eve_bit[_BLOCK + 1] = math.nan
         with pytest.raises(ValueError, match="NaN"):
             write_transcript(replace(t, eve_bit=eve_bit), str(tmp_path / "transcript.csv"))
         assert multiprocessing.active_children() == []
@@ -374,9 +373,9 @@ class TestTranscriptIO:
         script.write_text(
             "import os\n"
             "from contqkd import ProtocolConfig, optimal_params, run_protocol, write_transcript\n"
-            "from contqkd.protosim import _RENDER_ROWS\n"
+            "from contqkd.protosim import _BLOCK\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "t = run_protocol(ProtocolConfig(rounds=_RENDER_ROWS + 1, attack=optimal_params(0.0), seed=1))\n"
+            "t = run_protocol(ProtocolConfig(rounds=_BLOCK + 1, attack=optimal_params(0.0), seed=1))\n"
             f"write_transcript(t, {str(tmp_path / 'transcript.csv')!r})\n"
         )
         src = str(Path(contqkd.__file__).parent.parent)

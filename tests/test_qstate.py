@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from contqkd import (
+    AttackParams,
     DensityMatrix,
     ProtocolConfig,
     attacked_state,
+    bipartite_reductions,
     nonselected_information,
     optimal_params,
     partial_trace,
@@ -25,10 +27,17 @@ from contqkd import (
 )
 from contqkd.infocalc import fano_form
 from contqkd.protosim import _joint_law, _law_matrix
+from contqkd.qstate import pauli_tensor
 from conftest import cos_polar_azimuth, random_direction
 from oracle import basis_kets, maximally_mixed, tensor
 
 KET0 = np.array([1.0, 0.0])
+SIGMA = [
+    np.eye(2),
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0.0, -1j], [1j, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -1.0]]),
+]
 
 
 def kets_of(n: np.ndarray) -> np.ndarray:
@@ -240,3 +249,37 @@ class TestMeasurementBasis:
         kets = basis_kets(u, phi)
         proj = np.einsum("nki,nkj->nij", kets, kets.conj())
         np.testing.assert_allclose(proj, np.broadcast_to(np.eye(2), proj.shape), atol=1e-12)
+
+
+class TestPauliTensor:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_kron_trace_on_random_states(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+            rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T), "ABC"[:n])
+            c = pauli_tensor(rho)
+            assert c.shape == (4,) * n and c.dtype == float
+            for idx in np.ndindex(c.shape):
+                op = np.ones((1, 1))
+                for i in idx:
+                    op = np.kron(op, SIGMA[i])
+                assert abs(c[idx] - np.trace(rho.entries @ op).real) <= 1e-14
+
+    def test_slices_are_the_fano_forms_of_the_reductions(self):
+        # With the third index (or the second, or the first) on the identity,
+        # C of the attacked state holds the Fano form of the pair it leaves.
+        rng = np.random.default_rng(11)
+        for theta, phi in rng.uniform(0.0, math.pi / 4, size=(200, 2)):
+            st = attacked_state(AttackParams(theta, phi))
+            c = pauli_tensor(st)
+            pairs = zip(bipartite_reductions(st), (c[:, :, 0], c[:, 0, :], c[0, :, :]))
+            for reduction, block in pairs:
+                a, b, t = fano_form(reduction)
+                np.testing.assert_allclose(block[1:, 0], a, rtol=0.0, atol=1e-15)
+                np.testing.assert_allclose(block[0, 1:], b, rtol=0.0, atol=1e-15)
+                np.testing.assert_allclose(block[1:, 1:], t, rtol=0.0, atol=1e-15)
+
+    def test_rejects_more_than_three_qubits(self):
+        with pytest.raises(ValueError, match="1 to 3 qubits"):
+            pauli_tensor(maximally_mixed(("A", "B", "C", "D")))

@@ -1,10 +1,15 @@
 """Threshold analysis: curves, crossings, error-rate figures, dimension scaling."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contqkd
 from contqkd import (
     AttackParams,
     InfoCurve,
@@ -165,6 +170,11 @@ class TestCier:
     def test_quadrature_overshoot_clamps(self):
         assert cier(NONSELECTED_MAX_BITS + 5e-5, NONSELECTED_MAX_BITS) == 0.0
 
+    @pytest.mark.parametrize("i, i_max", [(math.nan, 1.0), (0.1, math.nan), (0.1, math.inf), (math.inf, 1.0)])
+    def test_rejects_non_finite_input(self, i, i_max):
+        with pytest.raises(ValueError, match="finite"):
+            cier(i, i_max)
+
 
 class TestCriticalPoint:
     def test_unreconciled_threshold(self, quad_mid):
@@ -186,13 +196,13 @@ class TestCriticalPoint:
         assert 0.0 < rec.i0 < 1.0
         assert 0.0 <= rec.q_cier0 <= 1.0
 
-    def test_bracket_failure_raises(self, monkeypatch):
-        def rigged(rab, rae, reconciled, quad):
-            return (0.1, 0.2)  # probe always dominates: no sign change
+    def test_bracket_failure_raises(self, monkeypatch, quad_light):
+        def rigged(rab, reconciled, quad):
+            return 0.0  # the receiver learns nothing, so the probe never trails: no sign change
 
-        monkeypatch.setattr(security, "_info_pair", rigged)
+        monkeypatch.setattr(security, "_receiver_rate", rigged)
         with pytest.raises(BracketError):
-            critical_point()
+            critical_point(quad=quad_light, tol=1e-4)
 
     def test_threshold_reading_computes_only_the_receiver_rate(self, monkeypatch, quad_light):
         calls = []
@@ -204,10 +214,29 @@ class TestCriticalPoint:
         steps = math.ceil(math.log2(QUARTER / 0.1))
         assert len(calls) == 2 * (2 + steps) + 1
 
-    def test_tol_must_be_positive(self):
+    def test_tol_must_be_positive(self, quad_light):
         for tol in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol"):
-                critical_point(tol=tol)
+                critical_point(quad=quad_light, tol=tol)
+
+    def test_tol_below_double_spacing_returns(self):
+        # Near pi/8 doubles are 5.6e-17 apart, so bisection to a smaller tol
+        # never shrinks the bracket below it; it must stop at adjacent doubles.
+        # A subprocess with a timeout turns a hang into a failure.
+        code = (
+            "from contqkd import SphereQuadrature, critical_point\n"
+            "quad = SphereQuadrature.gauss_product(4, 8)\n"
+            "for tol in (1e-17, 1e-300, 5e-324):\n"
+            "    print(repr(critical_point(quad=quad, tol=tol).theta0))\n"
+        )
+        src = str(Path(contqkd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        thetas = [float(line) for line in done.stdout.split()]
+        assert len(thetas) == 3
+        for theta0 in thetas:
+            assert abs(theta0 - math.pi / 8) <= 1e-15
 
 
 class TestDimensionScaling:
