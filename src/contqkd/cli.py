@@ -359,7 +359,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("critical", help="security threshold on the optimal line")
     p.add_argument("--reconciled", action="store_true")
     p.add_argument(
-        "--tol", type=_float_in(0.0, math.inf), default=1e-4, help="bisection tolerance, radians"
+        "--tol", type=_float_in(0.0, math.inf), default=1e-12, help="root-finder tolerance, radians"
     )
     _add_quadrature(p)
     _add_common(p, output_required=False)

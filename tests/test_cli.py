@@ -159,7 +159,7 @@ class TestCritical:
 
     def test_tol_below_double_spacing_returns(self):
         # --tol accepts any positive float; one below the spacing of doubles
-        # at the threshold must still end the bisection.  A subprocess with a
+        # at the threshold must still end the search.  A subprocess with a
         # timeout turns a hang into a failure.
         src = str(Path(contqkd.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

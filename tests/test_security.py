@@ -28,6 +28,7 @@ from contqkd import (
 )
 from contqkd import security
 from contqkd.attack import attacked_pure_state
+from contqkd.infocalc import fano_form
 from contqkd.security import (
     NONSELECTED_MAX_BITS,
     BracketError,
@@ -38,6 +39,30 @@ from conftest import SINGLET_BITS
 from oracle import critical_cier_dim, maximally_mixed, outcome_probabilities
 
 QUARTER = math.pi / 4
+
+
+def itp_step_bound(tol: float) -> int:
+    """ITP's worst case inside [0, pi/4]: one evaluation more than bisection."""
+    return math.ceil(math.log2(QUARTER / tol)) + 1
+
+
+def count_rate_readings(monkeypatch) -> tuple[list, list]:
+    """Log the i_ae readings (one per g evaluation) and i_ab readings of ``security``."""
+    i_ae, i_ab = [], []
+    real_ns, real_rate = security.nonselected_information, security._receiver_rate
+
+    def ns(rho, *rules):
+        if rho.labels == ("A", "E"):
+            i_ae.append(rho)
+        return real_ns(rho, *rules)
+
+    def rate(*args):
+        i_ab.append(args)
+        return real_rate(*args)
+
+    monkeypatch.setattr(security, "nonselected_information", ns)
+    monkeypatch.setattr(security, "_receiver_rate", rate)
+    return i_ae, i_ab
 
 
 def sphere_disturbance_closed_form(t: float, p: float) -> float:
@@ -205,14 +230,65 @@ class TestCriticalPoint:
             critical_point(quad=quad_light, tol=1e-4)
 
     def test_threshold_reading_computes_only_the_receiver_rate(self, monkeypatch, quad_light):
-        calls = []
-        real = security.nonselected_information
-        monkeypatch.setattr(security, "nonselected_information", lambda *a: calls.append(1) or real(*a))
-        critical_point(quad=quad_light, tol=0.1)
-        # The two endpoints and each bisection step compare i_ab with i_ae;
-        # the report at theta0 needs i_ab only.
-        steps = math.ceil(math.log2(QUARTER / 0.1))
-        assert len(calls) == 2 * (2 + steps) + 1
+        i_ae, i_ab = count_rate_readings(monkeypatch)
+        critical_point(reconciled=False, quad=quad_light, tol=0.1)
+        # The two endpoints and the first ITP step, which lands on pi/8 where
+        # the unreconciled g is exactly 0; the report reuses that evaluation.
+        assert (len(i_ae), len(i_ab)) == (3, 3)
+        del i_ae[:], i_ab[:]
+        critical_point(reconciled=True, quad=quad_light, tol=0.1)
+        # The two endpoints and three ITP steps compare i_ab with i_ae; the
+        # report at the midpoint of the final bracket needs i_ab only.
+        assert (len(i_ae), len(i_ab)) == (5, 6)
+
+    @pytest.mark.parametrize("reconciled", [False, True])
+    def test_itp_keeps_the_bisection_guarantee(self, monkeypatch, quad_light, reconciled):
+        ref = critical_point(reconciled, quad=quad_light, tol=1e-13).theta0
+        i_ae, _ = count_rate_readings(monkeypatch)
+        for k in range(1, 16):
+            tol = 10.0**-k
+            del i_ae[:]
+            theta0 = critical_point(reconciled, quad=quad_light, tol=tol).theta0
+            assert len(i_ae) - 2 <= itp_step_bound(tol), tol
+            # Both final brackets hold the crossing, so the two readings are at
+            # most (tol + 1e-13)/2 apart: within tol down to tol = 1e-13.
+            assert abs(theta0 - ref) <= 0.5 * (tol + 1e-13), tol
+
+    def test_itp_bound_holds_where_regula_falsi_stalls(self, monkeypatch, quad_light):
+        # g = i_ab - i_ae with a rigged i_ab that is flat, then drops steeply
+        # near the full swap: the secant keeps landing on the flat side.
+        def flat_then_steep(theta):
+            return 0.25 * (1.0 - (theta / QUARTER) ** 64)
+
+        def rigged(rab, reconciled, quad):
+            t_zz = float(fano_form(rab)[2][2, 2])  # -cos(2 theta) on the line
+            return flat_then_steep(0.5 * math.acos(min(1.0, max(-1.0, -t_zz))))
+
+        def g(theta):
+            rae = bipartite_reductions(attacked_state(optimal_params(theta)))[1]
+            return flat_then_steep(theta) - nonselected_information(rae, quad_light, quad_light)
+
+        tol = 1e-6
+        lo, hi, g_lo, g_hi = 0.0, QUARTER, g(0.0), g(QUARTER)
+        for _ in range(itp_step_bound(tol)):  # plain regula falsi on the same g
+            x = (g_hi * lo - g_lo * hi) / (g_hi - g_lo)
+            g_x = g(x)
+            if g_x > 0.0:
+                lo, g_lo = x, g_x
+            else:
+                hi, g_hi = x, g_x
+        assert hi - lo > 1e3 * tol
+
+        monkeypatch.setattr(security, "_receiver_rate", rigged)
+        ref = critical_point(quad=quad_light, tol=1e-13).theta0
+        assert g(ref - 1e-6) > 0.0 > g(ref + 1e-6)
+        i_ae, _ = count_rate_readings(monkeypatch)
+        for k in range(1, 16):
+            tol = 10.0**-k
+            del i_ae[:]
+            theta0 = critical_point(quad=quad_light, tol=tol).theta0
+            assert len(i_ae) - 2 <= itp_step_bound(tol), tol
+            assert abs(theta0 - ref) <= 0.5 * (tol + 1e-13), tol
 
     def test_tol_must_be_positive(self, quad_light):
         for tol in (0.0, -1e-3, math.nan, math.inf):
@@ -220,7 +296,7 @@ class TestCriticalPoint:
                 critical_point(quad=quad_light, tol=tol)
 
     def test_tol_below_double_spacing_returns(self):
-        # Near pi/8 doubles are 5.6e-17 apart, so bisection to a smaller tol
+        # Near pi/8 doubles are 5.6e-17 apart, so the search to a smaller tol
         # never shrinks the bracket below it; it must stop at adjacent doubles.
         # A subprocess with a timeout turns a hang into a failure.
         code = (
@@ -259,6 +335,15 @@ class TestDimensionScaling:
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
             accessible_information(1)
+
+    @pytest.mark.parametrize("d_max", [math.inf, -math.inf, math.nan, 1, 2.5])
+    def test_non_integer_dimension_rejected(self, d_max):
+        with pytest.raises(ValueError, match="d_max"):
+            dimension_table(d_max)
+
+    @pytest.mark.parametrize("d_max", [16.0, np.int64(16), np.float64(16.0)])
+    def test_integral_dimension_of_any_type_accepted(self, d_max):
+        assert np.array_equal(dimension_table(d_max)[3], dimension_table(16)[3])
 
     def test_error_threshold_by_dimension(self):
         assert critical_cier_dim(2) == pytest.approx(0.7213, abs=1e-4)
