@@ -8,7 +8,6 @@ from .attack import (
     attacked_state,
     bipartite_reductions,
     build_isometry,
-    coupling_coefficient,
 )
 from .infocalc import (
     SphereQuadrature,
@@ -62,7 +61,6 @@ __all__ = [
     "bipartite_reductions",
     "build_isometry",
     "cier",
-    "coupling_coefficient",
     "critical_point",
     "default_quadrature",
     "empirical_mi",

@@ -12,6 +12,8 @@ by the security module.
 The transformation is stored as an isometry from B x span{|0>_E} into B x E;
 its completion to a unitary on the full four-dimensional space is gauge
 freedom that never affects any reduced state, so it is not represented.
+The singlet is ``qstate.SINGLET_KET``; ``attacked_pure_state`` couples its
+second qubit to the probe in one contraction, and every path reads the result.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityMatrix, partial_trace
+from .qstate import SINGLET_KET, DensityMatrix, partial_trace
 
 _HALF_PI = 0.5 * math.pi
 
@@ -43,18 +45,6 @@ class AttackParams:
             raise ValueError(f"attack angles must be finite, got ({t!r}, {p!r})")
         object.__setattr__(self, "theta", t)
         object.__setattr__(self, "phi", p)
-
-
-def coupling_coefficient(m: int, n: int, params: AttackParams) -> float:
-    """Real coefficient (-1)^{mn} cos(theta - m*pi/2) cos(phi - n*pi/2).
-
-    Explicitly: (0,0) -> cos t cos p, (0,1) -> cos t sin p,
-    (1,0) -> sin t cos p, (1,1) -> -sin t sin p.
-    """
-    if m not in (0, 1) or n not in (0, 1):
-        raise ValueError(f"indices must be bits, got ({m}, {n})")
-    sign = -1.0 if (m == 1 and n == 1) else 1.0
-    return sign * math.cos(params.theta - m * _HALF_PI) * math.cos(params.phi - n * _HALF_PI)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,41 +73,23 @@ class EveIsometry:
         rows.setflags(write=False)
         object.__setattr__(self, "probe_components", rows)
 
-    def extension_matrix(self) -> np.ndarray:
-        """4x2 isometry V mapping |b>_B to B x E, rows ordered (c, e)."""
-        # probe_components[2b + c, e] -> v[2c + e, b]
-        v = self.probe_components.reshape(2, 2, 2).transpose(1, 2, 0).reshape(4, 2)
-        v.setflags(write=False)
-        return v
-
 
 def build_isometry(params: AttackParams) -> EveIsometry:
-    """Assemble the probe coupling from the closed-form coefficients.
+    """Probe coupling from the coefficients g_mn = (-1)^{mn} cos(theta - m pi/2) cos(phi - n pi/2).
 
-    With g_mn = coupling_coefficient(m, n), the rows are
-    (g00, g01), (g10, g11), (g11, g10), (g01, g00).
+    That is g00 = cos t cos p, g01 = cos t sin p, g10 = sin t cos p and g11 = -sin t sin p;
+    the rows are (g00, g01), (g10, g11), (g11, g10), (g01, g00).
     """
-    g00 = coupling_coefficient(0, 0, params)
-    g01 = coupling_coefficient(0, 1, params)
-    g10 = coupling_coefficient(1, 0, params)
-    g11 = coupling_coefficient(1, 1, params)
-    rows = np.array(
-        [
-            [g00, g01],
-            [g10, g11],
-            [g11, g10],
-            [g01, g00],
-        ],
-        dtype=complex,
-    )
-    return EveIsometry(rows)
+    cos_t = [math.cos(params.theta - m * _HALF_PI) for m in (0, 1)]
+    cos_p = [math.cos(params.phi - n * _HALF_PI) for n in (0, 1)]
+    g = [[(-1.0 if m and n else 1.0) * cos_t[m] * cos_p[n] for n in (0, 1)] for m in (0, 1)]
+    return EveIsometry([g[0], g[1], g[1][::-1], g[0][::-1]])
 
 
 def attacked_pure_state(params: AttackParams) -> np.ndarray:
-    """Exact post-attack pure state of singlet (x) |0>_E, shape (2, 2, 2) over (A, B, E)."""
-    v = build_isometry(params).extension_matrix()
-    psi_ab = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex) / math.sqrt(2.0)
-    psi = np.einsum("ab,vb->av", psi_ab, v).reshape(2, 2, 2)
+    """Exact post-attack pure state of ``SINGLET_KET`` (x) |0>_E, shape (2, 2, 2) over (A, B, E)."""
+    rows = build_isometry(params).probe_components.reshape(2, 2, 2)
+    psi = np.einsum("ab,bce->ace", SINGLET_KET.reshape(2, 2), rows)
     psi.setflags(write=False)
     return psi
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .attack import AttackParams
-from .infocalc import SphereQuadrature
+from .infocalc import DEFAULT_RULE, SphereQuadrature
 from .protosim import (
     ProtocolConfig,
     SiftingPartition,
@@ -56,6 +56,7 @@ from .security import (
     critical_point,
     dimension_table,
     information_rates,
+    i_max_bits,
     optimal_params,
     pair_fidelity_deficit,
     qber,
@@ -160,8 +161,9 @@ def _quad_from_args(args: argparse.Namespace) -> SphereQuadrature:
 
 
 def _add_quadrature(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--quad-polar", type=_int_in(2), default=32, help="Gauss-Legendre nodes in cos(theta)")
-    p.add_argument("--quad-azimuth", type=_int_in(4), default=64, help="uniform azimuth nodes")
+    polar, azimuth = DEFAULT_RULE
+    p.add_argument("--quad-polar", type=_int_in(2), default=polar, help="Gauss-Legendre nodes in cos(theta)")
+    p.add_argument("--quad-azimuth", type=_int_in(4), default=azimuth, help="uniform azimuth nodes")
 
 
 def _add_common(p: argparse.ArgumentParser, output_required: bool = True) -> None:
@@ -185,7 +187,7 @@ def _cmd_curve(args: argparse.Namespace, manifest: dict) -> None:
     quad = _quad_from_args(args)
     grid = np.linspace(0.0, QUARTER_PI, args.theta_steps)
     curve = sweep_curve(grid, reconciled=args.reconciled, quad=quad)
-    i_max = RECONCILED_MAX_BITS if args.reconciled else NONSELECTED_MAX_BITS
+    i_max = i_max_bits(args.reconciled)
     rows = []
     for k, t in enumerate(curve.thetas):
         rows.append(
@@ -215,7 +217,7 @@ def critical_report(reconciled: bool, quad: SphereQuadrature, tol: float) -> dic
         "i0_bits": report.i0,
         "qber0": report.q0,
         "cier0": report.q_cier0,
-        "i_max_bits": RECONCILED_MAX_BITS if reconciled else NONSELECTED_MAX_BITS,
+        "i_max_bits": i_max_bits(reconciled),
         "cier_normalizations": {
             "continuous_readout_max": cier(report.i0, NONSELECTED_MAX_BITS)
             if report.i0 <= NONSELECTED_MAX_BITS * (1 + 1e-6)
@@ -379,10 +381,10 @@ def build_parser() -> _Parser:
         default=None,
         help="attack angle; defaults to pi/4 - theta (the optimal line)",
     )
-    p.add_argument("--cells-u", type=_int_in(1), default=16)
-    p.add_argument("--cells-phi", type=_int_in(1), default=32)
-    p.add_argument("--seed", type=_int_in(0, 2**64), default=0)
-    p.add_argument("--disclose-fraction", type=_float_in(0.0, 1.0), default=0.1)
+    p.add_argument("--cells-u", type=_int_in(1), default=ProtocolConfig.cells_u)
+    p.add_argument("--cells-phi", type=_int_in(1), default=ProtocolConfig.cells_phi)
+    p.add_argument("--seed", type=_int_in(0, 2**64), default=ProtocolConfig.seed)
+    p.add_argument("--disclose-fraction", type=_float_in(0.0, 1.0), default=ProtocolConfig.disclose_fraction)
     p.add_argument("--mi-cells-u", type=_int_in(1), default=MI_CELLS_U)
     p.add_argument("--mi-cells-phi", type=_int_in(1), default=MI_CELLS_PHI)
     _add_quadrature(p)

@@ -18,7 +18,9 @@ p(n, m) = (1 + a.n + b.m + n.T.m)/4.  Being linear in m for fixed n, it has
 a closed-form inner sphere integral, and only the outer sphere is discretized
 by a product rule: Gauss-Legendre in u = cos(theta) times a uniform periodic
 rule in phi.  The singlet value is exact to roundoff; on generic states the
-default 32x64 rule agrees with a 128x256 rule to a few 1e-9 bits.
+default rule ``DEFAULT_RULE`` agrees with a 128x256 rule to a few 1e-9 bits.
+This module owns directions: ``bloch_vectors`` maps (u, phi) to the unit
+Bloch vector for the quadrature nodes and for every direction ``protosim`` draws.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import DensityMatrix, NumericalCorruptionError, pauli_tensor
+from .qstate import DensityMatrix, NumericalCorruptionError, check_int, pauli_tensor
 
 # Total sphere volume under the measure sin(theta) dtheta dphi / (2 pi).
 SPHERE_VOLUME = 2.0
@@ -43,6 +45,15 @@ ZERO_BITS = 1e-14
 
 # Below this ratio r/alpha the inner sphere integral uses its Taylor series.
 _SERIES_X = 1e-2
+
+# (polar, azimuth) node counts of ``default_quadrature`` and the command-line defaults.
+DEFAULT_RULE = (32, 64)
+
+
+def bloch_vectors(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Unit Bloch vectors (s cos phi, s sin phi, u), s = sqrt(1 - u^2) clipped at 0, shape (m, 3)."""
+    sin_t = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    return np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), u], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +83,7 @@ class SphereQuadrature:
             raise ValueError("quadrature weights must be positive")
         if abs(math.fsum(w.tolist()) - SPHERE_VOLUME) > 1e-10:
             raise ValueError("quadrature weights do not sum to the sphere volume 2")
-        sin_t = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-        vectors = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), u], axis=1)
+        vectors = bloch_vectors(u, phi)
         residual = _moment_residual(vectors, w)
         if residual > 1e-10:
             raise ValueError(f"quadrature fails the degree-2 moment test: residual {residual:.3e}")
@@ -86,15 +96,18 @@ class SphereQuadrature:
         object.__setattr__(self, "vectors", vectors)
 
     @classmethod
-    def gauss_product(cls, n_polar: int = 32, n_azimuth: int = 64) -> "SphereQuadrature":
+    def gauss_product(
+        cls, n_polar: int = DEFAULT_RULE[0], n_azimuth: int = DEFAULT_RULE[1]
+    ) -> "SphereQuadrature":
         """Gauss-Legendre x uniform-azimuth product rule.
 
         n_polar >= 2 Legendre nodes in u = cos(theta); n_azimuth >= 4
         midpoint nodes in phi (exact for trigonometric polynomials of degree
-        < n_azimuth by periodicity).
+        < n_azimuth by periodicity).  Both counts must be integers
+        (``qstate.check_int``); anything else raises ValueError.
         """
-        if n_polar < 2 or n_azimuth < 4:
-            raise ValueError("need at least 2 polar and 4 azimuthal nodes")
+        check_int("n_polar", n_polar, 2)
+        check_int("n_azimuth", n_azimuth, 4)
         x, wx = np.polynomial.legendre.leggauss(int(n_polar))
         phi = (np.arange(n_azimuth) + 0.5) * (2.0 * math.pi / n_azimuth)
         u = np.repeat(x, n_azimuth)
@@ -119,7 +132,7 @@ def _moment_residual(vectors: np.ndarray, w: np.ndarray) -> float:
 
 @lru_cache(maxsize=1)
 def default_quadrature() -> SphereQuadrature:
-    """The 32x64 rule of the command-line defaults, built once and cached.
+    """The ``DEFAULT_RULE`` product rule of the command-line defaults, built once and cached.
 
     No function here falls back to it: every rate takes its rule from the caller.
     """

@@ -10,7 +10,9 @@ reductions by construction.  ``run_protocol`` samples every round; there is
 no per-round driver.  The law is real: with v = (1, n) for each party's unit
 Bloch vector n, p(a, b, e) = (v_A (x) v_B) @ W, where the fixed 16x8 matrix W
 is read once per run off ``qstate.pauli_tensor`` of ``attacked_state``, the
-same density matrix and the same Pauli expansion the analysis reads.  Rounds
+same density matrix and the same Pauli expansion the analysis reads; n is
+``infocalc.bloch_vectors``, and ``_antipode`` is the one antipode, read by
+``sift`` and the folded information estimates.  Rounds
 go in blocks of ``_BLOCK`` (16,384): each block is sampled with one real
 matmul and later rendered to transcript text as one task.
 
@@ -33,7 +35,6 @@ breaks the schema.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -41,20 +42,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .attack import AttackParams, attacked_state
-from .qstate import DensityMatrix, NumericalCorruptionError, TWO_PI, pauli_tensor
+from .infocalc import bloch_vectors
+from .qstate import DensityMatrix, NumericalCorruptionError, TWO_PI, check_int, pauli_tensor
 
 _BLOCK = 1 << 14  # rounds sampled, and rendered to transcript text, at a time
 _LN2 = math.log(2.0)
-
-
-def _check_int(name: str, value: object, low: int, high: float = math.inf) -> None:
-    """ValueError unless ``value`` is an integer in [low, high); an integral float is not one."""
-    try:
-        ok = low <= operator.index(value) < high
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,10 +61,10 @@ class ProtocolConfig:
     disclose_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        _check_int("rounds", self.rounds, 1)
-        _check_int("cells_u", self.cells_u, 1)
-        _check_int("cells_phi", self.cells_phi, 1)
-        _check_int("seed", self.seed, 0, 2**64)
+        check_int("rounds", self.rounds, 1)
+        check_int("cells_u", self.cells_u, 1)
+        check_int("cells_phi", self.cells_phi, 1)
+        check_int("seed", self.seed, 0, 2**64)
         if not (0.0 < self.disclose_fraction < 1.0):
             raise ValueError("disclose_fraction must lie in (0, 1)")
 
@@ -90,8 +82,8 @@ class SiftingPartition:
     cells_phi: int
 
     def __post_init__(self) -> None:
-        _check_int("cells_u", self.cells_u, 1)
-        _check_int("cells_phi", self.cells_phi, 1)
+        check_int("cells_u", self.cells_u, 1)
+        check_int("cells_phi", self.cells_phi, 1)
 
     @property
     def n_cells(self) -> int:
@@ -166,9 +158,13 @@ def _law_matrix(rho: DensityMatrix) -> np.ndarray:
 
 
 def _bloch_rows(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Rows v = (1, n) of the directions with n = (sin t cos phi, sin t sin phi, u), shape (m, 4)."""
-    s = np.sqrt((1.0 - u) * (1.0 + u))
-    return np.stack([np.ones_like(u), s * np.cos(phi), s * np.sin(phi), u], axis=1)
+    """Rows v = (1, n) of the directions, n = ``infocalc.bloch_vectors(u, phi)``, shape (m, 4)."""
+    return np.concatenate([np.ones((u.size, 1)), bloch_vectors(u, phi)], axis=1)
+
+
+def _antipode(u: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The antipodal directions (-u, (phi + pi) mod 2 pi)."""
+    return -u, np.mod(phi + math.pi, TWO_PI)
 
 
 def _joint_law(
@@ -250,9 +246,7 @@ def sift(transcript: Transcript, partition: SiftingPartition) -> Transcript:
     """
     cell_a = partition.cell_index(transcript.alice_u, transcript.alice_phi)
     cell_b = partition.cell_index(transcript.bob_u, transcript.bob_phi)
-    cell_b_anti = partition.cell_index(
-        -transcript.bob_u, np.mod(transcript.bob_phi + math.pi, TWO_PI)
-    )
+    cell_b_anti = partition.cell_index(*_antipode(transcript.bob_u, transcript.bob_phi))
     same = cell_a == cell_b
     anti = (cell_a == cell_b_anti) & ~same
     kept = transcript.subset(same | anti)
@@ -292,10 +286,8 @@ def _party_codes(
         # antipode when the second outcome fired).  The dropped "which
         # description" bit is independent noise, so the mutual information
         # is unchanged while the alphabet shrinks fourfold.
-        flip = bit.astype(bool)
-        ue = np.where(flip, -u, u)
-        pe = np.where(flip, np.mod(phi + math.pi, TWO_PI), phi)
-        return binning.cell_index(ue, pe)
+        anti = binning.cell_index(*_antipode(u, phi))
+        return np.where(bit.astype(bool), anti, binning.cell_index(u, phi))
     return binning.cell_index(u, phi) * 2 + bit.astype(np.int64)
 
 

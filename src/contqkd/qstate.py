@@ -6,9 +6,10 @@ tripartite state cannot be confused with one another.  All storage is dense
 complex arithmetic; the largest space used anywhere in this package is
 8 = 2**3.  Measurement directions are not represented here: every reading of
 a pair state goes through its Fano form (``infocalc.fano_form``) along unit
-Bloch vectors.  ``pauli_tensor`` is the one expansion of a state in the Pauli
-basis (identity, x, y, z); every reader of a state's Pauli coefficients goes
-through it.
+Bloch vectors (``infocalc.bloch_vectors``).  ``pauli_tensor`` is the one
+expansion of a state in the Pauli basis (identity, x, y, z); every reader of
+a state's Pauli coefficients goes through it.  ``SINGLET_KET`` is the one
+singlet ket; ``check_int`` checks the simulator's and the quadrature's counts.
 
 Every type is immutable after construction and every operation is a pure
 function, so everything here is safe to evaluate concurrently.
@@ -17,6 +18,7 @@ function, so everything here is safe to evaluate concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,9 +36,23 @@ PSD_FLOOR = -1e-10
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _PAULI.setflags(write=False)
 
+# The singlet (|01> - |10>)/sqrt(2) in the computational basis, sender first.
+SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+SINGLET_KET.setflags(write=False)
+
 
 class NumericalCorruptionError(ArithmeticError):
     """A probability or spectrum check failed beyond roundoff tolerance."""
+
+
+def check_int(name: str, value: object, low: int, high: float = math.inf) -> None:
+    """ValueError unless ``value`` is an integer in [low, high); an integral float is not one."""
+    try:
+        ok = low <= operator.index(value) < high
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +96,10 @@ class DensityMatrix:
 
 
 def singlet(labels: Sequence[str] = ("A", "B")) -> DensityMatrix:
-    """Projector onto the antisymmetric two-qubit state (|01> - |10>)/sqrt(2)."""
+    """Projector onto ``SINGLET_KET``, the antisymmetric two-qubit state."""
     if len(labels) != 2:
         raise ValueError("singlet needs exactly two labels")
-    vec = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    return DensityMatrix.from_ket(vec, labels)
+    return DensityMatrix.from_ket(SINGLET_KET, labels)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:

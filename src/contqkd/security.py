@@ -51,6 +51,12 @@ NONSELECTED_MAX_BITS = 1.0 - 1.0 / (2.0 * math.log(2.0))
 # bit per kept letter; that is the reconciled CIER normalization.
 RECONCILED_MAX_BITS = 1.0
 
+
+def i_max_bits(reconciled: bool) -> float:
+    """The CIER normalization of a receiver rate, reconciled or not."""
+    return RECONCILED_MAX_BITS if reconciled else NONSELECTED_MAX_BITS
+
+
 # ITP constants of ``critical_point``: truncation kappa1 = 0.2 / (initial
 # bracket width) and kappa2 = 2, and n0 = 1 step of slack over bisection.
 _ITP_KAPPA1 = 0.2 / QUARTER_PI
@@ -332,12 +338,11 @@ def critical_point(reconciled: bool = False, *, quad: SphereQuadrature, tol: flo
         theta0 = 0.5 * (lo + hi)
         rab = _line_reductions(theta0)[0]
         i0 = _receiver_rate(rab, reconciled, quad)
-    i_max = RECONCILED_MAX_BITS if reconciled else NONSELECTED_MAX_BITS
     return SecurityReport(
         theta0=theta0,
         i0=i0,
         q0=_transmission_error(fano_form(rab)[2]),
-        q_cier0=cier(i0, i_max),
+        q_cier0=cier(i0, i_max_bits(reconciled)),
         reconciled=reconciled,
     )
 

@@ -280,7 +280,7 @@ def extension_matrix(iso: EveIsometry) -> np.ndarray:
 
 def kraus_pair(params: AttackParams) -> tuple[np.ndarray, np.ndarray]:
     """Kraus operators of the induced channel on the receiver, by probe outcome."""
-    v = build_isometry(params).extension_matrix()
+    v = extension_matrix(build_isometry(params))
     return v[0::2, :], v[1::2, :]
 
 
@@ -299,7 +299,7 @@ def apply_attack(initial: DensityMatrix, iso: EveIsometry) -> DensityMatrix:
     """Evolve a (sender, channel, probe) state whose probe is in |0> through the coupling."""
     arr = initial.entries.reshape(2, 2, 2, 2, 2, 2)
     sigma = np.ascontiguousarray(arr[:, :, 0, :, :, 0]).reshape(4, 4)
-    k = np.kron(np.eye(2, dtype=complex), iso.extension_matrix())
+    k = np.kron(np.eye(2, dtype=complex), extension_matrix(iso))
     return DensityMatrix(k @ sigma @ k.conj().T, initial.labels)
 
 

@@ -12,7 +12,6 @@ from contqkd import (
     attacked_state,
     bipartite_reductions,
     build_isometry,
-    coupling_coefficient,
     partial_trace,
     singlet,
 )
@@ -36,29 +35,32 @@ SINGLET4 = 0.5 * np.array(
 )
 
 
+def coefficients(p: AttackParams) -> np.ndarray:
+    """g[m, n] read off the probe rows (g00, g01), (g10, g11), (g11, g10), (g01, g00)."""
+    rows = build_isometry(p).probe_components
+    np.testing.assert_array_equal(rows[2:], rows[1::-1, ::-1])
+    return rows[:2].real
+
+
 class TestCouplingCoefficient:
     def test_zero_angles(self):
-        p = AttackParams(0.0, 0.0)
-        assert coupling_coefficient(0, 0, p) == pytest.approx(1.0)
-        assert coupling_coefficient(1, 1, p) == pytest.approx(0.0, abs=1e-16)
+        g = coefficients(AttackParams(0.0, 0.0))
+        assert g[0, 0] == pytest.approx(1.0)
+        assert g[1, 1] == pytest.approx(0.0, abs=1e-16)
 
     def test_diagonal_point(self):
-        p = AttackParams(QUARTER, QUARTER)
-        assert coupling_coefficient(1, 1, p) == pytest.approx(-0.5, abs=1e-15)
+        g = coefficients(AttackParams(QUARTER, QUARTER))
+        assert g[1, 1] == pytest.approx(-0.5, abs=1e-15)
 
     def test_closed_forms(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             t, f = rng.uniform(0, 2 * math.pi, size=2)
-            p = AttackParams(t, f)
-            assert coupling_coefficient(0, 0, p) == pytest.approx(math.cos(t) * math.cos(f), abs=1e-14)
-            assert coupling_coefficient(0, 1, p) == pytest.approx(math.cos(t) * math.sin(f), abs=1e-14)
-            assert coupling_coefficient(1, 0, p) == pytest.approx(math.sin(t) * math.cos(f), abs=1e-14)
-            assert coupling_coefficient(1, 1, p) == pytest.approx(-math.sin(t) * math.sin(f), abs=1e-14)
-
-    def test_bit_indices_enforced(self):
-        with pytest.raises(ValueError):
-            coupling_coefficient(2, 0, AttackParams(0.1, 0.1))
+            g = coefficients(AttackParams(t, f))
+            assert g[0, 0] == pytest.approx(math.cos(t) * math.cos(f), abs=1e-14)
+            assert g[0, 1] == pytest.approx(math.cos(t) * math.sin(f), abs=1e-14)
+            assert g[1, 0] == pytest.approx(math.sin(t) * math.cos(f), abs=1e-14)
+            assert g[1, 1] == pytest.approx(-math.sin(t) * math.sin(f), abs=1e-14)
 
 
 class TestIsometryIdentities:
@@ -82,19 +84,6 @@ class TestIsometryIdentities:
         with pytest.raises(ValueError):
             EveIsometry(bad)
 
-    def test_extension_matrix_matches_entrywise_layout(self):
-        rng = np.random.default_rng(30)
-        for _ in range(100):
-            iso = build_isometry(AttackParams(*rng.uniform(0, 2 * math.pi, size=2)))
-            np.testing.assert_array_equal(iso.extension_matrix(), oracle.extension_matrix(iso))
-
-    def test_extension_matrix_is_isometry(self):
-        rng = np.random.default_rng(29)
-        for _ in range(50):
-            iso = build_isometry(AttackParams(*rng.uniform(0, 2 * math.pi, size=2)))
-            v = iso.extension_matrix()
-            np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
-
 
 class TestCouplingStructure:
     def test_line_start_decouples_probe(self):
@@ -110,19 +99,20 @@ class TestCouplingStructure:
 
     def test_line_end_swaps_letter_into_probe(self):
         # At (pi/4, 0): |0>|0> -> |+>|0> and |1>|0> -> |+>|1>, so the probe
-        # captures the letter and the receiver gets a constant state.
-        v = build_isometry(AttackParams(QUARTER, 0.0)).extension_matrix()
+        # captures the letter and the receiver gets a constant state.  Row
+        # (b, c) is the probe ket beside |c>_B for the letter b.
+        rows = build_isometry(AttackParams(QUARTER, 0.0)).probe_components
         s = 1.0 / math.sqrt(2.0)
         expected = np.array(
             [
                 [s, 0.0],
-                [0.0, s],
                 [s, 0.0],
+                [0.0, s],
                 [0.0, s],
             ],
             dtype=complex,
         )
-        np.testing.assert_allclose(v, expected, atol=1e-15)
+        np.testing.assert_allclose(rows, expected, atol=1e-15)
 
     def test_zero_corner_follows_row_layout(self):
         # (0, 0) is a basis-copy coupling, not the identity: the fourth row

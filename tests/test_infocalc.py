@@ -85,6 +85,19 @@ class TestSphereQuadrature:
         with pytest.raises(ValueError):
             SphereQuadrature.gauss_product(1, 64)
 
+    @pytest.mark.parametrize(
+        "n_polar, n_azimuth",
+        [(32.5, 64), (32.0, 64.0), (math.inf, 8), (32, 64.5), (8, math.nan), ("8", 16), (8, 3)],
+    )
+    def test_non_integer_counts_rejected(self, n_polar, n_azimuth):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SphereQuadrature.gauss_product(n_polar, n_azimuth)
+
+    def test_numpy_integer_counts_accepted(self):
+        q = SphereQuadrature.gauss_product(np.int64(8), np.int64(16))
+        ref = SphereQuadrature.gauss_product(8, 16)
+        assert np.array_equal(q.vectors, ref.vectors) and np.array_equal(q.weights, ref.weights)
+
     def test_directions_roundtrip(self, quad_light):
         v = quad_light.vectors
         assert v.shape == (len(quad_light), 3)

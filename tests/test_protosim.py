@@ -29,8 +29,11 @@ from contqkd import (
     write_transcript,
 )
 from contqkd.attack import attacked_pure_state
+from contqkd.infocalc import bloch_vectors, default_quadrature
 from contqkd.protosim import (
     _BLOCK,
+    _antipode,
+    _bloch_rows,
     _joint_law,
     _law_matrix,
     _pick,
@@ -167,6 +170,21 @@ class TestRoundSampling:
         got = _joint_law(_law_matrix(attacked_state(attack)), ua, pa, ub, pb)
         ref = oracle.outcome_probabilities(attacked_pure_state(attack), ua, pa, ub, pb)
         assert float(np.abs(got - ref).max()) <= LAW_TOL
+
+    def test_bloch_rows_are_the_quadrature_vectors(self):
+        # One direction map: the sampler's rows carry the quadrature's unit
+        # vectors bit for bit, on every node of the default rule.
+        q = default_quadrature()
+        rows = _bloch_rows(q.u, q.phi)
+        assert np.array_equal(rows[:, 0], np.ones(len(q)))
+        assert np.array_equal(rows[:, 1:], q.vectors)
+
+    def test_antipode_negates_the_vector(self):
+        rng = np.random.default_rng(17)
+        u, phi = rng.uniform(-1.0, 1.0, 1000), rng.uniform(0.0, 2.0 * math.pi, 1000)
+        anti_u, anti_phi = _antipode(u, phi)
+        assert np.all((0.0 <= anti_phi) & (anti_phi < 2.0 * math.pi))
+        np.testing.assert_allclose(bloch_vectors(anti_u, anti_phi), -bloch_vectors(u, phi), atol=1e-15)
 
     def test_run_round_consumes_five_uniforms(self):
         # Each round of a run consumes five uniforms whatever the run length,

@@ -27,7 +27,7 @@ from contqkd import (
 )
 from contqkd.infocalc import fano_form
 from contqkd.protosim import _joint_law, _law_matrix
-from contqkd.qstate import pauli_tensor
+from contqkd.qstate import SINGLET_KET, pauli_tensor
 from conftest import cos_polar_azimuth, random_direction
 from oracle import basis_kets, maximally_mixed, tensor
 
@@ -140,6 +140,10 @@ class TestDensityMatrix:
 
 
 class TestSinglet:
+    def test_one_read_only_ket(self):
+        assert not SINGLET_KET.flags.writeable
+        np.testing.assert_allclose(singlet().entries, np.outer(SINGLET_KET, SINGLET_KET.conj()), atol=1e-15)
+
     def test_marginal_is_maximally_mixed(self):
         red = partial_trace(singlet(), ("A",))
         np.testing.assert_allclose(red.entries, np.eye(2) / 2, atol=1e-14)
