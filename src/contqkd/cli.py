@@ -18,7 +18,9 @@ by default or degrees with an explicit ``deg`` suffix (e.g. ``--theta 22.5deg``)
 Exit codes: 0 success; 1 usage error, for a malformed command line or any
 parameter value the computation would reject (every value is validated while
 parsing); 2 numerical failure, for a failed bracket or a broken invariant,
-including any ValueError raised while computing; 3 I/O failure.
+including any ValueError raised while computing; 3 I/O failure; 4 out of
+memory, for an allocation the machine cannot meet (say ``simulate --rounds``
+far beyond the memory).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .security import (
     sweep_curve,
 )
 
-USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR = 1, 2, 3
+USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR, MEMORY_ERROR = 1, 2, 3, 4
 
 # Default binning of the cross-validation information estimate in `simulate`:
 # fine enough to track the continuous value, coarse enough that the
@@ -429,6 +431,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return IO_ERROR
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return MEMORY_ERROR
 
 
 def main() -> None:

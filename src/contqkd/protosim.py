@@ -14,7 +14,10 @@ same density matrix and the same Pauli expansion the analysis reads; n is
 ``infocalc.bloch_vectors``, and ``_antipode`` is the one antipode, read by
 ``sift`` and the folded information estimates.  Rounds
 go in blocks of ``_BLOCK`` (16,384): each block is sampled with one real
-matmul and later rendered to transcript text as one task.
+matmul, rendered to transcript text as one task, parsed back with one
+``np.loadtxt`` call, and sifted and binned as one slice, so beyond the
+transcript's own columns (36 bytes per round) these paths hold whole-run
+arrays only for their results and masks.
 
 Randomness is counter-based: round i consumes row i of a (rounds, 5) uniform
 array drawn from a Philox generator keyed by the seed, in the column order
@@ -28,12 +31,13 @@ index, disclosed flag (0/1), then the sender's (u, phi, bit), the receiver's
 (u, phi, bit) and the probe bit.  ``write_transcript`` is the only writer:
 float ``repr`` bounds it, so a pool of spawned processes, one per usable
 core, renders the blocks and the calling process writes them in round
-order.  ``read_transcript`` reads its files back and rejects a file that
-breaks the schema.
+order.  ``read_transcript`` reads its files back one block at a time and
+rejects a file that breaks the schema.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import warnings
@@ -242,18 +246,23 @@ def sift(transcript: Transcript, partition: SiftingPartition) -> Transcript:
 
     Antipodal directions define the same two-outcome observable with swapped
     labels, so rounds where the receiver's antipodal direction lands in the
-    sender's cell are kept with the receiver's bit flipped.
+    sender's cell are kept with the receiver's bit flipped.  The keep and flip
+    masks are built one block of ``_BLOCK`` rounds at a time, so the only
+    whole-run temporaries are the two masks.
     """
-    cell_a = partition.cell_index(transcript.alice_u, transcript.alice_phi)
-    cell_b = partition.cell_index(transcript.bob_u, transcript.bob_phi)
-    cell_b_anti = partition.cell_index(*_antipode(transcript.bob_u, transcript.bob_phi))
-    same = cell_a == cell_b
-    anti = (cell_a == cell_b_anti) & ~same
-    kept = transcript.subset(same | anti)
-    flip = anti[same | anti]
-    bob_bit = kept.bob_bit.copy()
-    bob_bit[flip] ^= 1
-    return replace(kept, bob_bit=bob_bit)
+    n = len(transcript)
+    keep = np.empty(n, dtype=bool)
+    anti = np.empty(n, dtype=bool)
+    for start in range(0, n, _BLOCK):
+        s = slice(start, start + _BLOCK)
+        cell_a = partition.cell_index(transcript.alice_u[s], transcript.alice_phi[s])
+        cell_b = partition.cell_index(transcript.bob_u[s], transcript.bob_phi[s])
+        cell_b_anti = partition.cell_index(*_antipode(transcript.bob_u[s], transcript.bob_phi[s]))
+        same = cell_a == cell_b
+        anti[s] = (cell_a == cell_b_anti) & ~same
+        keep[s] = same | anti[s]
+    kept = transcript.subset(keep)
+    return replace(kept, bob_bit=kept.bob_bit ^ anti[keep])
 
 
 def _plugin_mi(codes_x: np.ndarray, codes_y: np.ndarray, miller_madow: bool) -> float:
@@ -277,18 +286,26 @@ def _plugin_mi(codes_x: np.ndarray, codes_y: np.ndarray, miller_madow: bool) -> 
 def _party_codes(
     transcript: Transcript, party: str, binning: SiftingPartition, fold_antipodal: bool
 ) -> np.ndarray:
-    """Integer symbol of each round of ``party`` ('alice' or 'bob'): its direction cell and bit."""
+    """Integer symbol of each round of ``party`` ('alice' or 'bob'): its direction cell and bit.
+
+    Rounds are binned one block of ``_BLOCK`` at a time into one code array.
+    """
     if party not in ("alice", "bob"):
         raise ValueError(f"party must be 'alice' or 'bob', got {party!r}")
     u, phi, bit = (getattr(transcript, f"{party}_{column}") for column in ("u", "phi", "bit"))
-    if fold_antipodal:
-        # Bin the effective outcome direction (basis direction, or its
-        # antipode when the second outcome fired).  The dropped "which
-        # description" bit is independent noise, so the mutual information
-        # is unchanged while the alphabet shrinks fourfold.
-        anti = binning.cell_index(*_antipode(u, phi))
-        return np.where(bit.astype(bool), anti, binning.cell_index(u, phi))
-    return binning.cell_index(u, phi) * 2 + bit.astype(np.int64)
+    codes = np.empty(u.size, dtype=np.int64)
+    for start in range(0, u.size, _BLOCK):
+        s = slice(start, start + _BLOCK)
+        cells = binning.cell_index(u[s], phi[s])
+        if fold_antipodal:
+            # Bin the effective outcome direction (basis direction, or its
+            # antipode when the second outcome fired).  The dropped "which
+            # description" bit is independent noise, so the mutual information
+            # is unchanged while the alphabet shrinks fourfold.
+            codes[s] = np.where(bit[s].astype(bool), binning.cell_index(*_antipode(u[s], phi[s])), cells)
+        else:
+            codes[s] = cells * 2 + bit[s]
+    return codes
 
 
 def empirical_mi(
@@ -366,7 +383,8 @@ def write_transcript(transcript: Transcript, path: str) -> None:
     entry point with ``if __name__ == "__main__"`` (an unguarded one raises
     ``BrokenProcessPool``).  Each task carries its own column slices, and
     blocks stay small so the blocks and text in flight add little to the
-    caller's peak memory.
+    caller's peak memory; ``read_transcript`` parses the file back in the
+    same blocks.
     """
     columns = [transcript.disclosed, *(getattr(transcript, f) for f in _TRANSCRIPT_FIELDS[2:])]
     starts = range(0, len(transcript), _BLOCK)
@@ -388,31 +406,15 @@ def write_transcript(transcript: Transcript, path: str) -> None:
             fh.writelines(pool.map(_render_rows, blocks))
 
 
-def read_transcript(path: str) -> Transcript:
-    """Parse a file written by write_transcript; ValueError if it breaks the schema.
-
-    Valid rows have one field per column, rounds 0..n-1, bits and the
-    disclosed flag in {0, 1}, u in [-1, 1] and phi in [0, 2 pi).  Blank lines
-    are skipped; a '#' line is a malformed row, not a comment.  The body is
-    parsed in one ``np.loadtxt`` pass; peak memory is that numeric table (9
-    floats per round) plus the four float columns copied out of it.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != _TRANSCRIPT_FIELDS:
-            raise ValueError(f"unexpected transcript header {header}")
-        with warnings.catch_warnings():
-            # A header-only file is an empty transcript.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(filter(str.strip, fh), delimiter=",", dtype=float, ndmin=2, comments=None)
+def _typed_columns(table: np.ndarray, start: int) -> dict[str, np.ndarray]:
+    """The checked, typed columns of one parsed block whose first row is round ``start``."""
     width = len(_TRANSCRIPT_FIELDS)
     rows = table.shape[0]
     if rows and table.shape[1] != width:
         raise ValueError(f"every transcript row must have {width} fields")
     # Views into the table, each replaced below by a contiguous copy of its own.
     columns = dict(zip(_TRANSCRIPT_FIELDS, table.reshape(rows, width).T))
-    del table
-    if not np.array_equal(columns.pop("round"), np.arange(rows)):
+    if not np.array_equal(columns.pop("round"), np.arange(start, start + rows)):
         raise ValueError("transcript rounds must run 0..n-1 in order")
     for field, col in columns.items():
         if field.endswith("_u"):
@@ -423,6 +425,39 @@ def read_transcript(path: str) -> Transcript:
             ok = (col == 0.0) | (col == 1.0)
             col = col.astype(bool if field == "disclosed" else np.int8)
         if not ok.all():
-            raise ValueError(f"transcript {field} out of range in row {int(np.argmin(ok))}")
+            raise ValueError(f"transcript {field} out of range in row {start + int(np.argmin(ok))}")
         columns[field] = np.ascontiguousarray(col)
-    return Transcript(**columns)
+    return columns
+
+
+def read_transcript(path: str) -> Transcript:
+    """Parse a file written by write_transcript; ValueError if it breaks the schema.
+
+    Valid rows have one field per column, rounds 0..n-1, bits and the
+    disclosed flag in {0, 1}, u in [-1, 1] and phi in [0, 2 pi).  Blank lines
+    are skipped; a '#' line is a malformed row, not a comment.  The rows are
+    parsed by ``np.loadtxt`` one block of ``_BLOCK`` at a time, and each block
+    is checked and kept only as its typed columns (36 bytes per round), which
+    are joined one column at a time at the end.  Peak memory is those columns,
+    one more float column while it is joined, and one parsed block.
+    """
+    parts: dict[str, list[np.ndarray]] = {field: [] for field in _TRANSCRIPT_FIELDS[1:]}
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        if tuple(header) != _TRANSCRIPT_FIELDS:
+            raise ValueError(f"unexpected transcript header {header}")
+        lines = filter(str.strip, fh)
+        with warnings.catch_warnings():
+            # A header-only file, or one a whole number of blocks long, ends in an empty block.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # Every block but the last is full, so block k starts at round k * _BLOCK.
+            for start in itertools.count(0, _BLOCK):
+                table = np.loadtxt(
+                    itertools.islice(lines, _BLOCK), delimiter=",", dtype=float, ndmin=2, comments=None
+                )
+                for field, col in _typed_columns(table, start).items():
+                    parts[field].append(col)
+                if table.shape[0] < _BLOCK:
+                    break
+    # Each column's parts are released as soon as that column is joined.
+    return Transcript(**{field: np.concatenate(parts.pop(field)) for field in _TRANSCRIPT_FIELDS[1:]})

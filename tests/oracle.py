@@ -28,12 +28,14 @@ samples from the real law (v_A (x) v_B) @ W instead; the tests compare the two.
 
 ``render_transcript`` is the original round-by-round transcript renderer, the
 reference for the column-wise CSV writer and the JSON transcript rows.
+``sift`` and ``party_codes`` are the original whole-array sift and histogram
+symbols, the references for the package's block-wise ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -323,3 +325,30 @@ def render_transcript(transcript) -> str:
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def _antipode(u: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return -u, np.mod(phi + math.pi, 2.0 * math.pi)
+
+
+def sift(transcript, partition):
+    """Same-or-antipodal cell sift over whole columns, the receiver's bit flipped on antipodal matches."""
+    cell_a = partition.cell_index(transcript.alice_u, transcript.alice_phi)
+    cell_b = partition.cell_index(transcript.bob_u, transcript.bob_phi)
+    cell_b_anti = partition.cell_index(*_antipode(transcript.bob_u, transcript.bob_phi))
+    same = cell_a == cell_b
+    anti = (cell_a == cell_b_anti) & ~same
+    kept = transcript.subset(same | anti)
+    flip = anti[same | anti]
+    bob_bit = kept.bob_bit.copy()
+    bob_bit[flip] ^= 1
+    return replace(kept, bob_bit=bob_bit)
+
+
+def party_codes(transcript, party: str, binning, fold_antipodal: bool) -> np.ndarray:
+    """Histogram symbol of each round of one party over whole columns: direction cell and bit."""
+    u, phi, bit = (getattr(transcript, f"{party}_{column}") for column in ("u", "phi", "bit"))
+    if fold_antipodal:
+        anti = binning.cell_index(*_antipode(u, phi))
+        return np.where(bit.astype(bool), anti, binning.cell_index(u, phi))
+    return binning.cell_index(u, phi) * 2 + bit.astype(np.int64)

@@ -328,6 +328,29 @@ class TestExitCodes:
         assert run(["curve", "--theta-steps", "3", "--output", str(out), *LIGHT]) == 2
         assert "dominance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("run_protocol", ["simulate", "--rounds", "1000000000000"]),
+            ("dimension_table", ["dims", "--d-max", str(2**40)]),
+        ],
+        ids=["simulate", "dims"],
+    )
+    def test_allocation_failure_exits_4(self, target, argv, monkeypatch, tmp_path, capsys):
+        # The stand-in raises before anything is allocated.
+        import contqkd.cli as cli
+
+        monkeypatch.setattr(cli, target, _raise_memory_error)
+        out = tmp_path / "x.csv"
+        assert run([*argv, "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
 
 class TestFormatLosslessness:
     def test_csv_and_json_agree_bit_for_bit(self, tmp_path):
@@ -359,6 +382,26 @@ class TestProcessBoundary:
         assert contqkd_main("critical", "--no-such-flag").returncode == 1
         missing = tmp_path / "missing" / "dims.csv"
         assert contqkd_main("dims", "--d-max", "4", "--output", str(missing)).returncode == 3
+
+    def test_allocation_failure_reaches_the_process(self, tmp_path):
+        # The process's own entry point, with the sampler replaced by one that
+        # raises MemoryError as numpy does: nothing is allocated for real.
+        package_root = str(Path(contqkd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, contqkd.cli as cli\n"
+            "def fail(cfg): raise MemoryError('Unable to allocate 7.28 TiB for an array')\n"
+            "cli.run_protocol = fail\n"
+            "sys.argv = ['contqkd', 'simulate', '--rounds', '1000000000000', '--output', sys.argv[1]]\n"
+            "cli.main()\n"
+        )
+        out = tmp_path / "x.csv"
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 4
+        assert done.stderr == "out of memory: Unable to allocate 7.28 TiB for an array\n"
+        assert not out.exists()
 
     def test_transcripts_identical_across_blas_thread_counts(self, tmp_path):
         # The sampler's per-block matmul goes through BLAS; the bytes written

@@ -5,7 +5,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,10 @@ from contqkd.protosim import (
     _bloch_rows,
     _joint_law,
     _law_matrix,
+    _party_codes,
     _pick,
+    _plugin_mi,
+    empirical_mi_with_probe,
     sifted_error_rate,
 )
 from conftest import cos_polar_azimuth, random_direction
@@ -331,18 +335,38 @@ def _set_field(name: str, value: str):
     return edit
 
 
-# One record of a valid transcript, broken in one way each.
+# One record of a valid transcript, broken in one way each, and the error it
+# raises: "{row}" stands for the record's round, and None leaves the wording to
+# numpy's parser.
 BROKEN_RECORDS = {
-    "bit 7": _set_field("alice_bit", "7"),
-    "u 3.0": _set_field("alice_u", "3.0"),
-    "phi -9": _set_field("bob_phi", "-9"),
-    "phi 2pi": _set_field("alice_phi", repr(2.0 * math.pi)),
-    "disclosed 2": _set_field("disclosed", "2"),
-    "u nan": _set_field("bob_u", "nan"),
-    "repeated round": _set_field("round", "0"),
-    "extra field": lambda fields, header: fields.append("0"),
-    "short row": lambda fields, header: fields.pop(),
+    "bit 7": (_set_field("alice_bit", "7"), "alice_bit out of range in row {row}$"),
+    "u 3.0": (_set_field("alice_u", "3.0"), "alice_u out of range in row {row}$"),
+    "phi -9": (_set_field("bob_phi", "-9"), "bob_phi out of range in row {row}$"),
+    "phi 2pi": (_set_field("alice_phi", repr(2.0 * math.pi)), "alice_phi out of range in row {row}$"),
+    "disclosed 2": (_set_field("disclosed", "2"), "disclosed out of range in row {row}$"),
+    "u nan": (_set_field("bob_u", "nan"), "bob_u out of range in row {row}$"),
+    "repeated round": (_set_field("round", "0"), "rounds must run 0..n-1"),
+    "extra field": (lambda fields, header: fields.append("0"), None),
+    "short row": (lambda fields, header: fields.pop(), None),
 }
+
+# A valid transcript one block and four rounds long: its lines 1.._BLOCK hold
+# the first read block and line _BLOCK + 1 starts the second.
+SEAM_ROUNDS = _BLOCK + 4
+
+
+@pytest.fixture(scope="module")
+def seam_transcript(tmp_path_factory):
+    t = run_protocol(ProtocolConfig(rounds=SEAM_ROUNDS, attack=optimal_params(0.1), seed=3))
+    path = tmp_path_factory.mktemp("seam") / "transcript.csv"
+    write_transcript(t, str(path))
+    return t, path.read_text().splitlines()
+
+
+def assert_same_transcript(got: Transcript, want: Transcript) -> None:
+    for f in fields(Transcript):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
 
 
 class TestTranscriptIO:
@@ -413,18 +437,28 @@ class TestTranscriptIO:
         np.testing.assert_array_equal(back.eve_bit, t.eve_bit)
         np.testing.assert_array_equal(back.disclosed, t.disclosed)
 
-    @pytest.mark.parametrize("edit", list(BROKEN_RECORDS.values()), ids=list(BROKEN_RECORDS))
-    def test_record_outside_the_schema_rejected(self, tmp_path, edit):
-        t = run_protocol(ProtocolConfig(rounds=4, attack=optimal_params(0.1), seed=3))
+    @pytest.mark.parametrize(
+        "edit, message, line",
+        [(*broken, line) for line in (2, _BLOCK + 2) for broken in BROKEN_RECORDS.values()],
+        ids=[*BROKEN_RECORDS, *(f"{name} in the second block" for name in BROKEN_RECORDS)],
+    )
+    def test_record_outside_the_schema_rejected(self, tmp_path, seam_transcript, edit, message, line):
+        lines = list(seam_transcript[1])  # a copy: the fixture is shared
+        record = lines[line].split(",")
+        edit(record, lines[0].split(","))
+        lines[line] = ",".join(record)
         path = tmp_path / "transcript.csv"
-        write_transcript(t, str(path))
-        lines = path.read_text().splitlines()
-        fields = lines[2].split(",")
-        edit(fields, lines[0].split(","))
-        lines[2] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message and message.format(row=line - 1)):
             read_transcript(str(path))
+
+    @pytest.mark.parametrize("rounds", [_BLOCK, 2 * _BLOCK + 3])
+    def test_roundtrip_across_block_seams(self, tmp_path, rounds):
+        # A whole number of blocks ends the read on an empty block.
+        t = run_protocol(ProtocolConfig(rounds=rounds, attack=optimal_params(0.2), seed=13))
+        path = tmp_path / "transcript.csv"
+        path.write_text(oracle.render_transcript(t))
+        assert_same_transcript(read_transcript(str(path)), t)
 
     def test_boundary_values_accepted(self, tmp_path):
         path = tmp_path / "transcript.csv"
@@ -450,15 +484,22 @@ class TestTranscriptIO:
         assert len(t) == 0
         assert t.disclosed.dtype == bool and t.eve_bit.dtype == np.int8 and t.alice_u.dtype == float
 
-    def test_blank_lines_skipped(self, tmp_path):
-        t = run_protocol(ProtocolConfig(rounds=4, attack=optimal_params(0.1), seed=3))
+    def test_blank_lines_skipped(self, tmp_path, seam_transcript):
+        # Blank and whitespace-only lines go before, at and after the read-block
+        # seam between lines _BLOCK and _BLOCK + 1; they do not count as rounds.
+        t, lines = seam_transcript
         path = tmp_path / "transcript.csv"
-        write_transcript(t, str(path))
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join([*lines[:2], "", *lines[2:4], "  \t", *lines[4:], "", ""]) + "\n")
-        back = read_transcript(str(path))
-        np.testing.assert_array_equal(back.alice_phi, t.alice_phi)
-        np.testing.assert_array_equal(back.eve_bit, t.eve_bit)
+        path.write_text(
+            "\n".join(
+                [
+                    *lines[:2], "", *lines[2:4], "  \t", *lines[4:_BLOCK],
+                    "", "  \t", lines[_BLOCK], "  \t", "", lines[_BLOCK + 1], "", "  \t",
+                    *lines[_BLOCK + 2 :], "", "",
+                ]
+            )
+            + "\n"
+        )
+        assert_same_transcript(read_transcript(str(path)), t)
 
     def test_comment_line_rejected(self, tmp_path):
         t = run_protocol(ProtocolConfig(rounds=4, attack=optimal_params(0.1), seed=3))
@@ -468,3 +509,84 @@ class TestTranscriptIO:
         path.write_text("\n".join([*lines[:2], "# a comment", *lines[2:]]) + "\n")
         with pytest.raises(ValueError):
             read_transcript(str(path))
+
+
+class TestBlockwise:
+    """Sifting and binning go one block of rounds at a time, bit for bit as over whole columns."""
+
+    @pytest.fixture(scope="class")
+    def transcript(self):
+        return run_protocol(ProtocolConfig(rounds=2 * _BLOCK + 3, attack=optimal_params(0.3), seed=41))
+
+    @pytest.mark.parametrize("cells", [(16, 32), (3, 5)])
+    def test_sift_matches_whole_column_reference(self, transcript, cells):
+        partition = SiftingPartition(*cells)
+        assert_same_transcript(sift(transcript, partition), oracle.sift(transcript, partition))
+
+    @pytest.mark.parametrize("fold", [False, True], ids=["unfolded", "folded"])
+    @pytest.mark.parametrize("party", ["alice", "bob"])
+    def test_party_codes_match_whole_column_reference(self, transcript, party, fold):
+        binning = SiftingPartition(8, 16)
+        got = _party_codes(transcript, party, binning, fold)
+        want = oracle.party_codes(transcript, party, binning, fold)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fold", [False, True], ids=["unfolded", "folded"])
+    def test_information_estimates_match_whole_column_reference(self, transcript, fold):
+        binning = SiftingPartition(8, 16)
+        alice, bob = (oracle.party_codes(transcript, p, binning, fold) for p in ("alice", "bob"))
+        eve = transcript.eve_bit.astype(np.int64)
+        got = (
+            empirical_mi(transcript, binning, binning, miller_madow=True, fold_antipodal=fold),
+            empirical_mi_with_probe(transcript, binning, "alice", miller_madow=True, fold_antipodal=fold),
+            empirical_mi_with_probe(transcript, binning, "bob", miller_madow=True, fold_antipodal=fold),
+        )
+        want = (_plugin_mi(alice, bob, True), _plugin_mi(alice, eve, True), _plugin_mi(bob, eve, True))
+        assert got == want
+
+
+# Memory bounds on a transcript of eight blocks.  The unit is one block parsed
+# as a table of nine float64 fields; whole-column temporaries of the same
+# transcript come to several units per float column.
+MEMORY_ROUNDS = 8 * _BLOCK
+BLOCK_BYTES = 9 * 8 * _BLOCK
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes ``tracemalloc`` saw allocated during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def transcript_bytes(t: Transcript) -> int:
+    return sum(getattr(t, f.name).nbytes for f in fields(Transcript))
+
+
+class TestBoundedMemory:
+    @pytest.fixture(scope="class")
+    def memory_run(self, tmp_path_factory):
+        t = run_protocol(ProtocolConfig(rounds=MEMORY_ROUNDS, attack=optimal_params(0.2), seed=43))
+        path = tmp_path_factory.mktemp("memory") / "transcript.csv"
+        write_transcript(t, str(path))
+        return t, str(path)
+
+    def test_read_peak_is_the_columns_plus_a_few_blocks(self, memory_run):
+        t, path = memory_run
+        back, peak = traced_peak(read_transcript, path)
+        assert_same_transcript(back, t)
+        assert peak <= transcript_bytes(back) + 4 * BLOCK_BYTES
+
+    def test_sift_transient_is_the_masks_plus_a_few_blocks(self, memory_run):
+        t, _ = memory_run
+        kept, peak = traced_peak(sift, t, SiftingPartition(16, 32))
+        masks = 2 * len(t)  # keep and flip, one byte per round each
+        assert peak <= masks + transcript_bytes(kept) + 2 * BLOCK_BYTES
+
+    def test_folded_party_codes_transient_is_the_codes_plus_a_few_blocks(self, memory_run):
+        t, _ = memory_run
+        codes, peak = traced_peak(_party_codes, t, "alice", SiftingPartition(8, 16), True)
+        assert peak <= codes.nbytes + 2 * BLOCK_BYTES
