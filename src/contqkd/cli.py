@@ -72,6 +72,8 @@ USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR, MEMORY_ERROR = 1, 2, 3, 4
 # fine enough to track the continuous value, coarse enough that the
 # Miller-Madow-corrected histogram estimator is unbiased at 1e5 rounds.
 MI_CELLS_U, MI_CELLS_PHI = 8, 16
+# The estimates key each pair of folded symbols, one per cell, as one int64.
+MI_CELLS_MAX = math.isqrt(np.iinfo(np.int64).max)
 
 
 class _UsageError(Exception):
@@ -403,6 +405,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "format", None) and not args.output:
             parser.error("--format needs --output")
+        if args.command == "simulate" and args.mi_cells_u * args.mi_cells_phi > MI_CELLS_MAX:
+            parser.error(f"--mi-cells-u x --mi-cells-phi must be <= {MI_CELLS_MAX}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

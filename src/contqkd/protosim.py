@@ -15,9 +15,11 @@ same density matrix and the same Pauli expansion the analysis reads; n is
 ``sift`` and the folded information estimates.  Rounds
 go in blocks of ``_BLOCK`` (16,384): each block is sampled with one real
 matmul, rendered to transcript text as one task, parsed back with one
-``np.loadtxt`` call, and sifted and binned as one slice, so beyond the
+``np.loadtxt`` call, sifted as one slice, and binned and counted into the
+sparse joint table of an information estimate as one slice.  So beyond the
 transcript's own columns (36 bytes per round) these paths hold whole-run
-arrays only for their results and masks.
+arrays only for their results and ``sift``'s two masks; the information
+estimates hold none.
 
 Randomness is counter-based: round i consumes row i of a (rounds, 5) uniform
 array drawn from a Philox generator keyed by the seed, in the column order
@@ -41,6 +43,7 @@ import itertools
 import math
 import os
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -49,7 +52,7 @@ from .attack import AttackParams, attacked_state
 from .infocalc import bloch_vectors
 from .qstate import DensityMatrix, NumericalCorruptionError, TWO_PI, check_int, pauli_tensor
 
-_BLOCK = 1 << 14  # rounds sampled, and rendered to transcript text, at a time
+_BLOCK = 1 << 14  # rounds sampled, rendered, read, sifted, binned and counted at a time
 _LN2 = math.log(2.0)
 
 
@@ -241,6 +244,11 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     )
 
 
+def _blocks(n: int) -> Iterator[slice]:
+    """Slices of ``_BLOCK`` rounds covering rounds 0..n-1."""
+    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+
+
 def sift(transcript: Transcript, partition: SiftingPartition) -> Transcript:
     """Keep rounds whose measurement directions share a cell, up to antipode.
 
@@ -253,8 +261,7 @@ def sift(transcript: Transcript, partition: SiftingPartition) -> Transcript:
     n = len(transcript)
     keep = np.empty(n, dtype=bool)
     anti = np.empty(n, dtype=bool)
-    for start in range(0, n, _BLOCK):
-        s = slice(start, start + _BLOCK)
+    for s in _blocks(n):
         cell_a = partition.cell_index(transcript.alice_u[s], transcript.alice_phi[s])
         cell_b = partition.cell_index(transcript.bob_u[s], transcript.bob_phi[s])
         cell_b_anti = partition.cell_index(*_antipode(transcript.bob_u[s], transcript.bob_phi[s]))
@@ -265,47 +272,93 @@ def sift(transcript: Transcript, partition: SiftingPartition) -> Transcript:
     return replace(kept, bob_bit=kept.bob_bit ^ anti[keep])
 
 
-def _plugin_mi(codes_x: np.ndarray, codes_y: np.ndarray, miller_madow: bool) -> float:
-    """Plug-in mutual information of two integer code streams, in bits."""
-    n = codes_x.size
+def _merged_counts(keys: list[np.ndarray], counts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys, each with its summed count, from sorted parts that may share keys."""
+    k = np.concatenate(keys)
+    order = np.argsort(k, kind="stable")  # timsort: the parts are sorted runs
+    k = k[order]
+    starts = np.flatnonzero(np.diff(k, prepend=-1))
+    return k[starts], np.add.reduceat(np.concatenate(counts)[order], starts)
+
+
+def _joint_counts(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], size_y: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse joint table of code pairs given block by block: the sorted keys and their counts.
+
+    A pair (x, y) has key x * size_y + y.  Each block is counted by
+    ``np.unique``, and the blocks' counts wait until their keys outnumber
+    the table's, which is then rebuilt with them in one stable sort.  So
+    memory is one block plus a few times the occupied pairs, never the
+    length of the streams, and the table doubles between rebuilds when
+    most pairs are new, so rebuilding costs O(n log n) in all.
+    """
+    keys = np.empty(0, dtype=np.int64)
+    counts = np.empty(0, dtype=np.int64)
+    new_keys: list[np.ndarray] = []
+    new_counts: list[np.ndarray] = []
+    for codes_x, codes_y in blocks:
+        uk, ck = np.unique(codes_x * size_y + codes_y, return_counts=True)
+        del codes_x, codes_y  # the block's codes are not needed through a rebuild
+        new_keys.append(uk)
+        new_counts.append(ck)
+        if sum(k.size for k in new_keys) > keys.size:
+            keys, counts = _merged_counts([keys, *new_keys], [counts, *new_counts])
+            new_keys, new_counts = [], []
+    return _merged_counts([keys, *new_keys], [counts, *new_counts])
+
+
+def _plugin_mi(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], size_x: int, size_y: int, miller_madow: bool
+) -> float:
+    """Plug-in mutual information, in bits, of two int64 code streams given block by block.
+
+    Codes lie in [0, size_x) and [0, size_y); the joint counts come from
+    ``_joint_counts`` and the marginals are read off them.
+    """
+    if size_x * size_y > np.iinfo(np.int64).max:  # Python ints, checked before anything is allocated
+        raise ValueError(f"{size_x} x {size_y} symbol pairs overflow a 64-bit pair key")
+    keys, cj = _joint_counts(blocks, size_y)
+    n = int(cj.sum())
     if n == 0:
         raise ValueError("cannot estimate information from an empty record set")
-    span = int(codes_y.max()) + 1
-    pairs = codes_x.astype(np.int64) * span + codes_y.astype(np.int64)
-    uj, cj = np.unique(pairs, return_counts=True)
-    ux, cx = np.unique(codes_x, return_counts=True)
-    uy, cy = np.unique(codes_y, return_counts=True)
-    nx = cx[np.searchsorted(ux, uj // span)]
-    ny = cy[np.searchsorted(uy, uj % span)]
+    x, y = np.divmod(keys, size_y)
+    # Keys are sorted, so each x is one run of the table: its count is the run's sum.
+    runs = np.flatnonzero(np.diff(x, prepend=-1))
+    cx = np.add.reduceat(cj, runs)
+    nx = np.repeat(cx, np.diff(runs, append=keys.size))
+    uy, iy = np.unique(y, return_inverse=True)
+    cy = np.zeros(uy.size, dtype=np.int64)
+    np.add.at(cy, iy, cj)
+    ny = cy[iy]
     mi = float(np.sum((cj / n) * np.log2(cj.astype(float) * n / (nx * ny))))
     if miller_madow:
-        mi -= (uj.size - ux.size - uy.size + 1) / (2.0 * n * _LN2)
+        mi -= (keys.size - cx.size - uy.size + 1) / (2.0 * n * _LN2)
     return max(0.0, mi)
 
 
 def _party_codes(
-    transcript: Transcript, party: str, binning: SiftingPartition, fold_antipodal: bool
+    transcript: Transcript, party: str, binning: SiftingPartition, fold_antipodal: bool, block: slice
 ) -> np.ndarray:
-    """Integer symbol of each round of ``party`` ('alice' or 'bob'): its direction cell and bit.
+    """Integer symbol of each round in ``block`` of ``party`` ('alice' or 'bob'): direction cell and bit.
 
-    Rounds are binned one block of ``_BLOCK`` at a time into one code array.
+    Codes lie in [0, ``_alphabet_size(binning, fold_antipodal)``).
     """
-    if party not in ("alice", "bob"):
-        raise ValueError(f"party must be 'alice' or 'bob', got {party!r}")
-    u, phi, bit = (getattr(transcript, f"{party}_{column}") for column in ("u", "phi", "bit"))
-    codes = np.empty(u.size, dtype=np.int64)
-    for start in range(0, u.size, _BLOCK):
-        s = slice(start, start + _BLOCK)
-        cells = binning.cell_index(u[s], phi[s])
-        if fold_antipodal:
-            # Bin the effective outcome direction (basis direction, or its
-            # antipode when the second outcome fired).  The dropped "which
-            # description" bit is independent noise, so the mutual information
-            # is unchanged while the alphabet shrinks fourfold.
-            codes[s] = np.where(bit[s].astype(bool), binning.cell_index(*_antipode(u[s], phi[s])), cells)
-        else:
-            codes[s] = cells * 2 + bit[s]
-    return codes
+    u, phi, bit = (getattr(transcript, f"{party}_{column}")[block] for column in ("u", "phi", "bit"))
+    if not fold_antipodal:
+        return binning.cell_index(u, phi) * 2 + bit
+    # Bin the effective outcome direction (basis direction, or its antipode
+    # when the second outcome fired).  The dropped "which description" bit is
+    # independent noise, so the mutual information is unchanged while the
+    # alphabet shrinks fourfold.
+    flip = bit.astype(bool)
+    anti_u, anti_phi = _antipode(u, phi)
+    return binning.cell_index(np.where(flip, anti_u, u), np.where(flip, anti_phi, phi))
+
+
+def _alphabet_size(binning: SiftingPartition, fold_antipodal: bool) -> int:
+    """Number of party symbols: one per cell folded, one per (cell, bit) unfolded."""
+    return binning.n_cells if fold_antipodal else 2 * binning.n_cells
 
 
 def empirical_mi(
@@ -321,13 +374,19 @@ def empirical_mi(
     is folded into the direction before binning (valid because antipodal
     basis relabeling is independent of everything else).  ``miller_madow``
     applies the occupancy-count small-sample bias correction.  The result is
-    clamped to be nonnegative.
+    clamped to be nonnegative.  Rounds are binned and counted one block of
+    ``_BLOCK`` at a time; ValueError if the two alphabets' pairs overflow a
+    64-bit key.
     """
-    if len(transcript) == 0:
-        raise ValueError("cannot estimate information from an empty record set")
-    ca = _party_codes(transcript, "alice", binning_a, fold_antipodal)
-    cb = _party_codes(transcript, "bob", binning_b, fold_antipodal)
-    return _plugin_mi(ca, cb, miller_madow)
+    codes = (
+        (
+            _party_codes(transcript, "alice", binning_a, fold_antipodal, s),
+            _party_codes(transcript, "bob", binning_b, fold_antipodal, s),
+        )
+        for s in _blocks(len(transcript))
+    )
+    size_a, size_b = (_alphabet_size(b, fold_antipodal) for b in (binning_a, binning_b))
+    return _plugin_mi(codes, size_a, size_b, miller_madow)
 
 
 def empirical_mi_with_probe(
@@ -337,9 +396,14 @@ def empirical_mi_with_probe(
     miller_madow: bool = False,
     fold_antipodal: bool = False,
 ) -> float:
-    """Histogram mutual information between one party and the probe bit."""
-    codes = _party_codes(transcript, party, binning, fold_antipodal)
-    return _plugin_mi(codes, transcript.eve_bit.astype(np.int64), miller_madow)
+    """Histogram mutual information between one party and the probe bit, one block at a time."""
+    if party not in ("alice", "bob"):
+        raise ValueError(f"party must be 'alice' or 'bob', got {party!r}")
+    codes = (
+        (_party_codes(transcript, party, binning, fold_antipodal, s), transcript.eve_bit[s])
+        for s in _blocks(len(transcript))
+    )
+    return _plugin_mi(codes, _alphabet_size(binning, fold_antipodal), 2, miller_madow)
 
 
 def sifted_error_rate(transcript: Transcript) -> float:

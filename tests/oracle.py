@@ -28,8 +28,9 @@ samples from the real law (v_A (x) v_B) @ W instead; the tests compare the two.
 
 ``render_transcript`` is the original round-by-round transcript renderer, the
 reference for the column-wise CSV writer and the JSON transcript rows.
-``sift`` and ``party_codes`` are the original whole-array sift and histogram
-symbols, the references for the package's block-wise ones.
+``sift``, ``party_codes`` and ``plugin_mi`` are the original whole-array
+sift, histogram symbols and plug-in information count, the references for
+the package's block-wise ones.
 """
 
 from __future__ import annotations
@@ -352,3 +353,21 @@ def party_codes(transcript, party: str, binning, fold_antipodal: bool) -> np.nda
         anti = binning.cell_index(*_antipode(u, phi))
         return np.where(bit.astype(bool), anti, binning.cell_index(u, phi))
     return binning.cell_index(u, phi) * 2 + bit.astype(np.int64)
+
+
+def plugin_mi(codes_x: np.ndarray, codes_y: np.ndarray, miller_madow: bool) -> float:
+    """Plug-in mutual information of two whole integer code streams, in bits."""
+    n = codes_x.size
+    if n == 0:
+        raise ValueError("cannot estimate information from an empty record set")
+    span = int(codes_y.max()) + 1
+    pairs = codes_x.astype(np.int64) * span + codes_y.astype(np.int64)
+    uj, cj = np.unique(pairs, return_counts=True)
+    ux, cx = np.unique(codes_x, return_counts=True)
+    uy, cy = np.unique(codes_y, return_counts=True)
+    nx = cx[np.searchsorted(ux, uj // span)]
+    ny = cy[np.searchsorted(uy, uj % span)]
+    mi = float(np.sum((cj / n) * np.log2(cj.astype(float) * n / (nx * ny))))
+    if miller_madow:
+        mi -= (uj.size - ux.size - uy.size + 1) / (2.0 * n * math.log(2.0))
+    return max(0.0, mi)

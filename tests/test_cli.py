@@ -307,6 +307,7 @@ class TestExitCodes:
             ["simulate", "--disclose-fraction", "1"],
             ["simulate", "--cells-u", "0"],
             ["simulate", "--mi-cells-phi", "0"],
+            ["simulate", "--mi-cells-u", "1000000", "--mi-cells-phi", "100000"],
             ["simulate", "--rounds", "1.5"],
             ["simulate", "--format", "json"],
             ["simulate", "--format", "csv"],
@@ -316,6 +317,16 @@ class TestExitCodes:
     def test_rejected_at_the_boundary(self, argv, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run([*argv, "--output", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mi_binning_limit_is_the_pair_key_limit(self, tmp_path, capsys):
+        # 3037000499 folded cells per party is the most whose pairs fit an int64 key.
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--rounds", "3", "--mi-cells-phi", "1", "--output", str(out)]
+        assert run([*argv, "--mi-cells-u", "3037000499"]) == 0
+        out.unlink()
+        assert run([*argv, "--mi-cells-u", "3037000500"]) == 1
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,5 +1,6 @@
 """Monte Carlo driver: sampling exactness, sifting, empirical information."""
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -33,6 +34,7 @@ from contqkd.attack import attacked_pure_state
 from contqkd.infocalc import bloch_vectors, default_quadrature
 from contqkd.protosim import (
     _BLOCK,
+    _alphabet_size,
     _antipode,
     _bloch_rows,
     _joint_law,
@@ -320,6 +322,30 @@ class TestEmpiricalMi:
         with pytest.raises(ValueError, match="empty"):
             empirical_mi(t, one, one)
 
+    def test_unknown_party_rejected_before_any_block(self):
+        one = SiftingPartition(1, 1)
+        for rounds in (0, 3):
+            t = make_transcript(np.zeros(rounds, dtype=np.int8), np.zeros(rounds, dtype=np.int8))
+            with pytest.raises(ValueError, match="party must be"):
+                empirical_mi_with_probe(t, one, "eve")
+
+    def test_pair_keys_that_would_wrap_rejected(self):
+        # 1e11 folded cells per party: pair keys up to 1e22 do not fit in an int64.
+        t = run_protocol(ProtocolConfig(rounds=10, attack=NO_ATTACK, seed=2))
+        fine = SiftingPartition(10**6, 10**5)
+        with pytest.raises(ValueError, match="overflow"):
+            empirical_mi(t, fine, fine, fold_antipodal=True)
+
+    def test_pair_key_limit_checked_before_any_block(self):
+        def blocks():
+            raise AssertionError("a block was read")
+            yield
+
+        largest = [(np.array([2**32 - 1]), np.array([2**31 - 2]))]
+        assert _plugin_mi(iter(largest), 2**32, 2**31 - 1, False) == 0.0
+        with pytest.raises(ValueError, match="overflow"):
+            _plugin_mi(blocks(), 2**32, 2**31, False)
+
     def test_sifted_rate_approaches_one_bit(self):
         cfg = ProtocolConfig(rounds=300_000, attack=NO_ATTACK, seed=23)
         sifted = sift(run_protocol(cfg), SiftingPartition(16, 32))
@@ -527,22 +553,28 @@ class TestBlockwise:
     @pytest.mark.parametrize("party", ["alice", "bob"])
     def test_party_codes_match_whole_column_reference(self, transcript, party, fold):
         binning = SiftingPartition(8, 16)
-        got = _party_codes(transcript, party, binning, fold)
         want = oracle.party_codes(transcript, party, binning, fold)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        seams = [0, _BLOCK, 2 * _BLOCK, len(transcript)]
+        for start, stop in zip(seams, seams[1:]):
+            got = _party_codes(transcript, party, binning, fold, slice(start, stop))
+            assert got.dtype == want.dtype and got.tobytes() == want[start:stop].tobytes()
+            assert got.max() < _alphabet_size(binning, fold)
 
     @pytest.mark.parametrize("fold", [False, True], ids=["unfolded", "folded"])
     def test_information_estimates_match_whole_column_reference(self, transcript, fold):
-        binning = SiftingPartition(8, 16)
-        alice, bob = (oracle.party_codes(transcript, p, binning, fold) for p in ("alice", "bob"))
-        eve = transcript.eve_bit.astype(np.int64)
-        got = (
-            empirical_mi(transcript, binning, binning, miller_madow=True, fold_antipodal=fold),
-            empirical_mi_with_probe(transcript, binning, "alice", miller_madow=True, fold_antipodal=fold),
-            empirical_mi_with_probe(transcript, binning, "bob", miller_madow=True, fold_antipodal=fold),
-        )
-        want = (_plugin_mi(alice, bob, True), _plugin_mi(alice, eve, True), _plugin_mi(bob, eve, True))
-        assert got == want
+        for rounds, cells in itertools.product([1, _BLOCK, len(transcript)], [(8, 16), (3, 5), (1, 1)]):
+            t = transcript.subset(slice(0, rounds))
+            binning = SiftingPartition(*cells)
+            alice, bob = (oracle.party_codes(t, p, binning, fold) for p in ("alice", "bob"))
+            eve = t.eve_bit.astype(np.int64)
+            got = (
+                empirical_mi(t, binning, binning, miller_madow=True, fold_antipodal=fold),
+                empirical_mi_with_probe(t, binning, "alice", miller_madow=True, fold_antipodal=fold),
+                empirical_mi_with_probe(t, binning, "bob", miller_madow=True, fold_antipodal=fold),
+            )
+            pairs = [(alice, bob), (alice, eve), (bob, eve)]
+            want = tuple(oracle.plugin_mi(x, y, True) for x, y in pairs)
+            assert got == want, (rounds, cells)
 
 
 # Memory bounds on a transcript of eight blocks.  The unit is one block parsed
@@ -586,7 +618,13 @@ class TestBoundedMemory:
         masks = 2 * len(t)  # keep and flip, one byte per round each
         assert peak <= masks + transcript_bytes(kept) + 2 * BLOCK_BYTES
 
-    def test_folded_party_codes_transient_is_the_codes_plus_a_few_blocks(self, memory_run):
+    def test_information_estimate_transient_is_a_few_blocks(self, memory_run):
         t, _ = memory_run
-        codes, peak = traced_peak(_party_codes, t, "alice", SiftingPartition(8, 16), True)
-        assert peak <= codes.nbytes + 2 * BLOCK_BYTES
+        binning = SiftingPartition(8, 16)
+        _, peak = traced_peak(empirical_mi, t, binning, binning, True, True)
+        assert peak <= 2 * BLOCK_BYTES
+
+    def test_probe_information_estimate_transient_is_a_few_blocks(self, memory_run):
+        t, _ = memory_run
+        _, peak = traced_peak(empirical_mi_with_probe, t, SiftingPartition(8, 16), "alice", True, True)
+        assert peak <= 2 * BLOCK_BYTES
