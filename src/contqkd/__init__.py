@@ -13,7 +13,6 @@ from .infocalc import (
     SphereQuadrature,
     default_quadrature,
     nonselected_information,
-    selected_information,
 )
 from .protosim import (
     ProtocolConfig,
@@ -72,7 +71,6 @@ __all__ = [
     "read_transcript",
     "reconciled_i_ab",
     "run_protocol",
-    "selected_information",
     "sift",
     "singlet",
     "sweep_curve",

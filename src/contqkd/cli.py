@@ -48,7 +48,7 @@ from .protosim import (
     sifted_error_rate,
     write_transcript,
 )
-from .qstate import NumericalCorruptionError
+from .qstate import NumericalCorruptionError, check_int
 from .security import (
     NONSELECTED_MAX_BITS,
     QUARTER_PI,
@@ -102,17 +102,15 @@ def _parse_angle(text: str) -> float:
     return value
 
 
-def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
-    """Parser for an integer in [low, high), or in [low, inf) without ``high``."""
+def _int_in(low: int, high: float = math.inf) -> Callable[[str], int]:
+    """Parser for an integer in [low, high); ``qstate.check_int`` checks the range."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
+            check_int("value", value, low, high)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low or (high is not None and value >= high):
-            bound = f"[{low}, {high})" if high is not None else f">= {low}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+            raise argparse.ArgumentTypeError(f"expected an integer in [{low}, {high}), got {text!r}") from None
         return value
 
     return parse

@@ -2,9 +2,10 @@
 
 Two routes to a mutual-information number live here:
 
-* ``selected_information`` — Shannon mutual information, in bits, of a pair
-  state read out along fixed unit Bloch vectors n and m (one orthogonal
-  basis per party).
+* ``table_information`` — Shannon mutual information, in bits, of the 2x2
+  outcome tables of a pair state read out along fixed unit Bloch vectors n
+  and m (one orthogonal basis per party); ``security.reconciled_i_ab``
+  averages its shared-basis value (m = n) over the sphere of directions.
 * ``nonselected_information`` — the continuous-measurement variant: both
   parties read out with the resolution of the identity over *all* pure
   states, d(measure) = sin(theta) dtheta dphi / (2 pi), and the mutual
@@ -114,9 +115,6 @@ class SphereQuadrature:
         ph = np.tile(phi, n_polar)
         w = np.repeat(wx, n_azimuth) / float(n_azimuth)
         return cls(u, ph, w)
-
-    def __len__(self) -> int:
-        return int(self.u.size)
 
 
 def _moment_residual(vectors: np.ndarray, w: np.ndarray) -> float:
@@ -229,22 +227,3 @@ def table_information(an: np.ndarray, bm: np.ndarray, corr: np.ndarray) -> np.nd
     px = 0.5 * (1.0 + s * an)
     py = 0.5 * (1.0 + s * bm)
     return _plog2p(joint).sum(axis=(0, 1)) - _plog2p(px).sum(axis=0) - _plog2p(py).sum(axis=0)
-
-
-def _unit_vector(v: np.ndarray, name: str) -> np.ndarray:
-    n = np.asarray(v, dtype=float)
-    if n.shape != (3,) or not np.isfinite(n).all() or abs(float(np.linalg.norm(n)) - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be a finite unit Bloch vector, got {v!r}")
-    return n
-
-
-def selected_information(rho_xy: DensityMatrix, n: np.ndarray, m: np.ndarray) -> float:
-    """Mutual information of fixed orthogonal readouts at both parties, bits.
-
-    The first party reads along the unit Bloch vector +-n, the second along
-    +-m, so the outcome table is (1 +- a.n +- b.m +- n.T.m)/4.  Symmetric
-    under simultaneously swapping the parties and their directions.
-    """
-    n, m = _unit_vector(n, "n"), _unit_vector(m, "m")
-    a, b, t = fano_form(rho_xy)
-    return max(0.0, float(table_information(n @ a, m @ b, n @ t @ m)))

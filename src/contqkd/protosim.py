@@ -43,7 +43,7 @@ import itertools
 import math
 import os
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -196,6 +196,16 @@ def _pick(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (cum < r[:, None] * cum[:, -1:]).sum(axis=1)
 
 
+def _blocks(n: int) -> list[slice]:
+    """Slices of ``_BLOCK`` rounds, stops clipped to n, covering rounds 0..n-1 once each in order.
+
+    The one walk over a run of known length: sampling, sifting, binning and
+    rendering all go through it.  ``read_transcript`` walks with a counter
+    instead, since it learns n only at the last block.
+    """
+    return [slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
+
+
 def run_protocol(cfg: ProtocolConfig) -> Transcript:
     """Simulate ``cfg.rounds`` elementary steps; deterministic given the seed.
 
@@ -214,20 +224,19 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     bob_phi = np.empty(n)
     bits = np.empty(n, dtype=np.int8)
 
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        draws = gen.random((stop - start, 5))
+    for s in _blocks(n):
+        draws = gen.random((s.stop - s.start, 5))
         ua = 2.0 * draws[:, 0] - 1.0
         pa = TWO_PI * draws[:, 1]
         ub = 2.0 * draws[:, 2] - 1.0
         pb = TWO_PI * draws[:, 3]
         p = _joint_law(w, ua, pa, ub, pb)
         idx = _pick(p, draws[:, 4])
-        alice_u[start:stop] = ua
-        alice_phi[start:stop] = pa
-        bob_u[start:stop] = ub
-        bob_phi[start:stop] = pb
-        bits[start:stop] = idx.astype(np.int8)
+        alice_u[s] = ua
+        alice_phi[s] = pa
+        bob_u[s] = ub
+        bob_phi[s] = pb
+        bits[s] = idx.astype(np.int8)
 
     n_disclosed = int(n * cfg.disclose_fraction)
     disclosed = np.zeros(n, dtype=bool)
@@ -242,11 +251,6 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         eve_bit=(bits & 1).astype(np.int8),
         disclosed=disclosed,
     )
-
-
-def _blocks(n: int) -> Iterator[slice]:
-    """Slices of ``_BLOCK`` rounds covering rounds 0..n-1."""
-    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
 def sift(transcript: Transcript, partition: SiftingPartition) -> Transcript:
@@ -451,10 +455,10 @@ def write_transcript(transcript: Transcript, path: str) -> None:
     same blocks.
     """
     columns = [transcript.disclosed, *(getattr(transcript, f) for f in _TRANSCRIPT_FIELDS[2:])]
-    starts = range(0, len(transcript), _BLOCK)
-    blocks = ((start, *(c[start : start + _BLOCK] for c in columns)) for start in starts)
+    slices = _blocks(len(transcript))
+    blocks = ((s.start, *(c[s] for c in columns)) for s in slices)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(starts))
+    workers = min(cpus, len(slices))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_TRANSCRIPT_FIELDS) + "\n")
         if workers < 2:

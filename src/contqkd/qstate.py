@@ -9,7 +9,8 @@ a pair state goes through its Fano form (``infocalc.fano_form``) along unit
 Bloch vectors (``infocalc.bloch_vectors``).  ``pauli_tensor`` is the one
 expansion of a state in the Pauli basis (identity, x, y, z); every reader of
 a state's Pauli coefficients goes through it.  ``SINGLET_KET`` is the one
-singlet ket; ``check_int`` checks the simulator's and the quadrature's counts.
+singlet ket; ``check_int`` is the one integer check, of every count the
+package and its command line take.
 
 Every type is immutable after construction and every operation is a pure
 function, so everything here is safe to evaluate concurrently.

@@ -39,7 +39,7 @@ import numpy as np
 
 from .attack import AttackParams, attacked_state, bipartite_reductions
 from .infocalc import SPHERE_VOLUME, SphereQuadrature, fano_form, nonselected_information, table_information
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, check_int
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -357,13 +357,11 @@ def accessible_information(d: int) -> float:
 
 
 def dimension_table(d_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (d, accessible_bits, i_max_bits, critical_cier) for d = 2..d_max."""
-    try:
-        whole = int(d_max) == d_max
-    except (OverflowError, ValueError):  # +-inf and nan have no integer value
-        whole = False
-    if not whole or d_max < 2:
-        raise ValueError(f"d_max must be an integer >= 2, got {d_max!r}")
+    """Vectorized (d, accessible_bits, i_max_bits, critical_cier) for d = 2..d_max.
+
+    ``d_max`` must be an integer (``qstate.check_int``): 16.0 raises ValueError.
+    """
+    check_int("d_max", d_max, 2)
     ds = np.arange(2, int(d_max) + 1, dtype=np.int64)
     tail = np.cumsum(1.0 / ds)
     log2d = np.log2(ds)

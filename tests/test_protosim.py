@@ -37,6 +37,7 @@ from contqkd.protosim import (
     _alphabet_size,
     _antipode,
     _bloch_rows,
+    _blocks,
     _joint_law,
     _law_matrix,
     _party_codes,
@@ -182,7 +183,7 @@ class TestRoundSampling:
         # vectors bit for bit, on every node of the default rule.
         q = default_quadrature()
         rows = _bloch_rows(q.u, q.phi)
-        assert np.array_equal(rows[:, 0], np.ones(len(q)))
+        assert np.array_equal(rows[:, 0], np.ones(q.u.size))
         assert np.array_equal(rows[:, 1:], q.vectors)
 
     def test_antipode_negates_the_vector(self):
@@ -214,23 +215,25 @@ class TestRunProtocol:
     def test_stream_contract_across_chunk_seam(self):
         # Round i is row i of one (rounds, 5) Philox array: directions from
         # columns 0-3, the outcome picked from the Born distribution by
-        # column 4.  The run spans a sampling-block seam, the array is drawn
-        # whole, and the reference law is the complex Born rule of the oracle.
-        cfg = ProtocolConfig(rounds=_BLOCK + 3, attack=optimal_params(0.15), seed=12345)
-        t = run_protocol(cfg)
-        draws = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.rounds, 5))
-        two_pi = 2.0 * math.pi
-        np.testing.assert_array_equal(t.alice_u, 2.0 * draws[:, 0] - 1.0)
-        np.testing.assert_array_equal(t.alice_phi, two_pi * draws[:, 1])
-        np.testing.assert_array_equal(t.bob_u, 2.0 * draws[:, 2] - 1.0)
-        np.testing.assert_array_equal(t.bob_phi, two_pi * draws[:, 3])
-        p = oracle.outcome_probabilities(
-            attacked_pure_state(cfg.attack), t.alice_u, t.alice_phi, t.bob_u, t.bob_phi
-        )
-        idx = _pick(p, draws[:, 4])
-        np.testing.assert_array_equal(t.alice_bit, (idx >> 2) & 1)
-        np.testing.assert_array_equal(t.bob_bit, (idx >> 1) & 1)
-        np.testing.assert_array_equal(t.eve_bit, idx & 1)
+        # column 4.  The runs span a sampling-block seam, with a short last
+        # block and with a whole number of blocks; the array is drawn whole,
+        # and the reference law is the complex Born rule of the oracle.
+        for rounds in (_BLOCK + 3, 2 * _BLOCK):
+            cfg = ProtocolConfig(rounds=rounds, attack=optimal_params(0.15), seed=12345)
+            t = run_protocol(cfg)
+            draws = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.rounds, 5))
+            two_pi = 2.0 * math.pi
+            np.testing.assert_array_equal(t.alice_u, 2.0 * draws[:, 0] - 1.0)
+            np.testing.assert_array_equal(t.alice_phi, two_pi * draws[:, 1])
+            np.testing.assert_array_equal(t.bob_u, 2.0 * draws[:, 2] - 1.0)
+            np.testing.assert_array_equal(t.bob_phi, two_pi * draws[:, 3])
+            p = oracle.outcome_probabilities(
+                attacked_pure_state(cfg.attack), t.alice_u, t.alice_phi, t.bob_u, t.bob_phi
+            )
+            idx = _pick(p, draws[:, 4])
+            np.testing.assert_array_equal(t.alice_bit, (idx >> 2) & 1)
+            np.testing.assert_array_equal(t.bob_bit, (idx >> 1) & 1)
+            np.testing.assert_array_equal(t.eve_bit, idx & 1)
 
     def test_disclosure_prefix(self):
         cfg = ProtocolConfig(rounds=1000, attack=NO_ATTACK, seed=1, disclose_fraction=0.25)
@@ -543,6 +546,13 @@ class TestBlockwise:
     @pytest.fixture(scope="class")
     def transcript(self):
         return run_protocol(ProtocolConfig(rounds=2 * _BLOCK + 3, attack=optimal_params(0.3), seed=41))
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
+    def test_block_walk_covers_every_round_once(self, n):
+        blocks = _blocks(n)
+        assert [i for s in blocks for i in range(s.start, s.stop)] == list(range(n))
+        assert all(s.step is None and s.stop <= n for s in blocks)
+        assert [s.stop - s.start for s in blocks[:-1]] == [_BLOCK] * (len(blocks) - 1)
 
     @pytest.mark.parametrize("cells", [(16, 32), (3, 5)])
     def test_sift_matches_whole_column_reference(self, transcript, cells):
