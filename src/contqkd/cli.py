@@ -221,9 +221,7 @@ def critical_report(reconciled: bool, quad: SphereQuadrature, tol: float) -> dic
         "cier0": report.q_cier0,
         "i_max_bits": i_max_bits(reconciled),
         "cier_normalizations": {
-            "continuous_readout_max": cier(report.i0, NONSELECTED_MAX_BITS)
-            if report.i0 <= NONSELECTED_MAX_BITS * (1 + 1e-6)
-            else None,
+            "continuous_readout_max": cier(report.i0, NONSELECTED_MAX_BITS),
             "reconciled_max": cier(report.i0, RECONCILED_MAX_BITS),
         },
         "disturbance_readings": {

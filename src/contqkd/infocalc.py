@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import DensityMatrix, NumericalCorruptionError, check_int, pauli_tensor
+from .qstate import PSD_FLOOR, DensityMatrix, NumericalCorruptionError, check_int, pauli_tensor
 
 # Total sphere volume under the measure sin(theta) dtheta dphi / (2 pi).
 SPHERE_VOLUME = 2.0
@@ -143,8 +143,8 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
 
 
 def _require_density(low: float, kind: str) -> None:
-    """Raise when the lowest value of a density lies beyond roundoff below 0."""
-    if low < -1e-10:
+    """Raise when the lowest value of a density lies below ``qstate.PSD_FLOOR``."""
+    if low < PSD_FLOOR:
         raise NumericalCorruptionError(f"{kind} density dipped to {low!r}")
 
 
@@ -154,8 +154,8 @@ def fano_form(rho_xy: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray
     a_i = Tr rho (s_i x 1), b_j = Tr rho (1 x s_j) and T_ij = Tr rho (s_i x s_j),
     so the outcome density of directions n, m is (1 + a.n + b.m + n.T.m)/4
     and the one-party densities are (1 + a.n)/2 and (1 + b.m)/2.  A marginal
-    density that would dip below -1e-10 somewhere on the sphere raises
-    NumericalCorruptionError.
+    density that would dip below ``qstate.PSD_FLOOR`` somewhere on the sphere
+    raises NumericalCorruptionError.
     """
     _require_two_qubits(rho_xy)
     corr = pauli_tensor(rho_xy)

@@ -28,8 +28,9 @@ transcript is a pure function of (seed, rounds, attack), a shorter run is a
 prefix of a longer one, and runs are reproducible bit for bit within one
 Python/numpy/BLAS environment.
 
-A transcript file is csv, and ``_TRANSCRIPT_FIELDS`` is its one schema: round
-index, disclosed flag (0/1), then the sender's (u, phi, bit), the receiver's
+A transcript file is csv.  ``Transcript``'s field order owns its column order:
+``_TRANSCRIPT_FIELDS`` is the round index followed by those fields, so the
+disclosed flag (0/1), then the sender's (u, phi, bit), the receiver's
 (u, phi, bit) and the probe bit.  ``write_transcript`` is the only writer:
 float ``repr`` bounds it, so a pool of spawned processes, one per usable
 core, renders the blocks and the calling process writes them in round
@@ -124,10 +125,11 @@ class SiftingPartition:
         return rate
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Transcript:
-    """Column-oriented record of a simulated run."""
+    """Column-oriented record of a simulated run; the field order is the file's column order."""
 
+    disclosed: np.ndarray
     alice_u: np.ndarray
     alice_phi: np.ndarray
     alice_bit: np.ndarray
@@ -135,7 +137,6 @@ class Transcript:
     bob_phi: np.ndarray
     bob_bit: np.ndarray
     eve_bit: np.ndarray
-    disclosed: np.ndarray
 
     def __post_init__(self) -> None:
         columns = [getattr(self, f.name) for f in fields(self)]
@@ -148,7 +149,11 @@ class Transcript:
         return int(self.alice_u.size)
 
     def subset(self, mask: np.ndarray) -> "Transcript":
-        return Transcript(*(getattr(self, f.name)[mask] for f in fields(self)))
+        return Transcript(**{f.name: getattr(self, f.name)[mask] for f in fields(self)})
+
+
+# The csv header: the round index, then ``Transcript``'s fields in their order.
+_TRANSCRIPT_FIELDS = ("round", *(f.name for f in fields(Transcript)))
 
 
 def _law_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -242,6 +247,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     disclosed = np.zeros(n, dtype=bool)
     disclosed[:n_disclosed] = True
     return Transcript(
+        disclosed=disclosed,
         alice_u=alice_u,
         alice_phi=alice_phi,
         alice_bit=((bits >> 2) & 1).astype(np.int8),
@@ -249,7 +255,6 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         bob_phi=bob_phi,
         bob_bit=((bits >> 1) & 1).astype(np.int8),
         eve_bit=(bits & 1).astype(np.int8),
-        disclosed=disclosed,
     )
 
 
@@ -417,19 +422,6 @@ def sifted_error_rate(transcript: Transcript) -> float:
     return float((transcript.alice_bit == transcript.bob_bit).mean())
 
 
-_TRANSCRIPT_FIELDS = (
-    "round",
-    "disclosed",
-    "alice_u",
-    "alice_phi",
-    "alice_bit",
-    "bob_u",
-    "bob_phi",
-    "bob_bit",
-    "eve_bit",
-)
-
-
 def _render_rows(block: tuple) -> str:
     """CSV text of one block of rounds: (first round index, *column slices) in ``_TRANSCRIPT_FIELDS[1:]`` order."""
     start, *columns = block
@@ -454,7 +446,7 @@ def write_transcript(transcript: Transcript, path: str) -> None:
     caller's peak memory; ``read_transcript`` parses the file back in the
     same blocks.
     """
-    columns = [transcript.disclosed, *(getattr(transcript, f) for f in _TRANSCRIPT_FIELDS[2:])]
+    columns = [getattr(transcript, f) for f in _TRANSCRIPT_FIELDS[1:]]
     slices = _blocks(len(transcript))
     blocks = ((s.start, *(c[s] for c in columns)) for s in slices)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -27,10 +27,11 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Entrywise tolerance for Hermiticity, trace and normalization checks.
+# Entrywise tolerance for Hermiticity, trace and normalization checks, here
+# and on the probe isometry's columns (``attack.EveIsometry``).
 ATOL = 1e-12
 # Eigenvalue / probability floor below which a value signals a logic bug
-# rather than accumulated roundoff.
+# rather than accumulated roundoff; ``infocalc`` holds its densities to it.
 PSD_FLOOR = -1e-10
 
 # Identity and Pauli matrices x, y, z stacked along the first axis.

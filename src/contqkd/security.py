@@ -159,15 +159,24 @@ def reconciled_i_ab(rho_ab: DensityMatrix, quad: SphereQuadrature) -> float:
     return max(0.0, value)
 
 
+def _reductions(params: AttackParams) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
+    """(rho_ab, rho_ae, rho_be) of the singlet attacked with ``params``."""
+    return bipartite_reductions(attacked_state(params))
+
+
 def _pair_correlations(params: AttackParams) -> np.ndarray:
     """Correlation tensor T of the attacked sender-receiver pair."""
-    return fano_form(bipartite_reductions(attacked_state(params))[0])[2]
+    return fano_form(_reductions(params)[0])[2]
+
+
+def _snap_zero(q: float) -> float:
+    """The error rate ``q``, or 0.0 at or below 1e-12: roundoff of an exact zero (no attack)."""
+    return q if q > 1e-12 else 0.0
 
 
 def _transmission_error(t: np.ndarray) -> float:
-    """(1 + T_zz)/2, snapped to exact zero below roundoff (1e-12)."""
-    q = 0.5 * (1.0 + float(t[2, 2]))
-    return q if q > 1e-12 else 0.0
+    """(1 + T_zz)/2, with roundoff snapped to exact zero (``_snap_zero``)."""
+    return _snap_zero(0.5 * (1.0 + float(t[2, 2])))
 
 
 def qber(params: AttackParams) -> float:
@@ -175,8 +184,8 @@ def qber(params: AttackParams) -> float:
 
     Both parties read along z; an error is a pair of equal bits, of
     probability (1 + T_zz)/2 on the attacked pair.  For the two-angle
-    coupling this is sin(theta)^2 independently of phi.  Values below
-    roundoff (1e-12) snap to exact zero so the no-attack case reads 0.0.
+    coupling this is sin(theta)^2 independently of phi.  Roundoff snaps to
+    exact zero (``_snap_zero``) so the no-attack case reads 0.0.
     """
     return _transmission_error(_pair_correlations(params))
 
@@ -187,14 +196,12 @@ def qber_sphere_averaged(params: AttackParams, quad: SphereQuadrature) -> float:
     Both parties read along a shared direction n; the error probability
     (1 + n.T.n)/2 is averaged over the nodes of the caller's rule ``quad``.
     Every rule here integrates degree-2 polynomials exactly, so the value is
-    (1 + tr T / 3)/2 to roundoff; values below 1e-12 snap to exact zero as
-    for ``qber``.  This is what the sifted Monte Carlo error rate converges
-    to.
+    (1 + tr T / 3)/2 to roundoff, which snaps to exact zero as for ``qber``.
+    This is what the sifted Monte Carlo error rate converges to.
     """
     t = _pair_correlations(params)
     err = 0.5 * (1.0 + ((quad.vectors @ t) * quad.vectors).sum(axis=1))
-    avg = math.fsum((err * quad.weights).tolist()) / SPHERE_VOLUME
-    return avg if avg > 1e-12 else 0.0
+    return _snap_zero(math.fsum((err * quad.weights).tolist()) / SPHERE_VOLUME)
 
 
 def pair_fidelity_deficit(params: AttackParams) -> float:
@@ -209,16 +216,11 @@ def pair_fidelity_deficit(params: AttackParams) -> float:
     return max(0.0, 0.25 * (3.0 + float(np.trace(t))))
 
 
-def _line_reductions(theta: float) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
-    """(rho_ab, rho_ae, rho_be) at one optimal-line point."""
-    return bipartite_reductions(attacked_state(optimal_params(theta)))
-
-
 def _receiver_rate(rab: DensityMatrix, reconciled: bool, quad: SphereQuadrature) -> float:
     """i_ab: reconciled shared-basis rate, or the continuous-readout rate."""
     if reconciled:
         return reconciled_i_ab(rab, quad)
-    return nonselected_information(rab, quad, quad)
+    return nonselected_information(rab, quad)
 
 
 def information_rates(
@@ -229,11 +231,11 @@ def information_rates(
     The probe's rates are continuous-readout values; ``i_ab`` is too unless
     ``reconciled``, when it is the shared-basis rate of ``reconciled_i_ab``.
     """
-    rab, rae, rbe = bipartite_reductions(attacked_state(params))
+    rab, rae, rbe = _reductions(params)
     return (
         _receiver_rate(rab, reconciled, quad),
-        nonselected_information(rae, quad, quad),
-        nonselected_information(rbe, quad, quad),
+        nonselected_information(rae, quad),
+        nonselected_information(rbe, quad),
     )
 
 
@@ -290,9 +292,9 @@ def critical_point(reconciled: bool = False, *, quad: SphereQuadrature, tol: flo
 
     def g(t: float) -> tuple[float, DensityMatrix, float]:
         """(g(t), rho_ab, i_ab) at one line point."""
-        rab, rae, _ = _line_reductions(t)
+        rab, rae, _ = _reductions(optimal_params(t))
         i_ab = _receiver_rate(rab, reconciled, quad)
-        return i_ab - nonselected_information(rae, quad, quad), rab, i_ab
+        return i_ab - nonselected_information(rae, quad), rab, i_ab
 
     lo, hi = 0.0, QUARTER_PI
     g_lo, g_hi = g(lo)[0], g(hi)[0]
@@ -336,7 +338,7 @@ def critical_point(reconciled: bool = False, *, quad: SphereQuadrature, tol: flo
             hi, g_hi = x, g_x
     if theta0 is None:
         theta0 = 0.5 * (lo + hi)
-        rab = _line_reductions(theta0)[0]
+        rab = _reductions(optimal_params(theta0))[0]
         i0 = _receiver_rate(rab, reconciled, quad)
     return SecurityReport(
         theta0=theta0,

@@ -16,6 +16,7 @@ from contqkd import (
     singlet,
 )
 from contqkd.attack import attacked_pure_state
+from contqkd.qstate import ATOL
 import oracle
 
 QUARTER = math.pi / 4
@@ -83,6 +84,13 @@ class TestIsometryIdentities:
         bad = np.array([[1, 0], [0, 0], [1, 0], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
             EveIsometry(bad)
+
+    def test_normalization_tolerance_is_atol(self):
+        # Columns of squared norm 1 + ATOL/2 pass; 1 + 2 ATOL is rejected.
+        rows = build_isometry(AttackParams(0.0, QUARTER)).probe_components
+        EveIsometry(rows * math.sqrt(1.0 + 0.5 * ATOL))
+        with pytest.raises(ValueError, match="normalized"):
+            EveIsometry(rows * math.sqrt(1.0 + 2.0 * ATOL))
 
 
 class TestCouplingStructure:

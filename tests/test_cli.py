@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import contqkd
-from contqkd import ProtocolConfig, optimal_params, run_protocol, write_transcript
+from contqkd import ProtocolConfig, cier, optimal_params, run_protocol, write_transcript
 from contqkd.cli import MI_CELLS_PHI, MI_CELLS_U, _parse_angle, run
 from contqkd.protosim import _BLOCK
+from contqkd.security import NONSELECTED_MAX_BITS, RECONCILED_MAX_BITS
 from conftest import SINGLET_BITS
 from oracle import render_transcript
 
@@ -156,6 +157,19 @@ class TestCritical:
         assert data["cier_normalizations"]["continuous_readout_max"] is not None
         printed = capsys.readouterr().out
         assert "theta0" in printed
+
+    @pytest.mark.parametrize("reconciled", [False, True], ids=["continuous", "reconciled"])
+    def test_cier_normalizations_are_cier(self, tmp_path, reconciled):
+        # Even at a 2x4 rule both readings are cier of i0, with no case of their own.
+        out = tmp_path / "critical.json"
+        argv = ["critical", "--tol", "1e-3", "--quad-polar", "2", "--quad-azimuth", "4"]
+        argv += ["--format", "json", "--output", str(out)] + (["--reconciled"] if reconciled else [])
+        assert run(argv) == 0
+        data = json.loads(out.read_text())["data"]
+        assert data["cier_normalizations"] == {
+            "continuous_readout_max": cier(data["i0_bits"], NONSELECTED_MAX_BITS),
+            "reconciled_max": cier(data["i0_bits"], RECONCILED_MAX_BITS),
+        }
 
     def test_tol_below_double_spacing_returns(self):
         # --tol accepts any positive float; one below the spacing of doubles

@@ -16,6 +16,7 @@ from contqkd import (
     singlet,
     reconciled_i_ab,
 )
+from contqkd.qstate import PSD_FLOOR
 from conftest import (
     SINGLET_BITS,
     binary_entropy,
@@ -236,8 +237,10 @@ class TestPositivityChecks:
             ((1.2, 0.0, 0.0), ZERO, np.zeros((3, 3))),
             (ZERO, (0.0, 0.0, 1.2), np.zeros((3, 3))),
             (ZERO, ZERO, -1.5 * np.eye(3)),
+            # The joint density's minimum (1 - c)/4 at twice ``PSD_FLOOR``: just past the floor.
+            (ZERO, ZERO, -(1.0 - 8.0 * PSD_FLOOR) * np.eye(3)),
         ],
-        ids=["first-marginal", "second-marginal", "joint"],
+        ids=["first-marginal", "second-marginal", "joint", "joint-past-floor"],
     )
     def test_negative_densities_raise(self, fano, quad_light):
         rho = _unchecked_pair(*fano)

@@ -34,6 +34,7 @@ from contqkd.attack import attacked_pure_state
 from contqkd.infocalc import bloch_vectors, default_quadrature
 from contqkd.protosim import (
     _BLOCK,
+    _TRANSCRIPT_FIELDS,
     _alphabet_size,
     _antipode,
     _bloch_rows,
@@ -399,6 +400,16 @@ def assert_same_transcript(got: Transcript, want: Transcript) -> None:
 
 
 class TestTranscriptIO:
+    def test_field_order_is_the_column_order(self):
+        # The header after the round index is Transcript's fields, in their order.
+        assert _TRANSCRIPT_FIELDS[0] == "round"
+        assert _TRANSCRIPT_FIELDS[1:] == tuple(f.name for f in fields(Transcript))
+
+    def test_positional_construction_rejected(self):
+        # Keyword-only, so no caller can fill a column by its position.
+        with pytest.raises(TypeError):
+            Transcript(*[np.zeros(2)] * len(fields(Transcript)))
+
     @pytest.mark.parametrize("cpus", [None, 1, 4], ids=["affinity", "1cpu", "4cpu"])
     @pytest.mark.parametrize("rounds", [_BLOCK + 3, 2 * _BLOCK + 3])
     def test_writer_matches_rowwise_reference_across_block_seams(self, tmp_path, monkeypatch, rounds, cpus):
