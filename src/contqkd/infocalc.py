@@ -97,9 +97,7 @@ class SphereQuadrature:
         object.__setattr__(self, "vectors", vectors)
 
     @classmethod
-    def gauss_product(
-        cls, n_polar: int = DEFAULT_RULE[0], n_azimuth: int = DEFAULT_RULE[1]
-    ) -> "SphereQuadrature":
+    def gauss_product(cls, n_polar: int, n_azimuth: int) -> "SphereQuadrature":
         """Gauss-Legendre x uniform-azimuth product rule.
 
         n_polar >= 2 Legendre nodes in u = cos(theta); n_azimuth >= 4
@@ -134,7 +132,7 @@ def default_quadrature() -> SphereQuadrature:
 
     No function here falls back to it: every rate takes its rule from the caller.
     """
-    return SphereQuadrature.gauss_product()
+    return SphereQuadrature.gauss_product(*DEFAULT_RULE)
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:

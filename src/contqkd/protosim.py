@@ -28,14 +28,15 @@ transcript is a pure function of (seed, rounds, attack), a shorter run is a
 prefix of a longer one, and runs are reproducible bit for bit within one
 Python/numpy/BLAS environment.
 
-A transcript file is csv.  ``Transcript``'s field order owns its column order:
-``_TRANSCRIPT_FIELDS`` is the round index followed by those fields, so the
-disclosed flag (0/1), then the sender's (u, phi, bit), the receiver's
-(u, phi, bit) and the probe bit.  ``write_transcript`` is the only writer:
-float ``repr`` bounds it, so a pool of spawned processes, one per usable
-core, renders the blocks and the calling process writes them in round
-order.  ``read_transcript`` reads its files back one block at a time and
-rejects a file that breaks the schema.
+A transcript file is csv: the round index, then ``Transcript``'s fields in
+their order.  Those fields are the one declaration of the columns: each
+one's kind gives its dtype, its csv format and its valid values, so
+``run_protocol`` allocates, ``write_transcript`` formats and
+``read_transcript`` checks and casts every column by it.
+``write_transcript`` is the only writer: float ``repr`` bounds it, so a pool
+of spawned processes, one per usable core, renders the blocks and the
+calling process writes them in round order.  ``read_transcript`` reads its
+files back one block at a time and rejects a file that breaks the schema.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ import itertools
 import math
 import os
 import warnings
-from collections.abc import Iterable
-from dataclasses import dataclass, fields, replace
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,18 +127,32 @@ class SiftingPartition:
         return rate
 
 
+class _Kind(NamedTuple):
+    """A transcript column's kind: how it is stored, written to csv and checked when read back."""
+
+    dtype: type
+    fmt: str  # %r of a Python float is its shortest round-trip repr; %d of a bool is 0/1
+    valid: Callable[[np.ndarray], np.ndarray]  # the parsed float values the column accepts
+
+
+_BIT = _Kind(np.int8, "%d", lambda col: (col == 0.0) | (col == 1.0))
+_FLAG = _BIT._replace(dtype=np.bool_)
+_U = _Kind(np.float64, "%r", lambda col: (col >= -1.0) & (col <= 1.0))
+_PHI = _Kind(np.float64, "%r", lambda col: (col >= 0.0) & (col < TWO_PI))
+
+
 @dataclass(frozen=True, eq=False, kw_only=True)
 class Transcript:
-    """Column-oriented record of a simulated run; the field order is the file's column order."""
+    """Column-oriented record of a simulated run; the fields, in order and by kind, are the file's columns."""
 
-    disclosed: np.ndarray
-    alice_u: np.ndarray
-    alice_phi: np.ndarray
-    alice_bit: np.ndarray
-    bob_u: np.ndarray
-    bob_phi: np.ndarray
-    bob_bit: np.ndarray
-    eve_bit: np.ndarray
+    disclosed: np.ndarray = field(metadata={"kind": _FLAG})
+    alice_u: np.ndarray = field(metadata={"kind": _U})
+    alice_phi: np.ndarray = field(metadata={"kind": _PHI})
+    alice_bit: np.ndarray = field(metadata={"kind": _BIT})
+    bob_u: np.ndarray = field(metadata={"kind": _U})
+    bob_phi: np.ndarray = field(metadata={"kind": _PHI})
+    bob_bit: np.ndarray = field(metadata={"kind": _BIT})
+    eve_bit: np.ndarray = field(metadata={"kind": _BIT})
 
     def __post_init__(self) -> None:
         columns = [getattr(self, f.name) for f in fields(self)]
@@ -152,8 +168,11 @@ class Transcript:
         return Transcript(**{f.name: getattr(self, f.name)[mask] for f in fields(self)})
 
 
-# The csv header: the round index, then ``Transcript``'s fields in their order.
-_TRANSCRIPT_FIELDS = ("round", *(f.name for f in fields(Transcript)))
+# Each column's kind by name, in ``Transcript``'s field order.
+_KINDS: dict[str, _Kind] = {f.name: f.metadata["kind"] for f in fields(Transcript)}
+# The csv header, and the format of one row: the round index, then the columns.
+_TRANSCRIPT_FIELDS = ("round", *_KINDS)
+_ROW_FORMAT = ",".join(["%d", *(kind.fmt for kind in _KINDS.values())]) + "\n"
 
 
 def _law_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -222,40 +241,24 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     w = _law_matrix(attacked_state(cfg.attack))
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
     n = int(cfg.rounds)
-
-    alice_u = np.empty(n)
-    alice_phi = np.empty(n)
-    bob_u = np.empty(n)
-    bob_phi = np.empty(n)
-    bits = np.empty(n, dtype=np.int8)
-
+    n_disclosed = int(n * cfg.disclose_fraction)
+    columns = {name: np.empty(n, dtype=kind.dtype) for name, kind in _KINDS.items()}
     for s in _blocks(n):
         draws = gen.random((s.stop - s.start, 5))
         ua = 2.0 * draws[:, 0] - 1.0
         pa = TWO_PI * draws[:, 1]
         ub = 2.0 * draws[:, 2] - 1.0
         pb = TWO_PI * draws[:, 3]
-        p = _joint_law(w, ua, pa, ub, pb)
-        idx = _pick(p, draws[:, 4])
-        alice_u[s] = ua
-        alice_phi[s] = pa
-        bob_u[s] = ub
-        bob_phi[s] = pb
-        bits[s] = idx.astype(np.int8)
-
-    n_disclosed = int(n * cfg.disclose_fraction)
-    disclosed = np.zeros(n, dtype=bool)
-    disclosed[:n_disclosed] = True
-    return Transcript(
-        disclosed=disclosed,
-        alice_u=alice_u,
-        alice_phi=alice_phi,
-        alice_bit=((bits >> 2) & 1).astype(np.int8),
-        bob_u=bob_u,
-        bob_phi=bob_phi,
-        bob_bit=((bits >> 1) & 1).astype(np.int8),
-        eve_bit=(bits & 1).astype(np.int8),
-    )
+        idx = _pick(_joint_law(w, ua, pa, ub, pb), draws[:, 4])
+        block = dict(
+            disclosed=np.arange(s.start, s.stop) < n_disclosed,
+            alice_u=ua, alice_phi=pa, alice_bit=(idx >> 2) & 1,
+            bob_u=ub, bob_phi=pb, bob_bit=(idx >> 1) & 1,
+            eve_bit=idx & 1,
+        )
+        for name, col in columns.items():
+            col[s] = block[name]
+    return Transcript(**columns)
 
 
 def sift(transcript: Transcript, partition: SiftingPartition) -> Transcript:
@@ -423,11 +426,10 @@ def sifted_error_rate(transcript: Transcript) -> float:
 
 
 def _render_rows(block: tuple) -> str:
-    """CSV text of one block of rounds: (first round index, *column slices) in ``_TRANSCRIPT_FIELDS[1:]`` order."""
+    """CSV text of one block of rounds: (first round index, *column slices in field order)."""
     start, *columns = block
     rows = zip(range(start, start + len(columns[0])), *(c.tolist() for c in columns))
-    # %r of a Python float is its shortest round-trip repr; %d of a bool is 0/1.
-    return "".join(["%d,%d,%r,%r,%d,%r,%r,%d,%d\n" % row for row in rows])
+    return "".join([_ROW_FORMAT % row for row in rows])
 
 
 def write_transcript(transcript: Transcript, path: str) -> None:
@@ -446,7 +448,7 @@ def write_transcript(transcript: Transcript, path: str) -> None:
     caller's peak memory; ``read_transcript`` parses the file back in the
     same blocks.
     """
-    columns = [getattr(transcript, f) for f in _TRANSCRIPT_FIELDS[1:]]
+    columns = [getattr(transcript, name) for name in _KINDS]
     slices = _blocks(len(transcript))
     blocks = ((s.start, *(c[s] for c in columns)) for s in slices)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -476,32 +478,26 @@ def _typed_columns(table: np.ndarray, start: int) -> dict[str, np.ndarray]:
     columns = dict(zip(_TRANSCRIPT_FIELDS, table.reshape(rows, width).T))
     if not np.array_equal(columns.pop("round"), np.arange(start, start + rows)):
         raise ValueError("transcript rounds must run 0..n-1 in order")
-    for field, col in columns.items():
-        if field.endswith("_u"):
-            ok = (col >= -1.0) & (col <= 1.0)
-        elif field.endswith("_phi"):
-            ok = (col >= 0.0) & (col < TWO_PI)
-        else:  # a bit, or the disclosed flag
-            ok = (col == 0.0) | (col == 1.0)
-            col = col.astype(bool if field == "disclosed" else np.int8)
+    for name, kind in _KINDS.items():
+        ok = kind.valid(columns[name])  # checked as parsed, so a cast cannot hide a bad value
         if not ok.all():
-            raise ValueError(f"transcript {field} out of range in row {start + int(np.argmin(ok))}")
-        columns[field] = np.ascontiguousarray(col)
+            raise ValueError(f"transcript {name} out of range in row {start + int(np.argmin(ok))}")
+        columns[name] = np.ascontiguousarray(columns[name], dtype=kind.dtype)
     return columns
 
 
 def read_transcript(path: str) -> Transcript:
     """Parse a file written by write_transcript; ValueError if it breaks the schema.
 
-    Valid rows have one field per column, rounds 0..n-1, bits and the
-    disclosed flag in {0, 1}, u in [-1, 1] and phi in [0, 2 pi).  Blank lines
-    are skipped; a '#' line is a malformed row, not a comment.  The rows are
+    Valid rows have one field per column and rounds 0..n-1, and each column's
+    values pass the check of its kind on ``Transcript``, before they are cast
+    to its dtype.  Blank lines are skipped; a '#' line is a malformed row, not a comment.  The rows are
     parsed by ``np.loadtxt`` one block of ``_BLOCK`` at a time, and each block
     is checked and kept only as its typed columns (36 bytes per round), which
     are joined one column at a time at the end.  Peak memory is those columns,
     one more float column while it is joined, and one parsed block.
     """
-    parts: dict[str, list[np.ndarray]] = {field: [] for field in _TRANSCRIPT_FIELDS[1:]}
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in _KINDS}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != _TRANSCRIPT_FIELDS:
@@ -515,9 +511,9 @@ def read_transcript(path: str) -> Transcript:
                 table = np.loadtxt(
                     itertools.islice(lines, _BLOCK), delimiter=",", dtype=float, ndmin=2, comments=None
                 )
-                for field, col in _typed_columns(table, start).items():
-                    parts[field].append(col)
+                for name, col in _typed_columns(table, start).items():
+                    parts[name].append(col)
                 if table.shape[0] < _BLOCK:
                     break
     # Each column's parts are released as soon as that column is joined.
-    return Transcript(**{field: np.concatenate(parts.pop(field)) for field in _TRANSCRIPT_FIELDS[1:]})
+    return Transcript(**{name: np.concatenate(parts.pop(name)) for name in _KINDS})

@@ -83,18 +83,10 @@ class InfoCurve:
     i_be: np.ndarray
     reconciled: bool
 
-    def __init__(
-        self,
-        thetas: np.ndarray,
-        i_ab: np.ndarray,
-        i_ae: np.ndarray,
-        i_be: np.ndarray,
-        reconciled: bool,
-    ) -> None:
-        th = np.asarray(thetas, dtype=float)
-        iab = np.asarray(i_ab, dtype=float)
-        iae = np.asarray(i_ae, dtype=float)
-        ibe = np.asarray(i_be, dtype=float)
+    def __post_init__(self) -> None:
+        names = ("thetas", "i_ab", "i_ae", "i_be")
+        arrays = {name: np.asarray(getattr(self, name), dtype=float) for name in names}
+        th, iab, iae, ibe = arrays.values()
         if not (th.size and th.size == iab.size == iae.size == ibe.size):
             raise ValueError("curve arrays must be equal-length and nonempty")
         if np.any(np.diff(th) <= 0.0):
@@ -104,13 +96,10 @@ class InfoCurve:
         gap = float((iae - ibe).min())
         if gap < -1e-6:
             raise ValueError(f"probe-vs-receiver dominance violated: margin {gap:.3e}")
-        for arr in (th, iab, iae, ibe):
+        for name, arr in arrays.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "thetas", th)
-        object.__setattr__(self, "i_ab", iab)
-        object.__setattr__(self, "i_ae", iae)
-        object.__setattr__(self, "i_be", ibe)
-        object.__setattr__(self, "reconciled", bool(reconciled))
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "reconciled", bool(self.reconciled))
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,11 @@ class TestSphereQuadrature:
         with pytest.raises(ValueError, match="finite"):
             SphereQuadrature(**arrays)
 
+    def test_rule_counts_have_no_default(self):
+        # The caller picks every rule; ``default_quadrature`` names the default one.
+        with pytest.raises(TypeError):
+            SphereQuadrature.gauss_product()
+
     def test_minimum_resolution_enforced(self):
         with pytest.raises(ValueError):
             SphereQuadrature.gauss_product(1, 64)

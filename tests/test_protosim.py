@@ -375,6 +375,11 @@ BROKEN_RECORDS = {
     "phi 2pi": (_set_field("alice_phi", repr(2.0 * math.pi)), "alice_phi out of range in row {row}$"),
     "disclosed 2": (_set_field("disclosed", "2"), "disclosed out of range in row {row}$"),
     "u nan": (_set_field("bob_u", "nan"), "bob_u out of range in row {row}$"),
+    # Non-integral bits and values just outside a range: checked before the cast to the column's dtype.
+    "bit 0.5": (_set_field("alice_bit", "0.5"), "alice_bit out of range in row {row}$"),
+    "disclosed 0.5": (_set_field("disclosed", "0.5"), "disclosed out of range in row {row}$"),
+    "u above 1": (_set_field("bob_u", "1.0000000000000002"), "bob_u out of range in row {row}$"),
+    "phi nan": (_set_field("alice_phi", "nan"), "alice_phi out of range in row {row}$"),
     "repeated round": (_set_field("round", "0"), "rounds must run 0..n-1"),
     "extra field": (lambda fields, header: fields.append("0"), None),
     "short row": (lambda fields, header: fields.pop(), None),
@@ -404,6 +409,15 @@ class TestTranscriptIO:
         # The header after the round index is Transcript's fields, in their order.
         assert _TRANSCRIPT_FIELDS[0] == "round"
         assert _TRANSCRIPT_FIELDS[1:] == tuple(f.name for f in fields(Transcript))
+
+    def test_sampled_columns_have_the_file_dtypes(self):
+        # The dtypes the reader gives back, which replays compare byte for byte.
+        t = run_protocol(ProtocolConfig(rounds=10, attack=optimal_params(0.1), seed=1))
+        dtypes = {f.name: getattr(t, f.name).dtype for f in fields(Transcript)}
+        assert dtypes == {
+            "disclosed": np.bool_, "alice_u": np.float64, "alice_phi": np.float64, "alice_bit": np.int8,
+            "bob_u": np.float64, "bob_phi": np.float64, "bob_bit": np.int8, "eve_bit": np.int8,
+        }
 
     def test_positional_construction_rejected(self):
         # Keyword-only, so no caller can fill a column by its position.
