@@ -35,8 +35,11 @@ one's kind gives its dtype, its csv format and its valid values, so
 ``read_transcript`` checks and casts every column by it.
 ``write_transcript`` is the only writer: float ``repr`` bounds it, so a pool
 of spawned processes, one per usable core, renders the blocks and the
-calling process writes them in round order.  ``read_transcript`` reads its
-files back one block at a time and rejects a file that breaks the schema.
+calling process writes them in round order.  ``read_transcript`` counts a
+file's lines in one binary pass, allocates the columns once at that length,
+parses and checks the rows one block at a time into them, and rejects a file
+that breaks the schema; its peak is the columns plus about two blocks,
+whatever the length of the run.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import os
 import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -225,7 +228,7 @@ def _blocks(n: int) -> list[slice]:
 
     The one walk over a run of known length: sampling, sifting, binning and
     rendering all go through it.  ``read_transcript`` walks with a counter
-    instead, since it learns n only at the last block.
+    instead: before its last block it knows only an upper bound on n.
     """
     return [slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
 
@@ -468,22 +471,40 @@ def write_transcript(transcript: Transcript, path: str) -> None:
             fh.writelines(pool.map(_render_rows, blocks))
 
 
-def _typed_columns(table: np.ndarray, start: int) -> dict[str, np.ndarray]:
-    """The checked, typed columns of one parsed block whose first row is round ``start``."""
+def _row_bound(fh: BinaryIO) -> int:
+    """The lines after the first in a binary file, split as the text reader splits them.
+
+    A line ends at '\n', '\r\n' or a bare '\r' (universal newlines).  Blank
+    lines count too, so this bounds the rows from above, and it is the row
+    count of a file ``write_transcript`` wrote.  Reads one chunk at a time.
+    """
+    lines, tail = 0, b""
+    while chunk := fh.read(1 << 20):
+        if chunk.endswith(b"\r"):  # so a '\r\n' is not split between chunks
+            chunk += fh.read(1)
+        codes = np.frombuffer(chunk, dtype=np.uint8)
+        lines += np.count_nonzero(codes == ord("\n"))
+        if b"\r" in chunk:  # a '\r' ends a line unless a '\n' follows it
+            lines += np.count_nonzero(codes == ord("\r")) - chunk.count(b"\r\n")
+        tail = chunk[-1:]
+    lines += tail not in (b"", b"\n", b"\r")  # a last line with no line end
+    return max(lines - 1, 0)
+
+
+def _cast_block(table: np.ndarray, start: int, columns: dict[str, np.ndarray]) -> None:
+    """Check one parsed block whose first row is round ``start`` and cast it into its rows of ``columns``."""
     width = len(_TRANSCRIPT_FIELDS)
     rows = table.shape[0]
     if rows and table.shape[1] != width:
         raise ValueError(f"every transcript row must have {width} fields")
-    # Views into the table, each replaced below by a contiguous copy of its own.
-    columns = dict(zip(_TRANSCRIPT_FIELDS, table.reshape(rows, width).T))
-    if not np.array_equal(columns.pop("round"), np.arange(start, start + rows)):
+    parsed = dict(zip(_TRANSCRIPT_FIELDS, table.reshape(rows, width).T))  # views into the table
+    if not np.array_equal(parsed.pop("round"), np.arange(start, start + rows)):
         raise ValueError("transcript rounds must run 0..n-1 in order")
     for name, kind in _KINDS.items():
-        ok = kind.valid(columns[name])  # checked as parsed, so a cast cannot hide a bad value
+        ok = kind.valid(parsed[name])  # checked as parsed, so a cast cannot hide a bad value
         if not ok.all():
             raise ValueError(f"transcript {name} out of range in row {start + int(np.argmin(ok))}")
-        columns[name] = np.ascontiguousarray(columns[name], dtype=kind.dtype)
-    return columns
+        columns[name][start : start + rows] = parsed[name]
 
 
 def read_transcript(path: str) -> Transcript:
@@ -491,17 +512,22 @@ def read_transcript(path: str) -> Transcript:
 
     Valid rows have one field per column and rounds 0..n-1, and each column's
     values pass the check of its kind on ``Transcript``, before they are cast
-    to its dtype.  Blank lines are skipped; a '#' line is a malformed row, not a comment.  The rows are
-    parsed by ``np.loadtxt`` one block of ``_BLOCK`` at a time, and each block
-    is checked and kept only as its typed columns (36 bytes per round), which
-    are joined one column at a time at the end.  Peak memory is those columns,
-    one more float column while it is joined, and one parsed block.
+    to its dtype.  Blank lines are skipped; a '#' line is a malformed row, not a comment.
+    A first pass counts the file's lines in binary (``_row_bound``), and the
+    columns are allocated once at that length.  The rows are then parsed by
+    ``np.loadtxt`` one block of ``_BLOCK`` at a time, and each block is checked
+    and cast straight into its rows of the columns.  Peak memory is the
+    columns (36 bytes per round) plus about two blocks, whatever the length
+    of the run.  Blank lines make the count exceed n, and then each column
+    is copied down to n, one at a time.
     """
-    parts: dict[str, list[np.ndarray]] = {name: [] for name in _KINDS}
+    with open(path, "rb") as raw:
+        capacity = _row_bound(raw)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != _TRANSCRIPT_FIELDS:
             raise ValueError(f"unexpected transcript header {header}")
+        columns = {name: np.empty(capacity, dtype=kind.dtype) for name, kind in _KINDS.items()}
         lines = filter(str.strip, fh)
         with warnings.catch_warnings():
             # A header-only file, or one a whole number of blocks long, ends in an empty block.
@@ -511,9 +537,11 @@ def read_transcript(path: str) -> Transcript:
                 table = np.loadtxt(
                     itertools.islice(lines, _BLOCK), delimiter=",", dtype=float, ndmin=2, comments=None
                 )
-                for name, col in _typed_columns(table, start).items():
-                    parts[name].append(col)
+                _cast_block(table, start, columns)
                 if table.shape[0] < _BLOCK:
                     break
-    # Each column's parts are released as soon as that column is joined.
-    return Transcript(**{name: np.concatenate(parts.pop(name)) for name in _KINDS})
+    n = start + table.shape[0]
+    if n < capacity:
+        for name in columns:
+            columns[name] = columns[name][:n].copy()
+    return Transcript(**columns)

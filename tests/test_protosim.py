@@ -1,5 +1,6 @@
 """Monte Carlo driver: sampling exactness, sifting, empirical information."""
 
+import io
 import itertools
 import math
 import multiprocessing
@@ -44,6 +45,7 @@ from contqkd.protosim import (
     _party_codes,
     _pick,
     _plugin_mi,
+    _row_bound,
     empirical_mi_with_probe,
     sifted_error_rate,
 )
@@ -398,6 +400,27 @@ def seam_transcript(tmp_path_factory):
     return t, path.read_text().splitlines()
 
 
+# A transcript's lines (header first) laid out as file text: line ends other
+# than '\n', a missing last line end, and blank or whitespace-only lines after
+# the last round.  The reader accepts each.
+LINE_LAYOUTS = {
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "bare cr": lambda lines: "\r".join(lines) + "\r",
+    "mixed": lambda lines: "".join(line + ("\n", "\r\n", "\r")[i % 3] for i, line in enumerate(lines)),
+    "no final newline": lambda lines: "\n".join(lines),
+    "trailing blank lines": lambda lines: "\n".join(lines) + "\n\n\n",
+    "trailing whitespace lines": lambda lines: "\n".join(lines) + "\n  \t\n \r\n\t",
+}
+
+
+@pytest.fixture(scope="module")
+def ending_transcript(tmp_path_factory):
+    t = run_protocol(ProtocolConfig(rounds=2 * _BLOCK + 3, attack=optimal_params(0.15), seed=17))
+    path = tmp_path_factory.mktemp("endings") / "transcript.csv"
+    write_transcript(t, str(path))
+    return t, path.read_text().splitlines()
+
+
 def assert_same_transcript(got: Transcript, want: Transcript) -> None:
     for f in fields(Transcript):
         a, b = getattr(got, f.name), getattr(want, f.name)
@@ -555,6 +578,32 @@ class TestTranscriptIO:
         )
         assert_same_transcript(read_transcript(str(path)), t)
 
+    @pytest.mark.parametrize("rounds", [_BLOCK, 2 * _BLOCK + 3], ids=["whole blocks", "partial block"])
+    @pytest.mark.parametrize("layout", LINE_LAYOUTS, ids=list(LINE_LAYOUTS))
+    def test_line_endings_and_trailing_lines_read_back(self, tmp_path, ending_transcript, layout, rounds):
+        # The reader sizes its columns from a count of line ends; every layout
+        # reads back exactly the n rounds written, bit for bit.
+        t, lines = ending_transcript
+        t = t.subset(slice(0, rounds))
+        path = tmp_path / "transcript.csv"
+        path.write_bytes(LINE_LAYOUTS[layout](lines[: rounds + 1]).encode())
+        back = read_transcript(str(path))
+        assert all(getattr(back, f.name).size == rounds for f in fields(Transcript))
+        assert_same_transcript(back, t)
+
+    @pytest.mark.parametrize("offset", range(-3, 3))
+    def test_row_bound_counts_a_crlf_split_across_read_chunks(self, offset):
+        # Lines long enough that a '\r\n' lands on either side of the first
+        # 1 MiB read chunk's end; the count is that of universal-newline splitting.
+        data = b"h\r\n" + b"x" * ((1 << 20) - 4 + offset) + b"\r\n" + b"y\r" + b"z\n"
+        assert _row_bound(io.BytesIO(data)) == len(io.TextIOWrapper(io.BytesIO(data)).readlines()) - 1 == 3
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.text(alphabet="x, \t\r\n", max_size=40))
+    def test_row_bound_is_the_universal_newline_line_count(self, text):
+        lines = io.TextIOWrapper(io.BytesIO(text.encode())).readlines()
+        assert _row_bound(io.BytesIO(text.encode())) == max(len(lines) - 1, 0)
+
     def test_comment_line_rejected(self, tmp_path):
         t = run_protocol(ProtocolConfig(rounds=4, attack=optimal_params(0.1), seed=3))
         path = tmp_path / "transcript.csv"
@@ -646,6 +695,16 @@ class TestBoundedMemory:
         back, peak = traced_peak(read_transcript, path)
         assert_same_transcript(back, t)
         assert peak <= transcript_bytes(back) + 4 * BLOCK_BYTES
+
+    def test_read_overhead_does_not_grow_with_the_run(self, tmp_path):
+        # Four times the rounds of memory_run: joining per-block parts at the
+        # end would add one float column, which alone is 3.6 units here.
+        t = run_protocol(ProtocolConfig(rounds=4 * MEMORY_ROUNDS, attack=optimal_params(0.2), seed=44))
+        path = str(tmp_path / "transcript.csv")
+        write_transcript(t, path)
+        back, peak = traced_peak(read_transcript, path)
+        assert_same_transcript(back, t)
+        assert peak <= transcript_bytes(back) + 3 * BLOCK_BYTES
 
     def test_sift_transient_is_the_masks_plus_a_few_blocks(self, memory_run):
         t, _ = memory_run
