@@ -34,8 +34,10 @@ one's kind gives its dtype, its csv format and its valid values, so
 ``run_protocol`` allocates, ``write_transcript`` formats and
 ``read_transcript`` checks and casts every column by it.
 ``write_transcript`` is the only writer: float ``repr`` bounds it, so a pool
-of spawned processes, one per usable core, renders the blocks and the
-calling process writes them in round order.  ``read_transcript`` counts a
+of spawned processes, one per usable core, renders each block to a part file
+beside the output, and the calling process copies the parts into the file in
+round order.  The rendered text never enters the calling process, and the
+parts are removed on every exit path.  ``read_transcript`` counts a
 file's lines in one binary pass, allocates the columns once at that length,
 parses and checks the rows one block at a time into them, and rejects a file
 that breaks the schema; its peak is the columns plus about two blocks,
@@ -47,6 +49,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import shutil
+import tempfile
 import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields, replace
@@ -435,21 +439,32 @@ def _render_rows(block: tuple) -> str:
     return "".join([_ROW_FORMAT % row for row in rows])
 
 
+def _render_part(parts: str, block: tuple) -> str:
+    """Render one block (``_render_rows``) to its own file in the directory ``parts``; returns the file's path."""
+    part = os.path.join(parts, f"{block[0]}.csv")
+    with open(part, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_render_rows(block))
+    return part
+
+
 def write_transcript(transcript: Transcript, path: str) -> None:
     """One CSV record per round in ``_TRANSCRIPT_FIELDS`` order; floats round-trip.
 
     Float ``repr`` bounds the writer, so a pool of spawned processes, at most
     one per usable core and one per block, renders blocks of ``_BLOCK``
-    rounds (``_render_rows``) and this process writes the returned text in
-    block order: the file does not depend on the worker count.  With one
-    block or one core this process renders alone.  Spawned workers start
-    fresh interpreters, so nothing forks a process whose BLAS threads run,
-    and they import the caller's main module, which must therefore guard its
-    entry point with ``if __name__ == "__main__"`` (an unguarded one raises
-    ``BrokenProcessPool``).  Each task carries its own column slices, and
-    blocks stay small so the blocks and text in flight add little to the
-    caller's peak memory; ``read_transcript`` parses the file back in the
-    same blocks.
+    rounds, each worker to its own part file (``_render_part``) in a
+    temporary directory beside ``path``.  This process writes the header,
+    then copies the parts into the file in block order, removing each once
+    it is copied: the file does not depend on the worker count, and the
+    rendered text never enters this process.  The directory and any part
+    left in it are removed on every exit path, a failed worker's included.
+    With one block or one core this process renders alone.  Spawned
+    workers start fresh interpreters, so nothing forks a process whose BLAS
+    threads run, and they import the caller's main module, which must
+    therefore guard its entry point with ``if __name__ == "__main__"`` (an
+    unguarded one raises ``BrokenProcessPool``).  Each task carries its own
+    column slices; ``read_transcript`` parses the file back in the same
+    blocks.
     """
     columns = [getattr(transcript, name) for name in _KINDS]
     slices = _blocks(len(transcript))
@@ -465,10 +480,19 @@ def write_transcript(transcript: Transcript, path: str) -> None:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        fh.flush()  # the parts are copied in as bytes, below the text layer
+        # Beside the output, so the parts share its filesystem.  The pool shuts
+        # down before the directory goes, so no worker writes into a removed one.
         # A worker that dies, say on importing an unguarded main module, breaks
         # the executor and raises here; a multiprocessing.Pool would respawn it forever.
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            fh.writelines(pool.map(_render_rows, blocks))
+        with (
+            tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(path))) as parts,
+            ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool,
+        ):
+            for part in pool.map(_render_part, itertools.repeat(parts), blocks):
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer, 1 << 16)
+                os.remove(part)
 
 
 def _row_bound(fh: BinaryIO) -> int:

@@ -455,5 +455,8 @@ class TestProcessBoundary:
                 capture_output=True, text=True, env=env, cwd=workdir, timeout=120,
             )
             assert done.returncode == 0, done.stderr
+            # The transcript and its sidecars, and no part file the writer's workers rendered.
+            listed = sorted(p.name for p in workdir.iterdir())
+            assert listed == ["run.csv", "run.csv.manifest.json", "run.csv.summary.json"]
             written[threads] = [(workdir / name).read_bytes() for name in ("run.csv", "run.csv.summary.json")]
         assert written["1"] == written["2"]

@@ -457,6 +457,7 @@ class TestTranscriptIO:
         path = tmp_path / "transcript.csv"
         write_transcript(t, str(path))
         assert path.read_text() == oracle.render_transcript(t)
+        assert [p.name for p in tmp_path.iterdir()] == ["transcript.csv"]  # no part file survives
 
     def test_empty_transcript_is_the_header_line(self, tmp_path):
         t = run_protocol(ProtocolConfig(rounds=50, attack=NO_ATTACK, seed=2))
@@ -484,6 +485,7 @@ class TestTranscriptIO:
         with pytest.raises(ValueError, match="NaN"):
             write_transcript(replace(t, eve_bit=eve_bit), str(tmp_path / "transcript.csv"))
         assert multiprocessing.active_children() == []
+        assert [p.name for p in tmp_path.iterdir()] == ["transcript.csv"]  # the parts went with the failure
 
     def test_unguarded_script_fails_instead_of_hanging(self, tmp_path):
         # Spawned workers import the main module; one without a __main__
@@ -705,6 +707,17 @@ class TestBoundedMemory:
         back, peak = traced_peak(read_transcript, path)
         assert_same_transcript(back, t)
         assert peak <= transcript_bytes(back) + 3 * BLOCK_BYTES
+
+    def test_pool_write_keeps_the_text_out_of_the_caller(self, memory_run, tmp_path, monkeypatch):
+        # Two workers render the blocks to part files; text piped back to the
+        # caller would cost it about five blocks here.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        t, written = memory_run
+        path = tmp_path / "transcript.csv"
+        write_transcript(t, str(path))  # warms the pool's imports
+        _, peak = traced_peak(write_transcript, t, str(path))
+        assert path.read_bytes() == Path(written).read_bytes()
+        assert peak <= 3 * BLOCK_BYTES
 
     def test_sift_transient_is_the_masks_plus_a_few_blocks(self, memory_run):
         t, _ = memory_run
