@@ -18,9 +18,9 @@ by default or degrees with an explicit ``deg`` suffix (e.g. ``--theta 22.5deg``)
 Exit codes: 0 success; 1 usage error, for a malformed command line or any
 parameter value the computation would reject (every value is validated while
 parsing); 2 numerical failure, for a failed bracket or a broken invariant,
-including any ValueError raised while computing; 3 I/O failure; 4 out of
-memory, for an allocation the machine cannot meet (say ``simulate --rounds``
-far beyond the memory).
+including any ValueError raised while computing; 3 I/O failure, a dead
+transcript-writer worker included; 4 out of memory, for an allocation the
+machine cannot meet (say ``simulate --rounds`` far beyond the memory).
 """
 
 from __future__ import annotations

@@ -462,9 +462,9 @@ def write_transcript(transcript: Transcript, path: str) -> None:
     workers start fresh interpreters, so nothing forks a process whose BLAS
     threads run, and they import the caller's main module, which must
     therefore guard its entry point with ``if __name__ == "__main__"`` (an
-    unguarded one raises ``BrokenProcessPool``).  Each task carries its own
-    column slices; ``read_transcript`` parses the file back in the same
-    blocks.
+    unguarded one kills the workers, which raises OSError chained from
+    ``BrokenProcessPool``).  Each task carries its own column slices;
+    ``read_transcript`` parses the file back in the same blocks.
     """
     columns = [getattr(transcript, name) for name in _KINDS]
     slices = _blocks(len(transcript))
@@ -478,21 +478,24 @@ def write_transcript(transcript: Transcript, path: str) -> None:
             return
         # Imported here, not at import time: it would add to every command's start-up.
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         fh.flush()  # the parts are copied in as bytes, below the text layer
         # Beside the output, so the parts share its filesystem.  The pool shuts
         # down before the directory goes, so no worker writes into a removed one.
-        # A worker that dies, say on importing an unguarded main module, breaks
-        # the executor and raises here; a multiprocessing.Pool would respawn it forever.
-        with (
-            tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(path))) as parts,
-            ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool,
-        ):
-            for part in pool.map(_render_part, itertools.repeat(parts), blocks):
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer, 1 << 16)
-                os.remove(part)
+        # A worker that dies, say on importing an unguarded main module, breaks the executor:
+        # an OSError below, as the file cannot be written.  A multiprocessing.Pool would respawn it forever.
+        try:
+            with (
+                tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(path))) as parts,
+                ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool,
+            ):
+                for part in pool.map(_render_part, itertools.repeat(parts), blocks):
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh.buffer, 1 << 16)
+                    os.remove(part)
+        except BrokenExecutor as exc:
+            raise OSError(f"a transcript worker died: {exc}") from exc
 
 
 def _row_bound(fh: BinaryIO) -> int:

@@ -6,19 +6,20 @@ the full per-letter information; at theta = pi/4 the roles of the receiver
 and the probe are exactly swapped.  The security threshold is the parameter
 where the receiver's information stops dominating the probe's.
 
-Three disturbance figures are computed, each linear in the correlation
-tensor T of the attacked sender-receiver pair (Fano form, see ``infocalc``):
+Three disturbance figures are computed, each a closed form linear in the
+correlation tensor T of the attacked sender-receiver pair (Fano form, see
+``infocalc``), with one zero rule (``_snap_zero``: roundoff reads 0.0):
 
 * ``qber`` = (1 + T_zz)/2 — the error probability of the transmission-basis
   letters, both parties reading along z.  For the two-angle coupling this
   equals sin(theta)^2 for every phi, reproducing the anchor values 0 (no
   attack), 1/2 (full swap) and sin(pi/8)^2 ~ 0.146 at the unreconciled
   threshold.
-* ``qber_sphere_averaged`` = mean over the sphere of (1 + n.T.n)/2 — the
-  same error with both parties reading along a shared uniformly random
-  direction n, i.e. (1 + tr T / 3)/2.  It is the quantity the sifted Monte
-  Carlo error rate estimates, and it differs from ``qber`` (e.g. 0.181
-  instead of 0.146 at the unreconciled threshold).
+* ``qber_sphere_averaged`` = (1 + tr T / 3)/2 — the sphere mean of
+  (1 + n.T.n)/2: the same error with both parties reading along a shared
+  uniformly random direction n.  It is the quantity the sifted Monte Carlo
+  error rate estimates, and it differs from ``qber`` (e.g. 0.181 instead of
+  0.146 at the unreconciled threshold).
 * ``pair_fidelity_deficit`` = (3 + tr T)/4 — one minus the overlap of the
   attacked pair state with the undisturbed singlet.  On the optimal line it
   equals 1 - cos(theta)^4 = 1 - (1 - sin(theta)^2)^2, and at the reconciled
@@ -180,29 +181,26 @@ def qber(params: AttackParams) -> float:
 
 
 def qber_sphere_averaged(params: AttackParams, quad: SphereQuadrature) -> float:
-    """Heralded-state disturbance averaged over the sphere.
+    """Heralded-state disturbance averaged over the sphere: (1 + tr T / 3)/2.
 
-    Both parties read along a shared direction n; the error probability
-    (1 + n.T.n)/2 is averaged over the nodes of the caller's rule ``quad``.
-    Every rule here integrates degree-2 polynomials exactly, so the value is
-    (1 + tr T / 3)/2 to roundoff, which snaps to exact zero as for ``qber``.
-    This is what the sifted Monte Carlo error rate converges to.
+    The error of a shared reading direction n, (1 + n.T.n)/2, has this sphere
+    mean exactly, as n_i n_j has mean delta_ij / 3, so no node enters it.
+    ``quad`` is not read: the acceptance gate calls the two-argument form.
+    Roundoff snaps to exact zero as for ``qber``.  The sifted Monte Carlo
+    error rate converges to this.
     """
-    t = _pair_correlations(params)
-    err = 0.5 * (1.0 + ((quad.vectors @ t) * quad.vectors).sum(axis=1))
-    return _snap_zero(math.fsum((err * quad.weights).tolist()) / SPHERE_VOLUME)
+    return _snap_zero(0.5 * (1.0 + float(np.trace(_pair_correlations(params))) / 3.0))
 
 
 def pair_fidelity_deficit(params: AttackParams) -> float:
     """1 - overlap of the attacked pair state with the undisturbed singlet.
 
-    The singlet overlap is (1 - tr T)/4, so the deficit is (3 + tr T)/4.  A
-    third disturbance reading, reported for diagnosis: on the optimal line
-    it equals 1 - cos(theta)^4 and is what the published reconciled error
-    figure (~0.42) matches.
+    The singlet overlap is (1 - tr T)/4, so the deficit is (3 + tr T)/4;
+    roundoff snaps to exact zero as for ``qber``.  A third reading, reported
+    for diagnosis: on the optimal line it equals 1 - cos(theta)^4 and is
+    what the published reconciled error figure (~0.42) matches.
     """
-    t = _pair_correlations(params)
-    return max(0.0, 0.25 * (3.0 + float(np.trace(t))))
+    return _snap_zero(0.25 * (3.0 + float(np.trace(_pair_correlations(params)))))
 
 
 def _receiver_rate(rab: DensityMatrix, reconciled: bool, quad: SphereQuadrature) -> float:

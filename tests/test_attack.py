@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contqkd import (
     AttackParams,
@@ -16,6 +18,7 @@ from contqkd import (
     singlet,
 )
 from contqkd.attack import attacked_pure_state
+from contqkd.infocalc import fano_form
 from contqkd.qstate import ATOL
 import oracle
 
@@ -212,3 +215,14 @@ class TestDirectionLayout:
     def test_direction_angle_helper(self):
         k1 = oracle.basis_kets(np.array([math.cos(0.3)]), np.array([1.0]))[0, 0]
         assert abs(np.vdot(k1, k1)) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestClosedForm:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+    def test_reductions_match_closed_forms(self, theta, phi):
+        # Trig polynomials worked out by hand, so the isometry is checked from outside.
+        reductions = bipartite_reductions(attacked_state(AttackParams(theta, phi)))
+        for rho, form in zip(reductions, oracle.attack_fano_forms(theta, phi)):
+            for got, ref in zip(fano_form(rho), form):
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=oracle.CLOSED_FORM_TOL, err_msg=str(rho.labels))

@@ -435,6 +435,30 @@ class TestProcessBoundary:
         assert done.stderr == "out of memory: Unable to allocate 7.28 TiB for an array\n"
         assert not out.exists()
 
+    def test_dead_writer_worker_is_an_io_failure(self, tmp_path):
+        # Spawned workers import the main module as __mp_main__; this one
+        # kills each of them on start-up, so the pool breaks mid-write.
+        package_root = str(Path(contqkd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+        script = tmp_path / "wrapper.py"
+        script.write_text(
+            "import os\n"
+            "if __name__ != '__main__':\n"
+            "    os._exit(9)\n"
+            "import contqkd.cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "contqkd.cli.main()\n"
+        )
+        argv = ["simulate", "--rounds", str(_BLOCK + 1), "--theta", "22.5deg", "--seed", "1", *LIGHT]
+        done = subprocess.run(
+            [sys.executable, str(script), *argv, "--output", "run.csv"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert done.returncode == 3, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("i/o failure: ") and done.stderr.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "wrapper.py"]  # no part file, no sidecar
+
     def test_transcripts_identical_across_blas_thread_counts(self, tmp_path):
         # The sampler's per-block matmul goes through BLAS; the bytes written
         # must not depend on how many threads BLAS uses.

@@ -5,9 +5,9 @@ own error on the continuous readout reaches 7.3e-7 bits at the 32x64 rule
 (log singularity of the integrand), so the continuous rate must agree to
 2e-6.  The reconciled rate integrates the same table on the same nodes, the
 two-basis information reads the same 2x2 table, and the sphere-averaged
-disturbance averages the same degree-2 polynomial over the same nodes, so
-only roundoff separates each from its reference and they must agree to
-1e-12.
+disturbance is the closed form of the degree-2 average that the reference
+takes over nodes which integrate it exactly, so only roundoff separates each
+from its reference and they must agree to 1e-12.
 """
 
 import math

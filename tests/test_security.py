@@ -8,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contqkd
 from contqkd import (
     AttackParams,
     InfoCurve,
+    SphereQuadrature,
     accessible_information,
     attacked_state,
     bipartite_reductions,
@@ -36,7 +39,7 @@ from contqkd.security import (
     pair_fidelity_deficit,
 )
 from conftest import SINGLET_BITS
-from oracle import critical_cier_dim, maximally_mixed, outcome_probabilities
+from oracle import CLOSED_FORM_TOL, attack_readings, critical_cier_dim, maximally_mixed, outcome_probabilities
 
 QUARTER = math.pi / 4
 
@@ -174,6 +177,22 @@ class TestQber:
         for t in (0.0, 0.3, QUARTER):
             got = pair_fidelity_deficit(optimal_params(t))
             assert got == pytest.approx(1.0 - math.cos(t) ** 4, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+    def test_readings_match_closed_forms(self, quad_light, theta, phi):
+        params = AttackParams(theta, phi)
+        got = (qber(params), qber_sphere_averaged(params, quad_light), pair_fidelity_deficit(params))
+        for name, value, ref in zip(("qber", "sphere", "deficit"), got, attack_readings(theta, phi)):
+            # Each reading snaps roundoff of an exact zero, at or below 1e-12, to 0.0.
+            expected = 0.0 if value == 0.0 and ref <= 1e-12 + CLOSED_FORM_TOL else ref
+            assert abs(value - expected) <= CLOSED_FORM_TOL, (name, value, ref)
+
+    def test_sphere_average_reads_no_rule(self):
+        # A closed form of T: no rule's nodes enter it, down to the last bit.
+        coarse, fine = SphereQuadrature.gauss_product(8, 16), SphereQuadrature.gauss_product(32, 64)
+        points = [AttackParams(t, p) for t, p in np.random.default_rng(59).uniform(0.0, QUARTER, size=(50, 2))]
+        assert [qber_sphere_averaged(p, coarse) for p in points] == [qber_sphere_averaged(p, fine) for p in points]
 
 
 class TestCier:
