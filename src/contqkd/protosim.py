@@ -35,13 +35,14 @@ one's kind gives its dtype, its csv format and its valid values, so
 ``read_transcript`` checks and casts every column by it.
 ``write_transcript`` is the only writer: float ``repr`` bounds it, so a pool
 of spawned processes, one per usable core, renders each block to a part file
-beside the output, and the calling process copies the parts into the file in
-round order.  The rendered text never enters the calling process, and the
-parts are removed on every exit path.  ``read_transcript`` counts a
+beside the output, and the calling process copies the parts in round order
+into a file beside them, moved onto the output only once it is whole.  The
+rendered text never enters the calling process.  ``read_transcript`` counts a
 file's lines in one binary pass, allocates the columns once at that length,
 parses and checks the rows one block at a time into them, and rejects a file
 that breaks the schema; its peak is the columns plus about two blocks,
-whatever the length of the run.
+whatever the length of the run, and each blank line leaves 36 bytes
+allocated behind the returned columns.
 """
 
 from __future__ import annotations
@@ -333,7 +334,10 @@ def _plugin_mi(
     """Plug-in mutual information, in bits, of two int64 code streams given block by block.
 
     Codes lie in [0, size_x) and [0, size_y); the joint counts come from
-    ``_joint_counts`` and the marginals are read off them.
+    ``_joint_counts``.  Both marginals are read off them by one rule: the
+    table's x codes (its y codes) are indexed by ``np.unique``, and each
+    symbol's count is the ``np.bincount`` of the joint counts over that index.
+    The counts are integers below 2^53, so the float sums are exact.
     """
     if size_x * size_y > np.iinfo(np.int64).max:  # Python ints, checked before anything is allocated
         raise ValueError(f"{size_x} x {size_y} symbol pairs overflow a 64-bit pair key")
@@ -341,18 +345,11 @@ def _plugin_mi(
     n = int(cj.sum())
     if n == 0:
         raise ValueError("cannot estimate information from an empty record set")
-    x, y = np.divmod(keys, size_y)
-    # Keys are sorted, so each x is one run of the table: its count is the run's sum.
-    runs = np.flatnonzero(np.diff(x, prepend=-1))
-    cx = np.add.reduceat(cj, runs)
-    nx = np.repeat(cx, np.diff(runs, append=keys.size))
-    uy, iy = np.unique(y, return_inverse=True)
-    cy = np.zeros(uy.size, dtype=np.int64)
-    np.add.at(cy, iy, cj)
-    ny = cy[iy]
-    mi = float(np.sum((cj / n) * np.log2(cj.astype(float) * n / (nx * ny))))
+    ix, iy = (np.unique(codes, return_inverse=True)[1] for codes in np.divmod(keys, size_y))
+    cx, cy = (np.bincount(index, weights=cj) for index in (ix, iy))
+    mi = float(np.sum((cj / n) * np.log2(cj.astype(float) * n / (cx[ix] * cy[iy]))))
     if miller_madow:
-        mi -= (keys.size - cx.size - uy.size + 1) / (2.0 * n * _LN2)
+        mi -= (keys.size - cx.size - cy.size + 1) / (2.0 * n * _LN2)
     return max(0.0, mi)
 
 
@@ -453,12 +450,14 @@ def write_transcript(transcript: Transcript, path: str) -> None:
     Float ``repr`` bounds the writer, so a pool of spawned processes, at most
     one per usable core and one per block, renders blocks of ``_BLOCK``
     rounds, each worker to its own part file (``_render_part``) in a
-    temporary directory beside ``path``.  This process writes the header,
-    then copies the parts into the file in block order, removing each once
-    it is copied: the file does not depend on the worker count, and the
-    rendered text never enters this process.  The directory and any part
-    left in it are removed on every exit path, a failed worker's included.
-    With one block or one core this process renders alone.  Spawned
+    temporary directory beside ``path``.  This process writes the header to
+    a file in that directory, then copies the parts into it in block order,
+    removing each once it is copied: the file does not depend on the worker
+    count, and the rendered text never enters this process.  With one block
+    or one core this process renders that file alone.  Only after the last
+    block does ``os.replace`` move it onto ``path`` (a symlink there is
+    replaced, not written through), so a failed write leaves ``path`` as it
+    was; the directory goes on every exit path.  Spawned
     workers start fresh interpreters, so nothing forks a process whose BLAS
     threads run, and they import the caller's main module, which must
     therefore guard its entry point with ``if __name__ == "__main__"`` (an
@@ -471,31 +470,31 @@ def write_transcript(transcript: Transcript, path: str) -> None:
     blocks = ((s.start, *(c[s] for c in columns)) for s in slices)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, len(slices))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_TRANSCRIPT_FIELDS) + "\n")
-        if workers < 2:
-            fh.writelines(map(_render_rows, blocks))
-            return
-        # Imported here, not at import time: it would add to every command's start-up.
-        import multiprocessing
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    # Beside the output, so the parts and the file share its filesystem and the last step is a rename.
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(path))) as tmp:
+        staged = os.path.join(tmp, "transcript")  # no part takes this name: parts are named by their first round
+        with open(staged, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(_TRANSCRIPT_FIELDS) + "\n")
+            if workers < 2:
+                fh.writelines(map(_render_rows, blocks))
+            else:
+                # Imported here, not at import time: it would add to every command's start-up.
+                import multiprocessing
+                from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        fh.flush()  # the parts are copied in as bytes, below the text layer
-        # Beside the output, so the parts share its filesystem.  The pool shuts
-        # down before the directory goes, so no worker writes into a removed one.
-        # A worker that dies, say on importing an unguarded main module, breaks the executor:
-        # an OSError below, as the file cannot be written.  A multiprocessing.Pool would respawn it forever.
-        try:
-            with (
-                tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(path))) as parts,
-                ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool,
-            ):
-                for part in pool.map(_render_part, itertools.repeat(parts), blocks):
-                    with open(part, "rb") as src:
-                        shutil.copyfileobj(src, fh.buffer, 1 << 16)
-                    os.remove(part)
-        except BrokenExecutor as exc:
-            raise OSError(f"a transcript worker died: {exc}") from exc
+                fh.flush()  # the parts are copied in as bytes, below the text layer
+                # The pool shuts down before the directory goes, so no worker writes into a removed one.
+                # A worker that dies, say on importing an unguarded main module, breaks the executor:
+                # an OSError below, as the file cannot be written.  A multiprocessing.Pool would respawn it forever.
+                try:
+                    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+                        for part in pool.map(_render_part, itertools.repeat(tmp), blocks):
+                            with open(part, "rb") as src:
+                                shutil.copyfileobj(src, fh.buffer, 1 << 16)
+                            os.remove(part)
+                except BrokenExecutor as exc:
+                    raise OSError(f"a transcript worker died: {exc}") from exc
+        os.replace(staged, path)
 
 
 def _row_bound(fh: BinaryIO) -> int:
@@ -545,8 +544,8 @@ def read_transcript(path: str) -> Transcript:
     ``np.loadtxt`` one block of ``_BLOCK`` at a time, and each block is checked
     and cast straight into its rows of the columns.  Peak memory is the
     columns (36 bytes per round) plus about two blocks, whatever the length
-    of the run.  Blank lines make the count exceed n, and then each column
-    is copied down to n, one at a time.
+    of the run.  The columns returned are the allocated ones cut to the n
+    rows read, so each blank line leaves 36 bytes allocated behind them.
     """
     with open(path, "rb") as raw:
         capacity = _row_bound(raw)
@@ -568,7 +567,4 @@ def read_transcript(path: str) -> Transcript:
                 if table.shape[0] < _BLOCK:
                     break
     n = start + table.shape[0]
-    if n < capacity:
-        for name in columns:
-            columns[name] = columns[name][:n].copy()
-    return Transcript(**columns)
+    return Transcript(**{name: col[:n] for name, col in columns.items()})

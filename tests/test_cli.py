@@ -457,7 +457,7 @@ class TestProcessBoundary:
         assert done.returncode == 3, done.stderr
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("i/o failure: ") and done.stderr.count("\n") == 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "wrapper.py"]  # no part file, no sidecar
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wrapper.py"]  # no transcript, part file or sidecar
 
     def test_transcripts_identical_across_blas_thread_counts(self, tmp_path):
         # The sampler's per-block matmul goes through BLAS; the bytes written

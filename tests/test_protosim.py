@@ -485,7 +485,19 @@ class TestTranscriptIO:
         with pytest.raises(ValueError, match="NaN"):
             write_transcript(replace(t, eve_bit=eve_bit), str(tmp_path / "transcript.csv"))
         assert multiprocessing.active_children() == []
-        assert [p.name for p in tmp_path.iterdir()] == ["transcript.csv"]  # the parts went with the failure
+        assert list(tmp_path.iterdir()) == []  # no transcript, no part: the failed write left nothing
+
+    @pytest.mark.parametrize("rounds", [3, 3 * _BLOCK], ids=["in process", "pool"])
+    def test_failed_write_leaves_an_existing_file_unchanged(self, tmp_path, rounds):
+        path = tmp_path / "transcript.csv"
+        path.write_bytes(b"an earlier run\n")
+        t = run_protocol(ProtocolConfig(rounds=rounds, attack=NO_ATTACK, seed=5))
+        eve_bit = t.eve_bit.astype(float)
+        eve_bit[-1] = math.nan  # the last block cannot be rendered
+        with pytest.raises(ValueError, match="NaN"):
+            write_transcript(replace(t, eve_bit=eve_bit), str(path))
+        assert path.read_bytes() == b"an earlier run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["transcript.csv"]
 
     def test_unguarded_script_fails_instead_of_hanging(self, tmp_path):
         # Spawned workers import the main module; one without a __main__
@@ -648,7 +660,7 @@ class TestBlockwise:
 
     @pytest.mark.parametrize("fold", [False, True], ids=["unfolded", "folded"])
     def test_information_estimates_match_whole_column_reference(self, transcript, fold):
-        for rounds, cells in itertools.product([1, _BLOCK, len(transcript)], [(8, 16), (3, 5), (1, 1)]):
+        for rounds, cells in itertools.product([1, _BLOCK, len(transcript)], [(8, 16), (3, 5), (1, 1), (64, 128)]):
             t = transcript.subset(slice(0, rounds))
             binning = SiftingPartition(*cells)
             alice, bob = (oracle.party_codes(t, p, binning, fold) for p in ("alice", "bob"))
