@@ -33,16 +33,16 @@ their order.  Those fields are the one declaration of the columns: each
 one's kind gives its dtype, its csv format and its valid values, so
 ``run_protocol`` allocates, ``write_transcript`` formats and
 ``read_transcript`` checks and casts every column by it.
-``write_transcript`` is the only writer: float ``repr`` bounds it, so a pool
-of spawned processes, one per usable core, renders each block to a part file
-beside the output, and the calling process copies the parts in round order
-into a file beside them, moved onto the output only once it is whole.  The
-rendered text never enters the calling process.  ``read_transcript`` counts a
-file's lines in one binary pass, allocates the columns once at that length,
-parses and checks the rows one block at a time into them, and rejects a file
-that breaks the schema; its peak is the columns plus about two blocks,
-whatever the length of the run, and each blank line leaves 36 bytes
-allocated behind the returned columns.
+``write_transcript`` is the only writer.  Each block is rendered to its own
+part file beside the output, by a pool of spawned processes, one per usable
+core, as float ``repr`` bounds the writer, or, with one block or one core,
+by the calling process; the caller copies the parts in round order into a
+file beside them, moved onto the output only once it is whole.
+``read_transcript`` counts a file's lines in one binary pass, allocates the
+columns once at that length, parses and checks the rows one block at a time
+into them, and rejects a file that breaks the schema; its peak is the
+columns plus about two blocks, whatever the length of the run, and each
+blank line leaves 36 bytes allocated behind the returned columns.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ import shutil
 import tempfile
 import warnings
 from collections.abc import Callable, Iterable
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from typing import BinaryIO, NamedTuple
 
@@ -429,71 +430,65 @@ def sifted_error_rate(transcript: Transcript) -> float:
     return float((transcript.alice_bit == transcript.bob_bit).mean())
 
 
-def _render_rows(block: tuple) -> str:
-    """CSV text of one block of rounds: (first round index, *column slices in field order)."""
+def _render_part(parts: str, block: tuple) -> str:
+    """Render a block (first round, *column slices in field order) to a csv file in ``parts``; return its path."""
     start, *columns = block
     rows = zip(range(start, start + len(columns[0])), *(c.tolist() for c in columns))
-    return "".join([_ROW_FORMAT % row for row in rows])
-
-
-def _render_part(parts: str, block: tuple) -> str:
-    """Render one block (``_render_rows``) to its own file in the directory ``parts``; returns the file's path."""
-    part = os.path.join(parts, f"{block[0]}.csv")
+    part = os.path.join(parts, f"{start}.csv")
     with open(part, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_render_rows(block))
+        fh.write("".join([_ROW_FORMAT % row for row in rows]))
     return part
 
 
 def write_transcript(transcript: Transcript, path: str) -> None:
     """One CSV record per round in ``_TRANSCRIPT_FIELDS`` order; floats round-trip.
 
-    Float ``repr`` bounds the writer, so a pool of spawned processes, at most
-    one per usable core and one per block, renders blocks of ``_BLOCK``
-    rounds, each worker to its own part file (``_render_part``) in a
-    temporary directory beside ``path``.  This process writes the header to
-    a file in that directory, then copies the parts into it in block order,
-    removing each once it is copied: the file does not depend on the worker
-    count, and the rendered text never enters this process.  With one block
-    or one core this process renders that file alone.  Only after the last
-    block does ``os.replace`` move it onto ``path`` (a symlink there is
-    replaced, not written through), so a failed write leaves ``path`` as it
-    was; the directory goes on every exit path.  Spawned
-    workers start fresh interpreters, so nothing forks a process whose BLAS
-    threads run, and they import the caller's main module, which must
-    therefore guard its entry point with ``if __name__ == "__main__"`` (an
-    unguarded one kills the workers, which raises OSError chained from
-    ``BrokenProcessPool``).  Each task carries its own column slices;
-    ``read_transcript`` parses the file back in the same blocks.
+    Every block of ``_BLOCK`` rounds is rendered to its own part file
+    (``_render_part``) in a temporary directory beside ``path``: with one
+    block or one usable core by this process, otherwise, as float ``repr``
+    bounds the writer, by a pool of spawned processes, at most one per usable
+    core and one per block.  This process writes the header to a file in that
+    directory, then copies the parts into it in block order, removing each
+    once it is copied: the file does not depend on the worker count, and on
+    the pool route the rendered text never enters this process.  Only after
+    the last block does ``os.replace`` move it onto ``path`` (a symlink there
+    is replaced, not written through), so a failed write leaves ``path`` as it
+    was; the directory goes on every exit path.  Spawned workers start fresh
+    interpreters, so nothing forks a process whose BLAS threads run, and they
+    import the caller's main module, which must therefore guard its entry
+    point with ``if __name__ == "__main__"`` (an unguarded one kills the
+    workers, which raises OSError chained from ``BrokenProcessPool``).  Each
+    task carries its own column slices; ``read_transcript`` parses the file
+    back in the same blocks.
     """
     columns = [getattr(transcript, name) for name in _KINDS]
     slices = _blocks(len(transcript))
     blocks = ((s.start, *(c[s] for c in columns)) for s in slices)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, len(slices))
+    render, broken = map, ()  # one block or one core: this process renders every part, and no pool can break
     # Beside the output, so the parts and the file share its filesystem and the last step is a rename.
-    with tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(path))) as tmp:
-        staged = os.path.join(tmp, "transcript")  # no part takes this name: parts are named by their first round
-        with open(staged, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(_TRANSCRIPT_FIELDS) + "\n")
-            if workers < 2:
-                fh.writelines(map(_render_rows, blocks))
-            else:
-                # Imported here, not at import time: it would add to every command's start-up.
-                import multiprocessing
-                from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    # The pool, entered last, shuts down first, so no worker writes into a removed directory.
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(path))) as tmp, ExitStack() as stack:
+        if workers > 1:
+            # Imported here, not at import time: it would add to every command's start-up.
+            import multiprocessing
+            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-                fh.flush()  # the parts are copied in as bytes, below the text layer
-                # The pool shuts down before the directory goes, so no worker writes into a removed one.
-                # A worker that dies, say on importing an unguarded main module, breaks the executor:
-                # an OSError below, as the file cannot be written.  A multiprocessing.Pool would respawn it forever.
-                try:
-                    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-                        for part in pool.map(_render_part, itertools.repeat(tmp), blocks):
-                            with open(part, "rb") as src:
-                                shutil.copyfileobj(src, fh.buffer, 1 << 16)
-                            os.remove(part)
-                except BrokenExecutor as exc:
-                    raise OSError(f"a transcript worker died: {exc}") from exc
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+            render, broken = stack.enter_context(pool).map, BrokenExecutor
+        staged = os.path.join(tmp, "transcript")  # no part takes this name: parts are named by their first round
+        with open(staged, "wb") as fh:
+            fh.write((",".join(_TRANSCRIPT_FIELDS) + "\n").encode())
+            # A worker that dies, say on importing an unguarded main module, breaks the executor: an OSError, as
+            # the file cannot be written.  A multiprocessing.Pool would respawn it forever.
+            try:
+                for part in render(_render_part, itertools.repeat(tmp), blocks):
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh, 1 << 16)
+                    os.remove(part)
+            except broken as exc:
+                raise OSError(f"a transcript worker died: {exc}") from exc
         os.replace(staged, path)
 
 

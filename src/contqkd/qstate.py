@@ -116,8 +116,6 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
     n = len(rho.labels)
     keep_pos = [i for i, lab in enumerate(rho.labels) if lab in keep_set]
     drop_pos = [i for i, lab in enumerate(rho.labels) if lab not in keep_set]
-    if not drop_pos:
-        return rho
 
     arr = rho.entries.reshape((2,) * (2 * n))
     perm = keep_pos + drop_pos + [n + i for i in keep_pos] + [n + i for i in drop_pos]

@@ -1,0 +1,158 @@
+"""Mutation checks kept with the tests: each row breaks the package in one known way, and its tests must fail.
+
+Run from anywhere, ``python tests/mutants.py``; pytest does not collect this file.  The runner copies
+``src``, ``tests`` and ``pyproject.toml`` into a temporary directory, never touching the working tree,
+and first runs every named test there unmutated: they must pass.  Then, for each row, it replaces the
+row's snippet, which must occur exactly once in its file, in a fresh copy and runs only the row's tests
+with that copy's ``src`` first on the path.  A mutant is killed when every one of its tests fails (a
+test named without parameters fails when any of its cases does).  The exit status is 1 if a snippet is
+missing or repeated, a named test fails unmutated, or a mutant survives.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SEAMS = "tests/test_protosim.py::TestTranscriptIO::test_writer_matches_rowwise_reference_across_block_seams"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    snippet: str  # must occur exactly once in the file
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids that must all fail
+
+
+MUTANTS = (
+    Mutant(
+        "build_isometry negates g10 instead of g11",
+        "src/contqkd/attack.py",
+        "(-1.0 if m and n else 1.0)",
+        "(-1.0 if m and not n else 1.0)",
+        ("tests/test_attack.py::TestClosedForm::test_reductions_match_closed_forms",),
+    ),
+    Mutant(
+        "_antipode a quarter turn off",
+        "src/contqkd/protosim.py",
+        "np.mod(phi + math.pi, TWO_PI)",
+        "np.mod(phi + math.pi / 2, TWO_PI)",
+        ("tests/test_acceptance.py::test_criterion_9_monte_carlo_cross_validation",),
+    ),
+    Mutant(
+        "_law_matrix reads the probe with the opposite sign",
+        "src/contqkd/protosim.py",
+        "np.stack([c[:, :, 0] + c[:, :, 3], c[:, :, 0] - c[:, :, 3]], axis=-1)",
+        "np.stack([c[:, :, 0] - c[:, :, 3], c[:, :, 0] + c[:, :, 3]], axis=-1)",
+        # The probe's two outcomes swap labels, which no information estimate sees: only the Born-rule oracle does.
+        (
+            "tests/test_protosim.py::TestRoundSampling::test_real_law_matches_complex_born_rule",
+            "tests/test_protosim.py::TestRunProtocol::test_stream_contract_across_chunk_seam",
+        ),
+    ),
+    Mutant(
+        "_snap_zero snaps below 1e-6",
+        "src/contqkd/security.py",
+        "return q if q > 1e-12 else 0.0",
+        "return q if q > 1e-6 else 0.0",
+        ("tests/test_security.py::TestQber::test_readings_match_closed_forms",),
+    ),
+    Mutant(
+        "Miller-Madow correction without its +1",
+        "src/contqkd/protosim.py",
+        "(keys.size - cx.size - cy.size + 1)",
+        "(keys.size - cx.size - cy.size)",
+        ("tests/test_protosim.py::TestBlockwise::test_information_estimates_match_whole_column_reference",),
+    ),
+    Mutant(
+        "ITP without its one step of slack",
+        "src/contqkd/security.py",
+        "_ITP_N0 = 1\n",
+        "_ITP_N0 = 0\n",
+        ("tests/test_pinned_outputs.py::test_outputs_match_pinned_values[critical --tol 1e-4 --reconciled]",),
+    ),
+    Mutant(
+        "inner-sphere kernel switches to its series at 1e-1",
+        "src/contqkd/infocalc.py",
+        "_SERIES_X = 1e-2\n",
+        "_SERIES_X = 1e-1\n",
+        ("tests/test_infocalc.py::TestSphereKernel::test_matches_mpmath",),
+    ),
+    Mutant(
+        "transcript declares alice_bit before alice_u",
+        "src/contqkd/protosim.py",
+        '    alice_u: np.ndarray = field(metadata={"kind": _U})\n'
+        '    alice_phi: np.ndarray = field(metadata={"kind": _PHI})\n'
+        '    alice_bit: np.ndarray = field(metadata={"kind": _BIT})\n',
+        '    alice_bit: np.ndarray = field(metadata={"kind": _BIT})\n'
+        '    alice_u: np.ndarray = field(metadata={"kind": _U})\n'
+        '    alice_phi: np.ndarray = field(metadata={"kind": _PHI})\n',
+        (SEAMS,),
+    ),
+    Mutant(
+        "writer keeps each part file until the end",
+        "src/contqkd/protosim.py",
+        "                    os.remove(part)\n",
+        "",
+        (f"{SEAMS}[16387-1cpu]", f"{SEAMS}[16387-4cpu]"),
+    ),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    """The files the tests need, without caches."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def failed_tests(copy: Path, tests: tuple[str, ...]) -> tuple[int, list[str]]:
+    """Run ``tests`` in ``copy`` with its ``src`` first on the path; the exit code and the failed node ids."""
+    path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
+    # Plain asserts: the rewritten ones would diff two unequal transcripts for minutes before failing.
+    argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "--assert=plain", *tests]
+    done = subprocess.run(argv, cwd=copy, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    return done.returncode, [line.split(" ", 1)[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]
+
+
+def caught(test: str, failed: list[str]) -> bool:
+    return any(f == test or f.startswith((test + " ", test + "[")) for f in failed)
+
+
+def main() -> int:
+    bad = [m for m in MUTANTS if (ROOT / m.file).read_text(encoding="utf-8").count(m.snippet) != 1]
+    for m in bad:
+        print(f"BAD ROW   {m.name}: its snippet is not in {m.file} exactly once")
+    if bad:
+        return 1
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        baseline = Path(tmp, "baseline")
+        copy_tree(baseline)
+        code, failed = failed_tests(baseline, tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
+        if code != 0:
+            print(f"BASELINE  the named tests fail without a mutant (exit {code}): {failed}")
+            return 1
+        for k, m in enumerate(MUTANTS):
+            copy = Path(tmp, f"mutant-{k}")
+            copy_tree(copy)
+            source = (copy / m.file).read_text(encoding="utf-8")
+            (copy / m.file).write_text(source.replace(m.snippet, m.replacement), encoding="utf-8")
+            missed = [t for t in m.tests if not caught(t, failed_tests(copy, m.tests)[1])]
+            print(f"{'SURVIVED' if missed else 'killed':9} {m.name}" + (f": passed {missed}" if missed else ""))
+            status |= bool(missed)
+            shutil.rmtree(copy)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

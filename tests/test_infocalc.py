@@ -16,6 +16,7 @@ from contqkd import (
     singlet,
     reconciled_i_ab,
 )
+from contqkd.infocalc import _sphere_relative_entropy
 from contqkd.qstate import PSD_FLOOR
 from conftest import (
     SINGLET_BITS,
@@ -36,6 +37,43 @@ from oracle import (
 # Direct evaluation of the entropy functional for the table
 # [[3/8, 1/8], [1/8, 3/8]]: 1 + (3/4) log2(3/4) + (1/4) log2(1/4).
 SKEWED_TABLE_BITS = 1.0 + 0.75 * math.log2(0.75) + 0.25 * math.log2(0.25)
+
+# g(x) = [(1 + x)^2 ln(1 + x) - (1 - x)^2 ln(1 - x)] / (2x) - 1, the inner-sphere kernel at alpha = 1, at the
+# binary value of each x, to 40 significant digits.  Generated with mpmath 1.3.0 at 60 digits:
+#     mpmath.mp.dps = 60; m = mpmath.mpf(x)
+#     g = ((1 + m) ** 2 * mpmath.log1p(m) - (1 - m) ** 2 * mpmath.log1p(-m)) / (2 * m) - 1
+#     mpmath.nstr(g, 40, min_fixed=0, max_fixed=0)
+# The grid spans both sides of the series switch ``infocalc._SERIES_X`` (1e-2).
+SPHERE_KERNEL = (
+    (0.0001, "3.333333336666666995668717028177194293098e-9"),
+    (0.0003, "3.000000027000000168664517639275034845227e-8"),
+    (0.001, "3.333333666666762043579493155521413323957e-7"),
+    (0.003, "3.000002700006943008079005811459684601029e-6"),
+    (0.005, "8.333354166815478087541555582724995653889e-6"),
+    (0.008, "2.133346986916334365708920292376655640269e-5"),
+    (0.0099, "3.267032020763684916762219834730412295023e-5"),
+    (0.01, "3.333366667619087442388273919611862880561e-5"),
+    (0.0101, "3.400368021144680944148863426799748762576e-5"),
+    (0.012, "4.800069122843965125726926451041338926379e-5"),
+    (0.015, "7.500168760849230867177229187742449029457e-5"),
+    (0.02, "1.33338667276292089735266560802590749838e-4"),
+    (0.03, "3.000270069454618856060920737193316006236e-4"),
+    (0.05, "8.3354181563139805973790276954094068675e-4"),
+    (0.07, "1.634134789426675841518885564411075076551e-3"),
+    (0.09, "2.702192078495660031503165003174471220511e-3"),
+    (0.1, "3.336676230361923608106998273946128611567e-3"),
+    (0.15, "7.516984510965839610725135763319853728705e-3"),
+    (0.2, "1.338728656097226508060442185233372865945e-2"),
+    (0.3, "3.027721580006457041659781803817130152474e-2"),
+    (0.5, "8.558328838335618680483754015932969930585e-2"),
+    (0.7, "1.727665699707190369646466005642130907579e-1"),
+    (0.9, "3.000657666734920159857578347464887064413e-1"),
+    (0.99, "3.76536616100313384253832991749015802215e-1"),
+    (0.999, "3.852979150416984447362679389626522833688e-1"),
+)
+# Fixed before the first comparison: the kernel is within 5e-16 of mpmath over 800 points of [1e-4, 0.999];
+# with the series switch at 1e-1 instead, the closed form's cancellation just above 1e-2 leaves 1.9e-13.
+SPHERE_KERNEL_ATOL = 2e-15
 
 
 class TestJointTable:
@@ -212,6 +250,14 @@ class TestNonselectedInformation:
     def test_requires_two_qubits(self, quad_light):
         with pytest.raises(ValueError):
             nonselected_information(maximally_mixed(("A",)), quad_light, quad_light)
+
+
+class TestSphereKernel:
+    def test_matches_mpmath(self):
+        x = np.array([row[0] for row in SPHERE_KERNEL])
+        reference = np.array([float(row[1]) for row in SPHERE_KERNEL])
+        got = _sphere_relative_entropy(1.0, x)
+        assert np.abs(got - reference).max() <= SPHERE_KERNEL_ATOL
 
 
 def _unchecked_pair(a, b, t) -> DensityMatrix:

@@ -448,15 +448,25 @@ class TestTranscriptIO:
             Transcript(*[np.zeros(2)] * len(fields(Transcript)))
 
     @pytest.mark.parametrize("cpus", [None, 1, 4], ids=["affinity", "1cpu", "4cpu"])
-    @pytest.mark.parametrize("rounds", [_BLOCK + 3, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("rounds", [3, _BLOCK + 3, 2 * _BLOCK + 3])
     def test_writer_matches_rowwise_reference_across_block_seams(self, tmp_path, monkeypatch, rounds, cpus):
-        # The file is the same whatever the number of rendering workers.
+        # The file is the same whatever the number of rendering workers, one block rendered in this process
+        # included, and each part file goes as soon as it is copied in: at the final rename the staging
+        # directory holds the staged file alone.
         if cpus is not None:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        staged = []
+
+        def replace(src, dst, rename=os.replace):
+            staged.append(sorted(os.listdir(os.path.dirname(src))))
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
         t = run_protocol(ProtocolConfig(rounds=rounds, attack=optimal_params(0.25), seed=31))
         path = tmp_path / "transcript.csv"
         write_transcript(t, str(path))
         assert path.read_text() == oracle.render_transcript(t)
+        assert staged == [["transcript"]]
         assert [p.name for p in tmp_path.iterdir()] == ["transcript.csv"]  # no part file survives
 
     def test_empty_transcript_is_the_header_line(self, tmp_path):

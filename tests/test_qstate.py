@@ -193,6 +193,11 @@ class TestPartialTrace:
         sigma = DensityMatrix.from_ket(KET0, ("E",))
         out = partial_trace(tensor(singlet(), sigma), ("A", "B"))
         np.testing.assert_allclose(out.entries, singlet().entries, atol=1e-14)
+        # Keeping every subsystem, in either order, drops nothing: the state itself, in its label order.
+        for keep in (("A", "B"), ("B", "A")):
+            whole = partial_trace(singlet(), keep)
+            assert whole.labels == ("A", "B")
+            np.testing.assert_array_equal(whole.entries, singlet().entries)
 
     def test_composition_one_at_a_time(self):
         k = basis_kets(np.array([math.cos(1.1)]), np.array([0.4]))[0, 0]
