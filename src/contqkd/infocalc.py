@@ -16,10 +16,12 @@ Every two-qubit state enters in its Fano form (U. Fano, Rev. Mod. Phys. 55,
 855 (1983); R. and M. Horodecki, Phys. Rev. A 54, 1838 (1996)): Bloch vectors
 a, b and correlation tensor T, with joint outcome density
 p(n, m) = (1 + a.n + b.m + n.T.m)/4.  Being linear in m for fixed n, it has
-a closed-form inner sphere integral, and only the outer sphere is discretized
-by a product rule: Gauss-Legendre in u = cos(theta) times a uniform periodic
-rule in phi.  The singlet value is exact to roundoff; on generic states the
-default rule ``DEFAULT_RULE`` agrees with a 128x256 rule to a few 1e-9 bits.
+a closed-form inner sphere integral, and only the outer sphere is discretized,
+by a ``SphereQuadrature``: always the product of Gauss-Legendre in
+u = cos(theta) and a uniform periodic rule in phi, built by its one
+constructor ``SphereQuadrature.gauss_product``.  The singlet value is exact
+to roundoff; on generic states the default rule ``DEFAULT_RULE`` agrees with
+a 128x256 rule to a few 1e-9 bits.
 This module owns directions: ``bloch_vectors`` maps (u, phi) to the unit
 Bloch vector for the quadrature nodes and for every direction ``protosim`` draws.
 """
@@ -57,14 +59,16 @@ def bloch_vectors(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), u], axis=1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SphereQuadrature:
-    """Node/weight set discretizing the Bloch-sphere measure.
+    """Gauss-Legendre x uniform-azimuth product rule on the Bloch sphere.
 
-    ``u``, ``phi`` and ``weights`` are flat arrays of equal length; weights
-    sum to the sphere volume 2 and integrate degree <= 2 polynomials in the
-    Cartesian direction components exactly.  ``vectors`` caches the unit
-    Bloch vector of every node, shape (N, 3).
+    ``gauss_product`` is the one constructor (K. Atkinson, "Numerical
+    integration on the sphere", J. Austral. Math. Soc. B 23, 332 (1982)).
+    ``u``, ``phi`` and ``weights`` are read-only flat arrays of equal length;
+    by construction the weights are positive, sum to the sphere volume 2 and
+    integrate degree <= 2 polynomials in the direction components exactly.
+    ``vectors`` holds the unit Bloch vector of every node, shape (N, 3).
     """
 
     u: np.ndarray
@@ -72,33 +76,9 @@ class SphereQuadrature:
     weights: np.ndarray
     vectors: np.ndarray
 
-    def __init__(self, u: np.ndarray, phi: np.ndarray, weights: np.ndarray) -> None:
-        u = np.asarray(u, dtype=float).reshape(-1)
-        phi = np.asarray(phi, dtype=float).reshape(-1)
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if not (u.size == phi.size == w.size) or u.size == 0:
-            raise ValueError("u, phi and weights must be equal-length nonempty arrays")
-        if not (np.isfinite(u).all() and np.isfinite(phi).all() and np.isfinite(w).all()):
-            raise ValueError("quadrature nodes and weights must be finite")
-        if w.min() <= 0.0:
-            raise ValueError("quadrature weights must be positive")
-        if abs(math.fsum(w.tolist()) - SPHERE_VOLUME) > 1e-10:
-            raise ValueError("quadrature weights do not sum to the sphere volume 2")
-        vectors = bloch_vectors(u, phi)
-        residual = _moment_residual(vectors, w)
-        if residual > 1e-10:
-            raise ValueError(f"quadrature fails the degree-2 moment test: residual {residual:.3e}")
-
-        for arr in (u, phi, w, vectors):
-            arr.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "vectors", vectors)
-
     @classmethod
     def gauss_product(cls, n_polar: int, n_azimuth: int) -> "SphereQuadrature":
-        """Gauss-Legendre x uniform-azimuth product rule.
+        """The product rule of n_polar x n_azimuth nodes.
 
         n_polar >= 2 Legendre nodes in u = cos(theta); n_azimuth >= 4
         midpoint nodes in phi (exact for trigonometric polynomials of degree
@@ -112,18 +92,11 @@ class SphereQuadrature:
         u = np.repeat(x, n_azimuth)
         ph = np.tile(phi, n_polar)
         w = np.repeat(wx, n_azimuth) / float(n_azimuth)
-        return cls(u, ph, w)
-
-
-def _moment_residual(vectors: np.ndarray, w: np.ndarray) -> float:
-    """Worst deviation of the first and second direction moments.
-
-    Exact values under the sphere measure: integral of n_i is 0, of
-    n_i n_j is (2/3) delta_ij.
-    """
-    first = np.abs(w @ vectors).max()
-    second = np.abs((vectors.T * w) @ vectors - (2.0 / 3.0) * np.eye(3)).max()
-    return float(max(first, second))
+        rule = cls()
+        for name, arr in (("u", u), ("phi", ph), ("weights", w), ("vectors", bloch_vectors(u, ph))):
+            arr.setflags(write=False)
+            object.__setattr__(rule, name, arr)
+        return rule
 
 
 @lru_cache(maxsize=1)

@@ -49,6 +49,20 @@ def cos_polar_azimuth(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(v[..., 2], -1.0, 1.0), np.mod(np.arctan2(v[..., 1], v[..., 0]), 2.0 * math.pi)
 
 
+def assert_same_text(actual: str, expected: str) -> None:
+    """Assert that two texts are equal, reporting only the first line where they differ.
+
+    pytest's own report of two long unequal strings is a difflib diff that can
+    run for minutes; this one costs one pass over the lines.
+    """
+    if actual == expected:
+        return
+    got, want = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    k = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+    shown = [repr(lines[k]) if k < len(lines) else "no line" for lines in (got, want)]
+    raise AssertionError(f"texts differ first at line {k + 1}: {shown[0]} != {shown[1]} (expected)")
+
+
 def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0

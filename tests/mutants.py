@@ -103,6 +103,44 @@ MUTANTS = (
         "",
         (f"{SEAMS}[16387-1cpu]", f"{SEAMS}[16387-4cpu]"),
     ),
+    Mutant(
+        "_row_bound counts each '\\r\\n' twice",
+        "src/contqkd/protosim.py",
+        'np.count_nonzero(codes == ord("\\r")) - chunk.count(b"\\r\\n")',
+        'np.count_nonzero(codes == ord("\\r"))',
+        (
+            "tests/test_protosim.py::TestTranscriptIO::test_row_bound_counts_a_crlf_split_across_read_chunks",
+            "tests/test_protosim.py::TestTranscriptIO::test_row_bound_is_the_universal_newline_line_count",
+        ),
+    ),
+    Mutant(
+        "_cast_block lets u up to 1.5",
+        "src/contqkd/protosim.py",
+        "(col >= -1.0) & (col <= 1.0)",
+        "(col >= -1.0) & (col <= 1.5)",
+        ("tests/test_protosim.py::TestTranscriptIO::test_record_outside_the_schema_rejected[u above 1]",),
+    ),
+    Mutant(
+        "_joint_counts never rebuilds its table",
+        "src/contqkd/protosim.py",
+        "if sum(k.size for k in new_keys) > keys.size:",
+        "if False:",
+        ("tests/test_protosim.py::TestBoundedMemory::test_information_estimate_transient_is_a_few_blocks",),
+    ),
+    Mutant(
+        "cier clamps overshoot up to 1e-2",
+        "src/contqkd/security.py",
+        "if i > i_max + 1e-4:",
+        "if i > i_max + 1e-2:",
+        ("tests/test_security.py::TestCier::test_overshoot_past_the_clamp_rejected",),
+    ),
+    Mutant(
+        "gauss_product divides the azimuth weights by n_polar",
+        "src/contqkd/infocalc.py",
+        "np.repeat(wx, n_azimuth) / float(n_azimuth)",
+        "np.repeat(wx, n_azimuth) / float(n_polar)",
+        ("tests/test_infocalc.py::TestSphereQuadrature::test_product_rule_is_exact_to_degree_two",),
+    ),
 )
 
 
@@ -117,7 +155,7 @@ def copy_tree(dest: Path) -> None:
 def failed_tests(copy: Path, tests: tuple[str, ...]) -> tuple[int, list[str]]:
     """Run ``tests`` in ``copy`` with its ``src`` first on the path; the exit code and the failed node ids."""
     path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
-    # Plain asserts: the rewritten ones would diff two unequal transcripts for minutes before failing.
+    # Plain asserts: the runner reads only which tests failed, not why.
     argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "--assert=plain", *tests]
     done = subprocess.run(argv, cwd=copy, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
     lines = done.stdout.splitlines()

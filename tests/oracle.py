@@ -30,7 +30,9 @@ samples from the real law (v_A (x) v_B) @ W instead; the tests compare the two.
 the Fano forms of the three reductions of the attacked singlet, and the
 three disturbance readings, as trigonometric polynomials of (theta, phi)
 worked out by hand.  They do not go through the isometry, so they check it
-from outside; no package path reads them.
+from outside; no package path reads them.  ``line_rates_mpmath`` integrates
+the four rates on the optimal line from them in mpmath, to regenerate the
+committed references by hand.
 
 ``render_transcript`` is the original round-by-round transcript renderer, the
 reference for the column-wise CSV writer and the JSON transcript rows.
@@ -338,6 +340,62 @@ def attack_readings(theta: float, phi: float) -> tuple[float, float, float]:
     c2t, s2p = math.cos(2.0 * theta), math.sin(2.0 * phi)
     trace = -(s2p * c2t + s2p + c2t)
     return math.sin(theta) ** 2, 0.5 * (1.0 + trace / 3.0), 0.25 * (3.0 + trace)
+
+
+def line_rates_mpmath(theta: float, dps: int = 40) -> tuple:
+    """(i_ab, i_ae, i_be, reconciled i_ab) in bits on the optimal line, as mpmath numbers at ``dps`` digits.
+
+    Run by hand to regenerate committed references; it needs mpmath, which
+    the tests do not import.  At phi = pi/4 - theta, ``attack_fano_forms``
+    gives every reduction a = a_x x, b = b_x x and T = diag(t1, t2, t2), so
+    each integrand depends on the direction n only through n_x, which is
+    uniform on [-1, 1] under the sphere measure.  The continuous rate is
+    integral p ln p - integral p_x ln p_x - integral p_y ln p_y, with the inner
+    integral of p ln p over m in closed form, [h(alpha + r) - h(alpha - r)] / r
+    for h(z) = z^2 ln(z)/2 - z^2/4, alpha = (1 + a_x x)/4 and
+    r = sqrt((b_x + t1 x)^2 + t2^2 (1 - x^2))/4.  The reconciled rate is half
+    the integral of the table information of (1 +- a_x x +- b_x x +- (t1 x^2 + t2 (1 - x^2)))/4.
+    Each 1-D integral is mpmath's tanh-sinh rule on [-1, 0] and [0, 1].
+    """
+    import mpmath
+
+    mpmath.mp.dps = dps
+    s, c = mpmath.sin(2 * mpmath.mpf(theta)), mpmath.cos(2 * mpmath.mpf(theta))  # sin 2phi = c, cos 2phi = s
+    forms = ((0, s * s, -c * c, -c), (0, c * c, -s * s, -s), (s * s, c * c, 0, s * c))  # (a_x, b_x, t1, t2)
+    for got, (ax, bx, t1, t2) in zip(attack_fano_forms(theta, 0.25 * math.pi - theta), forms):
+        want = (np.array([ax, 0, 0]), np.array([bx, 0, 0]), np.diag([t1, t2, t2]))
+        assert all(np.abs(g - w.astype(float)).max() <= CLOSED_FORM_TOL for g, w in zip(got, want))
+
+    def plnp(p):
+        return p * mpmath.log(p) if p > 0 else mpmath.mpf(0)
+
+    def h(z):
+        return z * z * mpmath.log(z) / 2 - z * z / 4 if z > 0 else mpmath.mpf(0)
+
+    def integral(f):
+        return mpmath.quad(f, [-1, 0, 1])
+
+    def continuous(ax, bx, t1, t2):
+        def joint(x):
+            alpha, r = (1 + ax * x) / 4, mpmath.sqrt((bx + t1 * x) ** 2 + t2 * t2 * (1 - x * x)) / 4
+            return (h(alpha + r) - h(alpha - r)) / r
+
+        px = integral(lambda x: plnp((1 + ax * x) / 2))
+        py = integral(lambda y: plnp((1 + abs(bx) * y) / 2))
+        return (integral(joint) - px - py) / mpmath.log(2)
+
+    def reconciled(ax, bx, t1, t2):
+        def table(x):
+            corr, info = t1 * x * x + t2 * (1 - x * x), mpmath.mpf(0)
+            for sa in (1, -1):
+                info -= plnp((1 + sa * ax * x) / 2) + plnp((1 + sa * bx * x) / 2)
+                for sb in (1, -1):
+                    info += plnp((1 + sa * ax * x + sb * bx * x + sa * sb * corr) / 4)
+            return info
+
+        return integral(table) / (2 * mpmath.log(2))
+
+    return (*(continuous(*f) for f in forms), reconciled(*forms[0]))
 
 
 def apply_attack(initial: DensityMatrix, iso: EveIsometry) -> DensityMatrix:

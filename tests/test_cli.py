@@ -15,7 +15,7 @@ from contqkd import ProtocolConfig, cier, optimal_params, run_protocol, write_tr
 from contqkd.cli import MI_CELLS_PHI, MI_CELLS_U, _parse_angle, run
 from contqkd.protosim import _BLOCK
 from contqkd.security import NONSELECTED_MAX_BITS, RECONCILED_MAX_BITS
-from conftest import SINGLET_BITS
+from conftest import SINGLET_BITS, assert_same_text
 from oracle import render_transcript
 
 LIGHT = ["--quad-polar", "12", "--quad-azimuth", "24"]
@@ -253,7 +253,7 @@ class TestSimulate:
         transcript = run_protocol(ProtocolConfig(rounds=rounds, attack=optimal_params(theta), seed=seed))
         reference = render_transcript(transcript)
         write_transcript(transcript, str(tmp_path / "run.csv"))
-        assert (tmp_path / "run.csv").read_text() == reference
+        assert_same_text((tmp_path / "run.csv").read_text(), reference)
 
 
 class TestExitCodes:

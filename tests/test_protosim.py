@@ -49,7 +49,7 @@ from contqkd.protosim import (
     empirical_mi_with_probe,
     sifted_error_rate,
 )
-from conftest import cos_polar_azimuth, random_direction
+from conftest import assert_same_text, cos_polar_azimuth, random_direction
 import oracle
 
 NO_ATTACK = optimal_params(0.0)
@@ -465,7 +465,7 @@ class TestTranscriptIO:
         t = run_protocol(ProtocolConfig(rounds=rounds, attack=optimal_params(0.25), seed=31))
         path = tmp_path / "transcript.csv"
         write_transcript(t, str(path))
-        assert path.read_text() == oracle.render_transcript(t)
+        assert_same_text(path.read_text(), oracle.render_transcript(t))
         assert staged == [["transcript"]]
         assert [p.name for p in tmp_path.iterdir()] == ["transcript.csv"]  # no part file survives
 
@@ -474,7 +474,7 @@ class TestTranscriptIO:
         empty = t.subset(np.zeros(len(t), dtype=bool))
         path = tmp_path / "transcript.csv"
         write_transcript(empty, str(path))
-        assert path.read_text() == oracle.render_transcript(empty)
+        assert_same_text(path.read_text(), oracle.render_transcript(empty))
         assert path.read_text().count("\n") == 1
 
     def test_cpu_count_stands_in_for_a_missing_affinity_call(self, tmp_path, monkeypatch):
@@ -484,7 +484,7 @@ class TestTranscriptIO:
         t = run_protocol(ProtocolConfig(rounds=2 * _BLOCK + 3, attack=optimal_params(0.25), seed=32))
         path = tmp_path / "transcript.csv"
         write_transcript(t, str(path))
-        assert path.read_text() == oracle.render_transcript(t)
+        assert_same_text(path.read_text(), oracle.render_transcript(t))
 
     def test_worker_failure_raises_and_leaves_no_worker(self, tmp_path):
         # A NaN bit cannot be rendered with %d, so the worker holding the

@@ -31,7 +31,7 @@ from contqkd import (
 )
 from contqkd import security
 from contqkd.attack import attacked_pure_state
-from contqkd.infocalc import fano_form
+from contqkd.infocalc import default_quadrature, fano_form
 from contqkd.security import (
     NONSELECTED_MAX_BITS,
     BracketError,
@@ -42,6 +42,23 @@ from conftest import SINGLET_BITS
 from oracle import CLOSED_FORM_TOL, attack_readings, critical_cier_dim, maximally_mixed, outcome_probabilities
 
 QUARTER = math.pi / 4
+
+# (theta, (i_ab, i_ae, i_be, reconciled i_ab)) in bits on the optimal line, to 30 significant digits.  Generated
+# with mpmath 1.3.0 by ``oracle.line_rates_mpmath(theta, 40)``, which reads ``oracle.attack_fano_forms`` and
+# integrates each rate in n_x; its values at 60 digits agree to 1e-35.
+LINE_RATES = (
+    (0.05, ("2.73985148631028302617198545083e-1", "2.37231318432254846814246655856e-3",
+            "2.34842784911895505001182131583e-3", "9.69876115617765539406589289208e-1")),
+    (0.2, ("2.18568577857304535480003299903e-1", "3.47706138622333346395561054735e-2",
+           "2.92282746646076099886110403625e-2", "7.3360792143741341687147037629e-1")),
+    (0.5139, ("6.10467227212644410516667971273e-2", "1.81322205772201209639679780759e-1",
+              "4.3782834841682378502679978934e-2", "1.81313720546438470106954784878e-1")),
+    (0.7, ("6.80242684355966598983779160804e-3", "2.65572294636084543149817139757e-1",
+           "6.60173975302994049143135159231e-3", "1.63330603731955062769079287996e-2")),
+)
+# Bounds of the default 32x64 rule, fixed before the first comparison.  Measured at these angles: i_ab and i_ae
+# within 2.7e-16, i_be within 1.5e-10 (at 0.7), and the reconciled rate up to 1.7e-7 low (at 0.7).
+LINE_RATE_TOL = (1e-14, 1e-14, 1e-9, 1e-6)
 
 
 def itp_step_bound(tol: float) -> int:
@@ -135,6 +152,16 @@ class TestReconciledRate:
         assert reconciled_i_ab(rab, quad_light) == pytest.approx(0.0, abs=1e-10)
 
 
+class TestLineRates:
+    @pytest.mark.parametrize("theta, references", LINE_RATES, ids=[str(t) for t, _ in LINE_RATES])
+    def test_default_rule_matches_mpmath(self, theta, references):
+        params = optimal_params(theta)
+        i_ab, i_ae, i_be = security.information_rates(params, default_quadrature())
+        reconciled = security.information_rates(params, default_quadrature(), reconciled=True)[0]
+        for got, ref, tol in zip((i_ab, i_ae, i_be, reconciled), references, LINE_RATE_TOL):
+            assert abs(got - float(ref)) <= tol
+
+
 class TestQber:
     def test_zero_at_zero_strength_for_every_phase(self):
         for phi in (0.0, 0.3, QUARTER, 1.2, 5.0):
@@ -213,6 +240,11 @@ class TestCier:
 
     def test_quadrature_overshoot_clamps(self):
         assert cier(NONSELECTED_MAX_BITS + 5e-5, NONSELECTED_MAX_BITS) == 0.0
+
+    def test_overshoot_past_the_clamp_rejected(self):
+        # Twice the 1e-4 clamp: a rate that far above the maximum is a fault, not quadrature error.
+        with pytest.raises(ValueError, match="exceeds"):
+            cier(NONSELECTED_MAX_BITS + 2e-4, NONSELECTED_MAX_BITS)
 
     @pytest.mark.parametrize("i, i_max", [(math.nan, 1.0), (0.1, math.nan), (0.1, math.inf), (math.inf, 1.0)])
     def test_rejects_non_finite_input(self, i, i_max):
