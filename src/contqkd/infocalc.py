@@ -20,8 +20,8 @@ a closed-form inner sphere integral, and only the outer sphere is discretized,
 by a ``SphereQuadrature``: always the product of Gauss-Legendre in
 u = cos(theta) and a uniform periodic rule in phi, built by its one
 constructor ``SphereQuadrature.gauss_product``.  The singlet value is exact
-to roundoff; on generic states the default rule ``DEFAULT_RULE`` agrees with
-a 128x256 rule to a few 1e-9 bits.
+to roundoff; against a 128x256 rule ``DEFAULT_RULE`` is off by up to 3.8e-8
+bits on the CLI's default 17x17 ``surface`` grid (``i_be`` at theta 0.7363, phi 0).
 This module owns directions: ``bloch_vectors`` maps (u, phi) to the unit
 Bloch vector for the quadrature nodes and for every direction ``protosim`` draws.
 """
@@ -65,9 +65,11 @@ class SphereQuadrature:
 
     ``gauss_product`` is the one constructor (K. Atkinson, "Numerical
     integration on the sphere", J. Austral. Math. Soc. B 23, 332 (1982)).
-    ``u``, ``phi`` and ``weights`` are read-only flat arrays of equal length;
-    by construction the weights are positive, sum to the sphere volume 2 and
-    integrate degree <= 2 polynomials in the direction components exactly.
+    ``u``, ``phi`` and ``weights`` are flat arrays of equal length, read-only
+    in a rule ``gauss_product`` built (a pickled or deep-copied rule has
+    writeable arrays sharing no memory with the original's); the weights are
+    positive, sum to the sphere volume 2 and integrate degree <= 2
+    polynomials in the direction components exactly, by construction.
     ``vectors`` holds the unit Bloch vector of every node, shape (N, 3).
     """
 

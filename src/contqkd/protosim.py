@@ -35,7 +35,7 @@ one's kind gives its dtype, its csv format and its valid values, so
 ``read_transcript`` checks and casts every column by it.
 ``write_transcript`` is the only writer.  Each block is rendered to its own
 part file beside the output, by a pool of spawned processes, one per usable
-core, as float ``repr`` bounds the writer, or, with one block or one core,
+core, as the row render bounds the writer, or, with one block or one core,
 by the calling process; the caller copies the parts in round order into a
 file beside them, moved onto the output only once it is whole.
 ``read_transcript`` counts a file's lines in one binary pass, allocates the
@@ -445,7 +445,7 @@ def write_transcript(transcript: Transcript, path: str) -> None:
 
     Every block of ``_BLOCK`` rounds is rendered to its own part file
     (``_render_part``) in a temporary directory beside ``path``: with one
-    block or one usable core by this process, otherwise, as float ``repr``
+    block or one usable core by this process, otherwise, as the row render
     bounds the writer, by a pool of spawned processes, at most one per usable
     core and one per block.  This process writes the header to a file in that
     directory, then copies the parts into it in block order, removing each
@@ -493,22 +493,16 @@ def write_transcript(transcript: Transcript, path: str) -> None:
 
 
 def _row_bound(fh: BinaryIO) -> int:
-    """The lines after the first in a binary file, split as the text reader splits them.
+    """The lines after the first in a binary file, split at '\n' only, as the reader's text layer splits them.
 
-    A line ends at '\n', '\r\n' or a bare '\r' (universal newlines).  Blank
-    lines count too, so this bounds the rows from above, and it is the row
-    count of a file ``write_transcript`` wrote.  Reads one chunk at a time.
+    A '\r' ends no line.  Blank lines count too, so this bounds the rows from
+    above, and it is the row count of a file ``write_transcript`` wrote.
     """
     lines, tail = 0, b""
     while chunk := fh.read(1 << 20):
-        if chunk.endswith(b"\r"):  # so a '\r\n' is not split between chunks
-            chunk += fh.read(1)
-        codes = np.frombuffer(chunk, dtype=np.uint8)
-        lines += np.count_nonzero(codes == ord("\n"))
-        if b"\r" in chunk:  # a '\r' ends a line unless a '\n' follows it
-            lines += np.count_nonzero(codes == ord("\r")) - chunk.count(b"\r\n")
+        lines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
         tail = chunk[-1:]
-    lines += tail not in (b"", b"\n", b"\r")  # a last line with no line end
+    lines += tail not in (b"", b"\n")  # a last line with no line end
     return max(lines - 1, 0)
 
 
@@ -534,6 +528,8 @@ def read_transcript(path: str) -> Transcript:
     Valid rows have one field per column and rounds 0..n-1, and each column's
     values pass the check of its kind on ``Transcript``, before they are cast
     to its dtype.  Blank lines are skipped; a '#' line is a malformed row, not a comment.
+    Lines end at '\n' only, so a CRLF file reads the same ('\r' is whitespace) and one with
+    bare '\r' line ends is rejected; the first line, its end included, is the header and at most 3 more characters.
     A first pass counts the file's lines in binary (``_row_bound``), and the
     columns are allocated once at that length.  The rows are then parsed by
     ``np.loadtxt`` one block of ``_BLOCK`` at a time, and each block is checked
@@ -544,10 +540,11 @@ def read_transcript(path: str) -> Transcript:
     """
     with open(path, "rb") as raw:
         capacity = _row_bound(raw)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != _TRANSCRIPT_FIELDS:
-            raise ValueError(f"unexpected transcript header {header}")
+    header = ",".join(_TRANSCRIPT_FIELDS)
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        first = fh.readline(len(header) + 3)  # the header and a '\r\n' fit; a longer first line is not read whole
+        if first.strip() != header or len(first) == len(header) + 3 and not first.endswith("\n"):
+            raise ValueError(f"unexpected transcript header line {first!r}")
         columns = {name: np.empty(capacity, dtype=kind.dtype) for name, kind in _KINDS.items()}
         lines = filter(str.strip, fh)
         with warnings.catch_warnings():

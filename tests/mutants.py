@@ -21,6 +21,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SEAMS = "tests/test_protosim.py::TestTranscriptIO::test_writer_matches_rowwise_reference_across_block_seams"
+LAYOUTS = "tests/test_protosim.py::TestTranscriptIO::test_line_endings_and_trailing_lines_read_back"
+BARE_CR = "tests/test_protosim.py::TestTranscriptIO::test_bare_carriage_return_is_rejected"
+SIFT = "tests/test_protosim.py::TestBlockwise::test_sift_matches_whole_column_reference"
 
 
 class Mutant(NamedTuple):
@@ -104,14 +107,37 @@ MUTANTS = (
         (f"{SEAMS}[16387-1cpu]", f"{SEAMS}[16387-4cpu]"),
     ),
     Mutant(
-        "_row_bound counts each '\\r\\n' twice",
+        "_row_bound drops a last line with no line end",
         "src/contqkd/protosim.py",
-        'np.count_nonzero(codes == ord("\\r")) - chunk.count(b"\\r\\n")',
-        'np.count_nonzero(codes == ord("\\r"))',
+        'lines += tail not in (b"", b"\\n")',
+        "lines += 0",
         (
-            "tests/test_protosim.py::TestTranscriptIO::test_row_bound_counts_a_crlf_split_across_read_chunks",
-            "tests/test_protosim.py::TestTranscriptIO::test_row_bound_is_the_universal_newline_line_count",
+            "tests/test_protosim.py::TestTranscriptIO::test_row_bound_is_the_text_layer_line_count",
+            f"{LAYOUTS}[no final newline-whole blocks]",
+            f"{LAYOUTS}[no final newline-partial block]",
         ),
+    ),
+    Mutant(
+        "read_transcript's text layer takes universal newlines",
+        "src/contqkd/protosim.py",
+        'open(path, "r", encoding="utf-8", newline="\\n")',
+        'open(path, "r", encoding="utf-8", newline=None)',
+        # The header then reads back, and the read fails later, on numpy's broadcast into columns sized by '\n'.
+        (f"{BARE_CR}[bare cr-whole blocks]", f"{BARE_CR}[bare cr-partial block]"),
+    ),
+    Mutant(
+        "read_transcript reads the header line whole",
+        "src/contqkd/protosim.py",
+        "fh.readline(len(header) + 3)",
+        "fh.readline()",
+        ("tests/test_protosim.py::TestTranscriptIO::test_file_without_line_ends_is_rejected_with_a_short_message",),
+    ),
+    Mutant(
+        "read_transcript takes a first line cut at the bound",
+        "src/contqkd/protosim.py",
+        ' or len(first) == len(header) + 3 and not first.endswith("\\n")',
+        "",
+        ("tests/test_protosim.py::TestTranscriptIO::test_record_on_the_header_line_rejected",),
     ),
     Mutant(
         "_cast_block lets u up to 1.5",
@@ -140,6 +166,20 @@ MUTANTS = (
         "np.repeat(wx, n_azimuth) / float(n_azimuth)",
         "np.repeat(wx, n_azimuth) / float(n_polar)",
         ("tests/test_infocalc.py::TestSphereQuadrature::test_product_rule_is_exact_to_degree_two",),
+    ),
+    Mutant(
+        "sift flips the receiver's bit in a cell that holds its own antipode",
+        "src/contqkd/protosim.py",
+        "anti[s] = (cell_a == cell_b_anti) & ~same",
+        "anti[s] = cell_a == cell_b_anti",
+        (f"{SIFT}[cells2]", f"{SIFT}[cells3]"),  # the partitions (3, 1) and (1, 1)
+    ),
+    Mutant(
+        "expected_keep_rate counts a self-antipodal cell's overlap as one band",
+        "src/contqkd/protosim.py",
+        "rate -= 1.0 / (self.cells_u * self.cells_u)",
+        "rate -= 1.0 / self.cells_u",
+        ("tests/test_protosim.py::TestSift::test_keep_rate_matches_partition_measure",),
     ),
 )
 

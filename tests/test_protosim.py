@@ -258,12 +258,14 @@ class TestSift:
         assert len(sift(t, SiftingPartition(1, 1))) == len(t)
 
     def test_keep_rate_matches_partition_measure(self):
-        part = SiftingPartition(8, 16)
+        # (3, 1) has a cell that holds its own antipode: its rounds are kept once, unflipped.
         cfg = ProtocolConfig(rounds=200_000, attack=NO_ATTACK, seed=4)
-        kept = len(sift(run_protocol(cfg), part))
-        expected = part.expected_keep_rate()
-        sigma = math.sqrt(expected * (1 - expected) * cfg.rounds)
-        assert abs(kept - expected * cfg.rounds) < 4.0 * sigma
+        t = run_protocol(cfg)
+        for part in (SiftingPartition(8, 16), SiftingPartition(3, 1)):
+            kept = len(sift(t, part))
+            expected = part.expected_keep_rate()
+            sigma = math.sqrt(expected * (1 - expected) * cfg.rounds)
+            assert abs(kept - expected * cfg.rounds) < 4.0 * sigma, part
 
     def test_antipodal_match_flips_receiver_bit(self):
         # Receiver measuring the antipodal direction reports inverted labels;
@@ -400,16 +402,21 @@ def seam_transcript(tmp_path_factory):
     return t, path.read_text().splitlines()
 
 
-# A transcript's lines (header first) laid out as file text: line ends other
-# than '\n', a missing last line end, and blank or whitespace-only lines after
-# the last round.  The reader accepts each.
+# A transcript's lines (header first) laid out as file text: '\r\n' line ends,
+# a missing last line end, and blank or whitespace-only lines after the last
+# round.  The reader accepts each.
 LINE_LAYOUTS = {
     "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
-    "bare cr": lambda lines: "\r".join(lines) + "\r",
-    "mixed": lambda lines: "".join(line + ("\n", "\r\n", "\r")[i % 3] for i, line in enumerate(lines)),
     "no final newline": lambda lines: "\n".join(lines),
     "trailing blank lines": lambda lines: "\n".join(lines) + "\n\n\n",
     "trailing whitespace lines": lambda lines: "\n".join(lines) + "\n  \t\n \r\n\t",
+}
+
+# Layouts with bare '\r' line ends, which end no line, and the error each
+# raises: None leaves the wording to numpy's parser.
+BARE_CR_LAYOUTS = {
+    "bare cr": (lambda lines: "\r".join(lines) + "\r", "header"),
+    "mixed": (lambda lines: "".join(line + ("\n", "\r\n", "\r")[i % 3] for i, line in enumerate(lines)), None),
 }
 
 
@@ -578,6 +585,14 @@ class TestTranscriptIO:
         with pytest.raises(ValueError, match="header"):
             read_transcript(str(path))
 
+    def test_record_on_the_header_line_rejected(self, tmp_path, seam_transcript):
+        # The header is read only a few characters past its length; what follows on its line is no record.
+        lines = seam_transcript[1]
+        path = tmp_path / "transcript.csv"
+        path.write_text(lines[0] + "\t\t\t" + lines[1] + "\n")
+        with pytest.raises(ValueError, match="header"):
+            read_transcript(str(path))
+
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "transcript.csv"
         path.write_text("round,disclosed,alice_u,alice_phi,alice_bit,bob_u,bob_phi,bob_bit,eve_bit\n")
@@ -615,17 +630,40 @@ class TestTranscriptIO:
         assert all(getattr(back, f.name).size == rounds for f in fields(Transcript))
         assert_same_transcript(back, t)
 
+    @pytest.mark.parametrize("rounds", [_BLOCK, 2 * _BLOCK + 3], ids=["whole blocks", "partial block"])
+    @pytest.mark.parametrize("layout", BARE_CR_LAYOUTS, ids=list(BARE_CR_LAYOUTS))
+    def test_bare_carriage_return_is_rejected(self, tmp_path, ending_transcript, layout, rounds):
+        # A bare '\r' ends no line, so the lines it separates run together and break the schema.
+        lines = ending_transcript[1]
+        render, message = BARE_CR_LAYOUTS[layout]
+        path = tmp_path / "transcript.csv"
+        path.write_bytes(render(lines[: rounds + 1]).encode())
+        with pytest.raises(ValueError, match=message) as err:
+            read_transcript(str(path))
+        assert len(str(err.value)) < 200
+
+    def test_file_without_line_ends_is_rejected_with_a_short_message(self, tmp_path, ending_transcript):
+        # The header read is bounded: a file of one line of 3.7 MB is not read whole into the error.
+        path = tmp_path / "transcript.csv"
+        path.write_text("".join(ending_transcript[1]))
+        assert path.stat().st_size > 1 << 20
+        with pytest.raises(ValueError, match="header") as err:
+            read_transcript(str(path))
+        assert len(str(err.value)) < 200
+
     @pytest.mark.parametrize("offset", range(-3, 3))
     def test_row_bound_counts_a_crlf_split_across_read_chunks(self, offset):
-        # Lines long enough that a '\r\n' lands on either side of the first
-        # 1 MiB read chunk's end; the count is that of universal-newline splitting.
-        data = b"h\r\n" + b"x" * ((1 << 20) - 4 + offset) + b"\r\n" + b"y\r" + b"z\n"
-        assert _row_bound(io.BytesIO(data)) == len(io.TextIOWrapper(io.BytesIO(data)).readlines()) - 1 == 3
+        # Lines long enough that the '\n' of a '\r\n' lands on either side of
+        # the first 1 MiB read chunk's end, then a last line with a bare '\r'
+        # and no line end; the count is that of splitting at '\n'.
+        data = b"h\r\n" + b"x" * ((1 << 20) - 4 + offset) + b"\r\n" + b"y\rz"
+        lines = io.TextIOWrapper(io.BytesIO(data), newline="\n").readlines()
+        assert _row_bound(io.BytesIO(data)) == len(lines) - 1 == 2
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.text(alphabet="x, \t\r\n", max_size=40))
-    def test_row_bound_is_the_universal_newline_line_count(self, text):
-        lines = io.TextIOWrapper(io.BytesIO(text.encode())).readlines()
+    def test_row_bound_is_the_text_layer_line_count(self, text):
+        lines = io.TextIOWrapper(io.BytesIO(text.encode()), newline="\n").readlines()
         assert _row_bound(io.BytesIO(text.encode())) == max(len(lines) - 1, 0)
 
     def test_comment_line_rejected(self, tmp_path):
@@ -652,7 +690,7 @@ class TestBlockwise:
         assert all(s.step is None and s.stop <= n for s in blocks)
         assert [s.stop - s.start for s in blocks[:-1]] == [_BLOCK] * (len(blocks) - 1)
 
-    @pytest.mark.parametrize("cells", [(16, 32), (3, 5)])
+    @pytest.mark.parametrize("cells", [(16, 32), (3, 5), (3, 1), (1, 1)])
     def test_sift_matches_whole_column_reference(self, transcript, cells):
         partition = SiftingPartition(*cells)
         assert_same_transcript(sift(transcript, partition), oracle.sift(transcript, partition))
