@@ -74,6 +74,8 @@ USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR, MEMORY_ERROR = 1, 2, 3, 4
 MI_CELLS_U, MI_CELLS_PHI = 8, 16
 # The estimates key each pair of folded symbols, one per cell, as one int64.
 MI_CELLS_MAX = math.isqrt(np.iinfo(np.int64).max)
+# The estimator settings of the three unsifted estimates, stated in the summary as run.
+_UNSIFTED_ESTIMATOR = {"miller_madow": True, "fold_antipodal": True}
 
 
 class _UsageError(Exception):
@@ -265,14 +267,23 @@ def simulate_summary(
     mi_binning: SiftingPartition,
     transcript: Transcript,
 ) -> dict:
-    """Summarize the transcript of a protocol run with configuration ``cfg``."""
+    """Summarize the transcript of a protocol run with configuration ``cfg``.
+
+    ``quadrature_reference`` and ``quadrature_i_ab_dominates`` are given on the
+    optimal line only.  The simulator reads the probe along z, while the
+    reference holds continuous-readout rates, and the probe's z readout
+    matches the continuous one only on the line.  Off it the Monte Carlo I_AE
+    runs well above the continuous rate (0.257 against 0.090 bits at
+    theta = phi = 0.1), so a reference there would give a misleading verdict;
+    both stay null.
+    """
     partition = SiftingPartition(cfg.cells_u, cfg.cells_phi)
     sifted = sift(transcript, partition)
     bitwise = SiftingPartition(1, 1)
 
-    mi_ab = empirical_mi(transcript, mi_binning, mi_binning, miller_madow=True, fold_antipodal=True)
-    mi_ae = empirical_mi_with_probe(transcript, mi_binning, "alice", miller_madow=True, fold_antipodal=True)
-    mi_be = empirical_mi_with_probe(transcript, mi_binning, "bob", miller_madow=True, fold_antipodal=True)
+    mi_ab = empirical_mi(transcript, mi_binning, mi_binning, **_UNSIFTED_ESTIMATOR)
+    mi_ae = empirical_mi_with_probe(transcript, mi_binning, "alice", **_UNSIFTED_ESTIMATOR)
+    mi_be = empirical_mi_with_probe(transcript, mi_binning, "bob", **_UNSIFTED_ESTIMATOR)
 
     on_line = abs(cfg.attack.theta + cfg.attack.phi - QUARTER_PI) < 1e-9
     reference = None
@@ -298,8 +309,7 @@ def simulate_summary(
             "mi_alice_probe_bits": mi_ae,
             "mi_bob_probe_bits": mi_be,
             "binning_cells": [mi_binning.cells_u, mi_binning.cells_phi],
-            "miller_madow": True,
-            "fold_antipodal": True,
+            **_UNSIFTED_ESTIMATOR,
         },
         "sifted": {
             "cells": [cfg.cells_u, cfg.cells_phi],

@@ -24,6 +24,7 @@ SEAMS = "tests/test_protosim.py::TestTranscriptIO::test_writer_matches_rowwise_r
 LAYOUTS = "tests/test_protosim.py::TestTranscriptIO::test_line_endings_and_trailing_lines_read_back"
 BARE_CR = "tests/test_protosim.py::TestTranscriptIO::test_bare_carriage_return_is_rejected"
 SIFT = "tests/test_protosim.py::TestBlockwise::test_sift_matches_whole_column_reference"
+SUMMARY = "tests/test_cli.py::TestSimulate::test_summary_matches_its_transcript"
 
 
 class Mutant(NamedTuple):
@@ -180,6 +181,21 @@ MUTANTS = (
         "rate -= 1.0 / (self.cells_u * self.cells_u)",
         "rate -= 1.0 / self.cells_u",
         ("tests/test_protosim.py::TestSift::test_keep_rate_matches_partition_measure",),
+    ),
+    Mutant(
+        "simulate_summary estimates the receiver-probe information for the sender",
+        "src/contqkd/cli.py",
+        '"bob", **_UNSIFTED_ESTIMATOR',
+        '"alice", **_UNSIFTED_ESTIMATOR',
+        (f"{SUMMARY}[on line]", f"{SUMMARY}[off line]"),
+    ),
+    Mutant(
+        "simulate_summary sifts on the partition with its two cell counts swapped",
+        "src/contqkd/cli.py",
+        "SiftingPartition(cfg.cells_u, cfg.cells_phi)",
+        "SiftingPartition(cfg.cells_phi, cfg.cells_u)",
+        # expected_keep_rate is symmetric in the swap, so only the counts read back from the transcript see it.
+        (f"{SUMMARY}[on line]", f"{SUMMARY}[off line]"),
     ),
 )
 

@@ -11,9 +11,19 @@ import numpy as np
 import pytest
 
 import contqkd
-from contqkd import ProtocolConfig, cier, optimal_params, run_protocol, write_transcript
+from contqkd import (
+    ProtocolConfig,
+    SiftingPartition,
+    cier,
+    empirical_mi,
+    optimal_params,
+    read_transcript,
+    run_protocol,
+    sift,
+    write_transcript,
+)
 from contqkd.cli import MI_CELLS_PHI, MI_CELLS_U, _parse_angle, run
-from contqkd.protosim import _BLOCK
+from contqkd.protosim import _BLOCK, empirical_mi_with_probe, sifted_error_rate
 from contqkd.security import NONSELECTED_MAX_BITS, RECONCILED_MAX_BITS
 from conftest import SINGLET_BITS, assert_same_text
 from oracle import render_transcript
@@ -247,6 +257,31 @@ class TestSimulate:
         summary = json.loads((tmp_path / "run.csv.summary.json").read_text())["summary"]
         assert summary["on_optimal_line"] is False
         assert summary["quadrature_reference"] is None
+
+    @pytest.mark.parametrize(
+        "angles", [["--theta", "22.5deg"], ["--theta", "0.1", "--phi", "0.1"]], ids=["on line", "off line"]
+    )
+    def test_summary_matches_its_transcript(self, angles, tmp_path):
+        # Every estimate the summary reports, recomputed from the transcript read back with the
+        # binning, cells and estimator settings the summary states: floats round-trip, so each is exact.
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--rounds", "20000", *angles, "--seed", "3", "--output", str(out), *LIGHT]) == 0
+        summary = json.loads((tmp_path / "run.csv.summary.json").read_text())["summary"]
+        transcript = read_transcript(str(out))
+        unsifted = summary["unsifted"]
+        binning = SiftingPartition(*unsifted["binning_cells"])
+        settings = {k: unsifted[k] for k in ("miller_madow", "fold_antipodal")}
+        assert unsifted["mi_alice_bob_bits"] == empirical_mi(transcript, binning, binning, **settings)
+        assert unsifted["mi_alice_probe_bits"] == empirical_mi_with_probe(transcript, binning, "alice", **settings)
+        assert unsifted["mi_bob_probe_bits"] == empirical_mi_with_probe(transcript, binning, "bob", **settings)
+
+        sifted = sift(transcript, SiftingPartition(*summary["sifted"]["cells"]))
+        bitwise = SiftingPartition(1, 1)
+        assert len(sifted) > 0
+        assert summary["sifted"]["kept_rounds"] == len(sifted)
+        assert summary["sifted"]["keep_rate"] == len(sifted) / len(transcript)
+        assert summary["sifted"]["error_rate"] == sifted_error_rate(sifted)
+        assert summary["sifted"]["mi_bits"] == empirical_mi(sifted, bitwise, bitwise, miller_madow=True)
 
     def test_writers_match_rowwise_reference_across_chunk_seam(self, tmp_path):
         rounds, theta, seed = _BLOCK + 3, 0.2, 4
