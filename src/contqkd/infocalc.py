@@ -65,16 +65,14 @@ class SphereQuadrature:
 
     ``gauss_product`` is the one constructor (K. Atkinson, "Numerical
     integration on the sphere", J. Austral. Math. Soc. B 23, 332 (1982)).
-    ``u``, ``phi`` and ``weights`` are flat arrays of equal length, read-only
-    in a rule ``gauss_product`` built (a pickled or deep-copied rule has
-    writeable arrays sharing no memory with the original's); the weights are
-    positive, sum to the sphere volume 2 and integrate degree <= 2
-    polynomials in the direction components exactly, by construction.
-    ``vectors`` holds the unit Bloch vector of every node, shape (N, 3).
+    A rule is its nodes' unit Bloch vectors ``vectors``, shape (N, 3), and
+    their ``weights``, shape (N,), read-only in a rule ``gauss_product`` built
+    (a pickled or deep-copied rule has writeable arrays sharing no memory with
+    the original's); the weights are positive, sum to the sphere volume 2 and
+    integrate degree <= 2 polynomials in the direction components exactly, by
+    construction.
     """
 
-    u: np.ndarray
-    phi: np.ndarray
     weights: np.ndarray
     vectors: np.ndarray
 
@@ -84,7 +82,7 @@ class SphereQuadrature:
 
         n_polar >= 2 Legendre nodes in u = cos(theta); n_azimuth >= 4
         midpoint nodes in phi (exact for trigonometric polynomials of degree
-        < n_azimuth by periodicity).  Both counts must be integers
+        < n_azimuth by periodicity), polar-major.  Both counts must be integers
         (``qstate.check_int``); anything else raises ValueError.
         """
         check_int("n_polar", n_polar, 2)
@@ -95,7 +93,7 @@ class SphereQuadrature:
         ph = np.tile(phi, n_polar)
         w = np.repeat(wx, n_azimuth) / float(n_azimuth)
         rule = cls()
-        for name, arr in (("u", u), ("phi", ph), ("weights", w), ("vectors", bloch_vectors(u, ph))):
+        for name, arr in (("weights", w), ("vectors", bloch_vectors(u, ph))):
             arr.setflags(write=False)
             object.__setattr__(rule, name, arr)
         return rule

@@ -62,7 +62,7 @@ import numpy as np
 
 from .attack import AttackParams, attacked_state
 from .infocalc import bloch_vectors
-from .qstate import DensityMatrix, NumericalCorruptionError, TWO_PI, check_int, pauli_tensor
+from .qstate import ATOL, DensityMatrix, NumericalCorruptionError, TWO_PI, check_int, pauli_tensor
 
 _BLOCK = 1 << 14  # rounds sampled, rendered, read, sifted, binned and counted at a time
 _LN2 = math.log(2.0)
@@ -213,13 +213,13 @@ def _joint_law(
     """Joint Born distribution over (alice_bit, bob_bit, eve_bit), shape (m, 8).
 
     One real matmul (v_A (x) v_B) @ W; validates that each row sums to 1
-    within 1e-10.
+    within ``qstate.ATOL``.
     """
     va = _bloch_rows(u_a, phi_a)
     vb = _bloch_rows(u_b, phi_b)
     p = (va[:, :, None] * vb[:, None, :]).reshape(-1, 16) @ w
     deviation = float(np.abs(p.sum(axis=1) - 1.0).max())
-    if deviation > 1e-10:
+    if deviation > ATOL:
         raise NumericalCorruptionError(f"round probabilities sum off by {deviation:.3e}")
     return p
 

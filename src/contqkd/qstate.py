@@ -27,8 +27,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Entrywise tolerance for Hermiticity, trace and normalization checks, here
-# and on the probe isometry's columns (``attack.EveIsometry``).
+# Entrywise tolerance of Hermiticity, trace and normalization checks: here, on
+# ``attack.EveIsometry``'s columns and on the rows of ``protosim._joint_law``.
 ATOL = 1e-12
 # Eigenvalue / probability floor below which a value signals a logic bug
 # rather than accumulated roundoff; ``infocalc`` holds its densities to it.
@@ -97,11 +97,9 @@ class DensityMatrix:
         return cls(np.outer(v, v.conj()), labels)
 
 
-def singlet(labels: Sequence[str] = ("A", "B")) -> DensityMatrix:
-    """Projector onto ``SINGLET_KET``, the antisymmetric two-qubit state."""
-    if len(labels) != 2:
-        raise ValueError("singlet needs exactly two labels")
-    return DensityMatrix.from_ket(SINGLET_KET, labels)
+def singlet() -> DensityMatrix:
+    """Projector onto ``SINGLET_KET``, the antisymmetric two-qubit state, on ("A", "B")."""
+    return DensityMatrix.from_ket(SINGLET_KET, ("A", "B"))
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:

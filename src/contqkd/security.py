@@ -73,16 +73,15 @@ class BracketError(RuntimeError):
 class InfoCurve:
     """Sampled information rates along the optimal line theta + phi = pi/4.
 
-    ``i_ab`` is the receiver's rate (continuous readout, or sifted selected
-    readout when ``reconciled``); ``i_ae`` and ``i_be`` are the probe's rates
-    against sender and receiver, always continuous-readout values.
+    ``i_ab`` is the receiver's rate, continuous-readout or reconciled as its
+    sweep chose; ``i_ae`` and ``i_be`` are the probe's rates against sender
+    and receiver, always continuous-readout values.
     """
 
     thetas: np.ndarray
     i_ab: np.ndarray
     i_ae: np.ndarray
     i_be: np.ndarray
-    reconciled: bool
 
     def __post_init__(self) -> None:
         names = ("thetas", "i_ab", "i_ae", "i_be")
@@ -100,7 +99,6 @@ class InfoCurve:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "reconciled", bool(self.reconciled))
 
 
 @dataclass(frozen=True)
@@ -234,7 +232,7 @@ def sweep_curve(thetas: Sequence[float], reconciled: bool = False, *, quad: Sphe
     ibe = np.empty(grid.size)
     for idx, t in enumerate(grid):
         iab[idx], iae[idx], ibe[idx] = information_rates(optimal_params(float(t)), quad, reconciled)
-    return InfoCurve(grid, iab, iae, ibe, reconciled)
+    return InfoCurve(grid, iab, iae, ibe)
 
 
 def cier(i: float, i_max: float) -> float:

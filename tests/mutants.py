@@ -197,6 +197,45 @@ MUTANTS = (
         # expected_keep_rate is symmetric in the swap, so only the counts read back from the transcript see it.
         (f"{SUMMARY}[on line]", f"{SUMMARY}[off line]"),
     ),
+    Mutant(
+        "_joint_law holds its rows to 1e-10 instead of qstate.ATOL",
+        "src/contqkd/protosim.py",
+        "if deviation > ATOL:",
+        "if deviation > 1e-10:",
+        ("tests/test_protosim.py::TestRoundSampling::test_off_normal_law_rejected",),
+    ),
+    Mutant(
+        "Transcript takes columns of unequal length",
+        "src/contqkd/protosim.py",
+        "if any(c.size != columns[0].size for c in columns):",
+        "if False:",
+        ("tests/test_protosim.py::TestTranscriptIO::test_columns_of_unequal_length_rejected",),
+    ),
+    Mutant(
+        "_cast_block skips its field count",
+        "src/contqkd/protosim.py",
+        "if rows and table.shape[1] != width:",
+        "if False:",
+        # numpy's reshape then raises a ValueError of its own, which does not name the field count.
+        ("tests/test_protosim.py::TestTranscriptIO::test_rows_all_one_field_short_rejected",),
+    ),
+    Mutant(
+        "cier takes information down to -1e-2",
+        "src/contqkd/security.py",
+        "if i < -1e-12:",
+        "if i < -1e-2:",
+        ("tests/test_security.py::TestCier::test_rejects_negative_information",),
+    ),
+    Mutant(
+        "InfoCurve takes a theta grid outside [0, pi/4]",
+        "src/contqkd/security.py",
+        "if th[0] < -1e-12 or th[-1] > QUARTER_PI + 1e-12:",
+        "if False:",
+        (
+            "tests/test_security.py::TestSweepCurve::test_curve_arrays_rejected[below 0]",
+            "tests/test_security.py::TestSweepCurve::test_curve_arrays_rejected[past pi/4]",
+        ),
+    ),
 )
 
 

@@ -12,8 +12,8 @@ The two-basis information, the sphere-averaged disturbance and the attack
 itself are evaluated here the original way too: Born-rule expectations on
 complex kets, the Kraus pair of the induced channel, and the Kronecker-
 extended isometry acting on a three-qubit density matrix.  The package
-computes all of these from the Fano form or the cached post-attack ket; the
-tests compare the two.
+computes all of these from the Fano form or from the post-attack ket of
+``attack.attacked_pure_state``; the tests compare the two.
 
 The discrete 2x2 mutual information (``JointTable``, ``mutual_information``),
 the orientation average of the two-basis information
@@ -127,8 +127,8 @@ def averaged_selected_information(
     """
     a, b, t = fano_form(rho_xy)
     bm = (quad_y.vectors @ b)[None, :]
-    row_totals = np.zeros(quad_x.u.size)
-    for start in range(0, quad_x.u.size, _BLOCK):
+    row_totals = np.zeros(quad_x.weights.size)
+    for start in range(0, quad_x.weights.size, _BLOCK):
         nx = quad_x.vectors[start : start + _BLOCK]
         info = table_information((nx @ a)[:, None], bm, (nx @ t) @ quad_y.vectors.T)
         row_totals[start : start + _BLOCK] = (info * quad_y.weights[None, :]).sum(axis=1)
@@ -146,9 +146,24 @@ def critical_cier_dim(d: int) -> float:
     return 1.0 - accessible / math.log2(d)
 
 
+def product_nodes(n_polar: int, n_azimuth: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, phi) of the n_polar x n_azimuth product rule's nodes, polar-major.
+
+    Gauss-Legendre nodes in u = cos(theta), each crossed with the n_azimuth
+    midpoints (k + 1/2) 2 pi / n_azimuth in phi.
+    """
+    u = np.polynomial.legendre.leggauss(n_polar)[0]
+    phi = (np.arange(n_azimuth) + 0.5) * (2.0 * math.pi / n_azimuth)
+    return np.repeat(u, n_azimuth), np.tile(phi, n_polar)
+
+
 def node_kets(quad: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome kets of every node and of its antipode, each shape (N, 2)."""
-    return outcome_kets(quad.u, quad.phi)
+    """Outcome kets of every node and of its antipode, each shape (N, 2).
+
+    A node's u is its vector's z component, exactly, and its phi the vector's azimuth.
+    """
+    v = quad.vectors
+    return outcome_kets(v[:, 2], np.arctan2(v[:, 1], v[:, 0]))
 
 
 def outcome_kets(u: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,10 +256,10 @@ def reconciled_i_ab(rho_ab: DensityMatrix, quad: SphereQuadrature) -> float:
     py = (_marginal_density(ry, kets[0]), _marginal_density(ry, kets[1]))
 
     evals, evecs = np.linalg.eigh(rho_ab.entries)
-    total = np.zeros(quad.u.size)
+    total = np.zeros(quad.weights.size)
     for k in (0, 1):
         for l in (0, 1):
-            p = np.zeros(quad.u.size)
+            p = np.zeros(quad.weights.size)
             for r in range(4):
                 lam = float(evals[r])
                 if abs(lam) < 1e-16:
@@ -298,7 +313,7 @@ def kraus_pair(params: AttackParams) -> tuple[np.ndarray, np.ndarray]:
 def qber_sphere_averaged(params: AttackParams, quad: SphereQuadrature) -> float:
     """1 - sphere mean of the channel fidelity <psi| L(|psi><psi|) |psi>."""
     kets, _ = node_kets(quad)
-    fid = np.zeros(quad.u.size)
+    fid = np.zeros(quad.weights.size)
     for a in kraus_pair(params):
         amp = np.einsum("ia,ab,ib->i", kets.conj(), a, kets)
         fid += amp.real**2 + amp.imag**2

@@ -1,6 +1,7 @@
 """Probe-coupling construction and the induced tripartite dynamics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,11 @@ def coefficients(p: AttackParams) -> np.ndarray:
 
 
 class TestCouplingCoefficient:
+    @pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.1)])
+    def test_non_finite_angle_rejected(self, theta, phi):
+        with pytest.raises(ValueError, match="attack angles must be finite"):
+            AttackParams(theta, phi)
+
     def test_zero_angles(self):
         g = coefficients(AttackParams(0.0, 0.0))
         assert g[0, 0] == pytest.approx(1.0)
@@ -85,8 +91,13 @@ class TestIsometryIdentities:
 
     def test_invalid_rows_rejected(self):
         bad = np.array([[1, 0], [0, 0], [1, 0], [0, 0]], dtype=complex)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not orthogonal"):
             EveIsometry(bad)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 2, 1), (8,)])
+    def test_rows_must_be_four_by_two(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"must be 4x2, got {shape}")):
+            EveIsometry(np.zeros(shape))
 
     def test_normalization_tolerance_is_atol(self):
         # Columns of squared norm 1 + ATOL/2 pass; 1 + 2 ATOL is rejected.
@@ -155,7 +166,7 @@ class TestApplyAttack:
             assert np.trace(out.entries).real == pytest.approx(1.0, abs=1e-12)
             assert np.trace(out.entries @ out.entries).real == pytest.approx(1.0, abs=1e-10)
 
-    def test_matches_cached_pure_state_path(self):
+    def test_matches_pure_state_path(self):
         # Reference: the Kronecker-extended isometry acting on the density
         # matrix of singlet (x) |0>_E.
         rng = np.random.default_rng(37)
@@ -163,8 +174,8 @@ class TestApplyAttack:
         for _ in range(20):
             params = AttackParams(*rng.uniform(0, QUARTER, 2))
             via_reference = oracle.apply_attack(init, build_isometry(params))
-            via_cache = attacked_state(params)
-            np.testing.assert_allclose(via_reference.entries, via_cache.entries, atol=1e-13)
+            via_pure_state = attacked_state(params)
+            np.testing.assert_allclose(via_reference.entries, via_pure_state.entries, atol=1e-13)
 
     def test_pure_state_vector_normalized(self):
         psi = attacked_pure_state(AttackParams(0.3, 0.2))
@@ -172,6 +183,10 @@ class TestApplyAttack:
 
 
 class TestBipartiteReductions:
+    def test_two_party_state_rejected(self):
+        with pytest.raises(ValueError, match="expected a three-party state"):
+            bipartite_reductions(singlet())
+
     def test_line_start_products(self):
         rab, rae, rbe = bipartite_reductions(attacked_state(AttackParams(0.0, QUARTER)))
         np.testing.assert_allclose(rab.entries, singlet().entries, atol=1e-13)

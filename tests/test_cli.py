@@ -340,33 +340,42 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, says",
         [
-            ["surface", "--phi-steps", "1"],
-            ["curve", "--quad-polar", "1"],
-            ["curve", "--quad-azimuth", "3"],
-            ["critical", "--tol", "0"],
-            ["dims", "--d-max", "1"],
-            ["dims", "--quad-polar", "5"],
-            ["simulate", "--theta", "nan"],
-            ["simulate", "--phi", "infdeg"],
-            ["simulate", "--seed", "-1"],
-            ["simulate", "--seed", str(2**64)],
-            ["simulate", "--disclose-fraction", "nan"],
-            ["simulate", "--disclose-fraction", "1"],
-            ["simulate", "--cells-u", "0"],
-            ["simulate", "--mi-cells-phi", "0"],
-            ["simulate", "--mi-cells-u", "1000000", "--mi-cells-phi", "100000"],
-            ["simulate", "--rounds", "1.5"],
-            ["simulate", "--format", "json"],
-            ["simulate", "--format", "csv"],
+            pytest.param(argv, says, id=" ".join(argv))
+            for argv, says in [
+                (["surface", "--phi-steps", "1"], "argument --phi-steps: expected an integer in [2, inf), got '1'"),
+                (["curve", "--quad-polar", "1"], "argument --quad-polar: expected an integer in [2, inf)"),
+                (["curve", "--quad-azimuth", "3"], "argument --quad-azimuth: expected an integer in [4, inf)"),
+                (["critical", "--tol", "0"], "argument --tol: must lie in (0.0, inf), got '0'"),
+                (["critical", "--tol", "abc"], "argument --tol: expected a number, got 'abc'"),
+                (["dims", "--d-max", "1"], "argument --d-max: expected an integer in [2, inf)"),
+                (["dims", "--quad-polar", "5"], "unrecognized arguments: --quad-polar 5"),
+                (["simulate", "--theta", "nan"], "argument --theta: angle must be finite, got 'nan'"),
+                (["simulate", "--theta", "abc"], "argument --theta: cannot parse angle 'abc'"),
+                (["simulate", "--phi", "infdeg"], "argument --phi: angle must be finite, got 'infdeg'"),
+                (["simulate", "--seed", "-1"], f"argument --seed: expected an integer in [0, {2**64}), got '-1'"),
+                (["simulate", "--seed", str(2**64)], f"--seed: expected an integer in [0, {2**64}), got '1844"),
+                (["simulate", "--disclose-fraction", "nan"], "--disclose-fraction: must lie in (0.0, 1.0), got 'nan'"),
+                (["simulate", "--disclose-fraction", "1"], "--disclose-fraction: must lie in (0.0, 1.0), got '1'"),
+                (["simulate", "--cells-u", "0"], "argument --cells-u: expected an integer in [1, inf)"),
+                (["simulate", "--mi-cells-phi", "0"], "argument --mi-cells-phi: expected an integer in [1, inf)"),
+                (
+                    ["simulate", "--mi-cells-u", "1000000", "--mi-cells-phi", "100000"],
+                    "--mi-cells-u x --mi-cells-phi must be <= 3037000499",
+                ),
+                (["simulate", "--rounds", "1.5"], "argument --rounds: expected an integer in [1, inf), got '1.5'"),
+                (["simulate", "--format", "json"], "unrecognized arguments: --format json"),
+                (["simulate", "--format", "csv"], "unrecognized arguments: --format csv"),
+            ]
         ],
-        ids=lambda argv: " ".join(argv),
     )
-    def test_rejected_at_the_boundary(self, argv, tmp_path, capsys):
+    def test_rejected_at_the_boundary(self, argv, says, tmp_path, capsys):
+        # Each value is rejected while parsing, for its own reason, and no file is written.
         out = tmp_path / "x.csv"
         assert run([*argv, "--output", str(out)]) == 1
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and says in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1", "2.0", "two"])

@@ -151,11 +151,13 @@ class TestSphereQuadrature:
         assert np.array_equal(q.vectors, ref.vectors) and np.array_equal(q.weights, ref.weights)
 
     def test_directions_roundtrip(self, quad_light):
+        # quad_light is the 16x32 rule; its vectors are the product grid's directions.
+        u, phi = oracle.product_nodes(16, 32)
         v = quad_light.vectors
-        assert v.shape == (quad_light.u.size, 3)
+        assert v.shape == (u.size, 3) and quad_light.weights.shape == (u.size,)
         np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-15)
-        np.testing.assert_allclose(v[:, 2], quad_light.u, atol=1e-15)
-        np.testing.assert_allclose(np.mod(np.arctan2(v[:, 1], v[:, 0]), 2 * math.pi), quad_light.phi, atol=1e-12)
+        np.testing.assert_allclose(v[:, 2], u, atol=1e-15)
+        np.testing.assert_allclose(np.mod(np.arctan2(v[:, 1], v[:, 0]), 2 * math.pi), phi, atol=1e-12)
 
 
 class TestSelectedInformation:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import contqkd
 from contqkd import (
     AttackParams,
+    NumericalCorruptionError,
     ProtocolConfig,
     SiftingPartition,
     Transcript,
@@ -32,9 +33,10 @@ from contqkd import (
     write_transcript,
 )
 from contqkd.attack import attacked_pure_state
-from contqkd.infocalc import bloch_vectors, default_quadrature
+from contqkd.infocalc import DEFAULT_RULE, bloch_vectors, default_quadrature
 from contqkd.protosim import (
     _BLOCK,
+    _KINDS,
     _TRANSCRIPT_FIELDS,
     _alphabet_size,
     _antipode,
@@ -49,6 +51,7 @@ from contqkd.protosim import (
     empirical_mi_with_probe,
     sifted_error_rate,
 )
+from contqkd.qstate import ATOL
 from conftest import assert_same_text, cos_polar_azimuth, random_direction
 import oracle
 
@@ -181,13 +184,22 @@ class TestRoundSampling:
         ref = oracle.outcome_probabilities(attacked_pure_state(attack), ua, pa, ub, pb)
         assert float(np.abs(got - ref).max()) <= LAW_TOL
 
+    def test_off_normal_law_rejected(self):
+        # The floor is qstate.ATOL: rows summing to 1 + ATOL/2 pass, 1 + 2 ATOL and 1.01 do not.
+        w = _law_matrix(attacked_state(optimal_params(0.3)))
+        u, phi = np.array([0.3, -0.8]), np.array([1.0, 4.0])
+        _joint_law(w * (1.0 + 0.5 * ATOL), u, phi, u, phi)
+        for scale, says in ((1.0 + 2.0 * ATOL, "2.000e-12"), (1.01, "1.000e-02")):
+            with pytest.raises(NumericalCorruptionError, match=f"round probabilities sum off by {says}"):
+                _joint_law(w * scale, u, phi, u, phi)
+
     def test_bloch_rows_are_the_quadrature_vectors(self):
         # One direction map: the sampler's rows carry the quadrature's unit
         # vectors bit for bit, on every node of the default rule.
-        q = default_quadrature()
-        rows = _bloch_rows(q.u, q.phi)
-        assert np.array_equal(rows[:, 0], np.ones(q.u.size))
-        assert np.array_equal(rows[:, 1:], q.vectors)
+        u, phi = oracle.product_nodes(*DEFAULT_RULE)
+        rows = _bloch_rows(u, phi)
+        assert np.array_equal(rows[:, 0], np.ones(u.size))
+        assert np.array_equal(rows[:, 1:], default_quadrature().vectors)
 
     def test_antipode_negates_the_vector(self):
         rng = np.random.default_rng(17)
@@ -252,6 +264,10 @@ class TestRunProtocol:
 
 
 class TestSift:
+    def test_error_rate_of_no_rounds_rejected(self):
+        with pytest.raises(ValueError, match="no sifted rounds"):
+            sifted_error_rate(make_transcript([], []))
+
     def test_single_cell_keeps_everything(self):
         cfg = ProtocolConfig(rounds=300, attack=NO_ATTACK, seed=2)
         t = run_protocol(cfg)
@@ -449,6 +465,11 @@ class TestTranscriptIO:
             "bob_u": np.float64, "bob_phi": np.float64, "bob_bit": np.int8, "eve_bit": np.int8,
         }
 
+    def test_columns_of_unequal_length_rejected(self):
+        columns = {f.name: np.zeros(3, dtype=_KINDS[f.name].dtype) for f in fields(Transcript)}
+        with pytest.raises(ValueError, match="transcript columns must have equal length"):
+            Transcript(**{**columns, "eve_bit": np.zeros(2, dtype=np.int8)})
+
     def test_positional_construction_rejected(self):
         # Keyword-only, so no caller can fill a column by its position.
         with pytest.raises(TypeError):
@@ -578,6 +599,14 @@ class TestTranscriptIO:
         assert (t.alice_u[0], t.bob_u[0], t.alice_phi[0]) == (-1.0, 1.0, 0.0)
         assert t.bob_phi[0] < 2.0 * math.pi
         assert t.disclosed.dtype == bool and t.bob_bit.dtype == np.int8
+
+    def test_rows_all_one_field_short_rejected(self, tmp_path):
+        # np.loadtxt rejects a ragged block itself, so the reader's own field count is reached only
+        # when every row of a block has the same wrong count: here 8 fields, the eve_bit column missing.
+        path = tmp_path / "transcript.csv"
+        path.write_text(",".join(_TRANSCRIPT_FIELDS) + "\n0,1,-1.0,0.0,0,1.0,0.5,1\n1,0,0.5,1.0,1,0.0,0.5,0\n")
+        with pytest.raises(ValueError, match=f"every transcript row must have {len(_TRANSCRIPT_FIELDS)} fields"):
+            read_transcript(str(path))
 
     def test_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -138,6 +138,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="duplicate"):
             DensityMatrix(np.eye(4, dtype=complex) / 4, ("A", "A"))
 
+    @pytest.mark.parametrize("shape, labels", [((4, 4), ("A",)), ((2, 2), ("A", "B")), ((2, 4), ("A",))])
+    def test_shape_must_fit_the_labels(self, shape, labels):
+        entries = np.eye(*shape, dtype=complex) / min(shape)
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\) does not match {len(labels)} qubits"):
+            DensityMatrix(entries, labels)
+
 
 class TestSinglet:
     def test_one_read_only_ket(self):
@@ -185,7 +191,7 @@ class TestTensor:
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValueError, match="labels"):
-            tensor(singlet(("A", "B")), maximally_mixed(("B",)))
+            tensor(singlet(), maximally_mixed(("B",)))
 
 
 class TestPartialTrace:

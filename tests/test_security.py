@@ -133,11 +133,26 @@ class TestSweepCurve:
         curve = sweep_curve(np.array([0.0, 0.2]), reconciled=True, quad=quad_light)
         assert curve.i_ab[0] == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "thetas, sizes, says",
+        [
+            ([], (0, 0, 0), "equal-length and nonempty"),
+            ([0.1, 0.2], (2, 1, 2), "equal-length and nonempty"),
+            ([0.1, 0.2], (2, 2, 3), "equal-length and nonempty"),
+            ([-0.01, 0.2], (2, 2, 2), r"within \[0, pi/4\]"),
+            ([0.1, QUARTER + 1e-9], (2, 2, 2), r"within \[0, pi/4\]"),
+        ],
+        ids=["empty", "short i_ab", "long i_be", "below 0", "past pi/4"],
+    )
+    def test_curve_arrays_rejected(self, thetas, sizes, says):
+        with pytest.raises(ValueError, match=says):
+            InfoCurve(np.array(thetas), *(np.zeros(n) for n in sizes))
+
     def test_curve_validation(self):
         with pytest.raises(ValueError, match="increasing"):
-            InfoCurve(np.array([0.2, 0.1]), np.zeros(2), np.zeros(2), np.zeros(2), False)
+            InfoCurve(np.array([0.2, 0.1]), np.zeros(2), np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="dominance"):
-            InfoCurve(np.array([0.1, 0.2]), np.zeros(2), np.zeros(2), np.full(2, 0.1), False)
+            InfoCurve(np.array([0.1, 0.2]), np.zeros(2), np.zeros(2), np.full(2, 0.1))
 
 
 class TestReconciledRate:
@@ -234,6 +249,12 @@ class TestCier:
         with pytest.raises(ValueError, match="exceeds"):
             cier(0.4, NONSELECTED_MAX_BITS)
 
+    def test_rejects_negative_information(self):
+        # Roundoff of an exact zero, down to -1e-12, reads as Q = 1; below that a rate is a fault.
+        assert cier(-1e-13, NONSELECTED_MAX_BITS) == 1.0
+        with pytest.raises(ValueError, match="information -1e-06 is negative"):
+            cier(-1e-6, NONSELECTED_MAX_BITS)
+
     def test_rejects_bad_max(self):
         with pytest.raises(ValueError, match="positive"):
             cier(0.1, 0.0)
@@ -250,6 +271,27 @@ class TestCier:
     def test_rejects_non_finite_input(self, i, i_max):
         with pytest.raises(ValueError, match="finite"):
             cier(i, i_max)
+
+
+class TestSecurityReport:
+    VALID = dict(theta0=0.3, i0=0.1, q0=0.1, q_cier0=0.5, reconciled=False)
+
+    @pytest.mark.parametrize(
+        "field, value, says",
+        [
+            ("theta0", 0.0, "threshold 0.0 outside"),
+            ("theta0", QUARTER, "outside \\(0, pi/4\\)"),
+            ("i0", -1e-3, "information at the threshold cannot be negative"),
+            ("q0", -1e-3, "threshold error rate -0.001 outside"),
+            ("q0", 0.5 + 1e-9, "threshold error rate 0.500000001 outside"),
+            ("q_cier0", -1e-3, "threshold information error rate -0.001 outside"),
+            ("q_cier0", 1.0 + 1e-9, "threshold information error rate 1.000000001 outside"),
+        ],
+    )
+    def test_figure_out_of_range_rejected(self, field, value, says):
+        security.SecurityReport(**self.VALID)
+        with pytest.raises(ValueError, match=says):
+            security.SecurityReport(**{**self.VALID, field: value})
 
 
 class TestCriticalPoint:
