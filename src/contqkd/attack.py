@@ -95,19 +95,18 @@ def attacked_pure_state(params: AttackParams) -> np.ndarray:
 
 
 def attacked_state(params: AttackParams) -> DensityMatrix:
-    """Density matrix of the attacked singlet on ("A", "B", "E"), ready for the three reductions."""
-    return DensityMatrix.from_ket(attacked_pure_state(params).reshape(-1), ("A", "B", "E"))
+    """Density matrix of the attacked singlet, qubits in (A, B, E) order: sender, receiver, probe."""
+    return DensityMatrix.from_ket(attacked_pure_state(params).reshape(-1))
 
 
 def bipartite_reductions(
     rho_abe: DensityMatrix,
 ) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
-    """The three two-party reductions (sender-receiver, sender-probe, receiver-probe)."""
-    if len(rho_abe.labels) != 3:
-        raise ValueError("expected a three-party state")
-    a, b, e = rho_abe.labels
+    """Sender-receiver, sender-probe and receiver-probe: positions (0, 1), (0, 2), (1, 2) of an (A, B, E) state."""
+    if rho_abe.entries.shape != (8, 8):
+        raise ValueError(f"expected a three-party state, got shape {rho_abe.entries.shape}")
     return (
-        partial_trace(rho_abe, (a, b)),
-        partial_trace(rho_abe, (a, e)),
-        partial_trace(rho_abe, (b, e)),
+        partial_trace(rho_abe, (0, 1)),
+        partial_trace(rho_abe, (0, 2)),
+        partial_trace(rho_abe, (1, 2)),
     )

@@ -109,8 +109,8 @@ def default_quadrature() -> SphereQuadrature:
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:
-    if len(rho.labels) != 2:
-        raise ValueError(f"expected a two-qubit state, got labels {rho.labels}")
+    if rho.entries.shape != (4, 4):
+        raise ValueError(f"expected a two-qubit state, got shape {rho.entries.shape}")
 
 
 def _require_density(low: float, kind: str) -> None:

@@ -25,8 +25,8 @@ Randomness is counter-based: round i consumes row i of a (rounds, 5) uniform
 array drawn from a Philox generator keyed by the seed, in the column order
 (sender u, sender phi, receiver u, receiver phi, outcome pick), so a
 transcript is a pure function of (seed, rounds, attack), a shorter run is a
-prefix of a longer one, and runs are reproducible bit for bit within one
-Python/numpy/BLAS environment.
+prefix of a longer one, and it is byte-identical across BLAS kernels and
+numpy SIMD targets.
 
 A transcript file is csv: the round index, then ``Transcript``'s fields in
 their order.  Those fields are the one declaration of the columns: each

@@ -1,9 +1,9 @@
-"""Density matrices on labeled qubit registers and their reductions.
+"""Density matrices on qubit registers and their reductions.
 
-States live on tensor products of qubit subsystems that are identified by
-string labels rather than positions, so the three distinct reductions of a
-tripartite state cannot be confused with one another.  All storage is dense
-complex arithmetic; the largest space used anywhere in this package is
+A qubit is named by its position in tensor order: the attacked state is
+(sender, receiver, probe), and ``attack.bipartite_reductions`` is the one
+place that says which pair of positions is which reduction.  All storage is
+dense complex arithmetic; the largest space used anywhere in this package is
 8 = 2**3.  Measurement directions are not represented here: every reading of
 a pair state goes through its Fano form (``infocalc.fano_form``) along unit
 Bloch vectors (``infocalc.bloch_vectors``).  ``pauli_tensor`` is the one
@@ -59,25 +59,21 @@ def check_int(name: str, value: object, low: int, high: float = math.inf) -> Non
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian unit-trace operator on a labeled tensor product of qubits.
+    """Hermitian unit-trace operator on a tensor product of n >= 1 qubits.
 
-    ``labels`` name the subsystems in tensor order; every subsystem is a
-    qubit, so ``entries`` is 2**n x 2**n for n labels.  Construction
-    validates Hermiticity, unit trace and positive semidefiniteness up to
-    roundoff, so a successfully built instance is always a physical state.
+    ``entries`` is 2**n x 2**n, its qubits in tensor order.  Construction
+    validates the shape, Hermiticity, unit trace and positive
+    semidefiniteness up to roundoff, so a successfully built instance is
+    always a physical state.
     """
 
     entries: np.ndarray
-    labels: tuple[str, ...]
 
-    def __init__(self, entries: np.ndarray, labels: Sequence[str]) -> None:
+    def __init__(self, entries: np.ndarray) -> None:
         mat = np.array(entries, dtype=complex)
-        labels = tuple(str(x) for x in labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate subsystem labels: {labels}")
-        dim = 2 ** len(labels)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match {len(labels)} qubits")
+        n = mat.shape[0].bit_length() - 1 if mat.ndim == 2 else 0
+        if n < 1 or mat.shape != (2**n, 2**n):
+            raise ValueError(f"matrix shape {mat.shape} is not 2^n x 2^n for any n >= 1")
         if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
@@ -88,32 +84,28 @@ class DensityMatrix:
             raise ValueError(f"matrix has eigenvalue {min_eig!r} below the PSD floor")
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
-        object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def from_ket(cls, vector: np.ndarray, labels: Sequence[str]) -> "DensityMatrix":
+    def from_ket(cls, vector: np.ndarray) -> "DensityMatrix":
         v = np.asarray(vector, dtype=complex).reshape(-1)
         v = v / math.sqrt(float(np.vdot(v, v).real))
-        return cls(np.outer(v, v.conj()), labels)
+        return cls(np.outer(v, v.conj()))
 
 
 def singlet() -> DensityMatrix:
-    """Projector onto ``SINGLET_KET``, the antisymmetric two-qubit state, on ("A", "B")."""
-    return DensityMatrix.from_ket(SINGLET_KET, ("A", "B"))
+    """Projector onto ``SINGLET_KET``, the antisymmetric two-qubit state, sender first."""
+    return DensityMatrix.from_ket(SINGLET_KET)
 
 
-def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
-    """Reduce to the subsystems in ``keep`` (in their original label order)."""
-    keep_set = set(keep)
-    if not keep_set:
-        raise ValueError("keep must name at least one subsystem")
-    unknown = keep_set - set(rho.labels)
-    if unknown:
-        raise ValueError(f"unknown subsystem labels {sorted(unknown)} (have {rho.labels})")
-
-    n = len(rho.labels)
-    keep_pos = [i for i, lab in enumerate(rho.labels) if lab in keep_set]
-    drop_pos = [i for i, lab in enumerate(rho.labels) if lab not in keep_set]
+def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
+    """Reduce to the qubits at the positions in ``keep``, in their original order."""
+    n = rho.entries.shape[0].bit_length() - 1
+    keep_pos = sorted(set(keep))
+    if not keep_pos:
+        raise ValueError("keep must name at least one qubit")
+    for pos in keep_pos:
+        check_int("qubit position", pos, 0, n)
+    drop_pos = [i for i in range(n) if i not in keep_pos]
 
     arr = rho.entries.reshape((2,) * (2 * n))
     perm = keep_pos + drop_pos + [n + i for i in keep_pos] + [n + i for i in drop_pos]
@@ -121,7 +113,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
     d_keep, d_drop = 2 ** len(keep_pos), 2 ** len(drop_pos)
     arr = arr.reshape(d_keep, d_drop, d_keep, d_drop)
     reduced = np.einsum("ajbj->ab", arr)
-    return DensityMatrix(reduced, tuple(rho.labels[i] for i in keep_pos))
+    return DensityMatrix(reduced)
 
 
 def pauli_tensor(rho: DensityMatrix) -> np.ndarray:
@@ -131,9 +123,9 @@ def pauli_tensor(rho: DensityMatrix) -> np.ndarray:
     pair, C[1:, 0], C[0, 1:] and C[1:, 1:] are its Fano form.  One plain
     ``np.einsum`` contraction with a fixed summation order.
     """
-    n = len(rho.labels)
+    n = rho.entries.shape[0].bit_length() - 1
     if not 1 <= n <= 3:
-        raise ValueError(f"expected 1 to 3 qubits, got labels {rho.labels}")
+        raise ValueError(f"expected 1 to 3 qubits, got {n}")
     rows, cols, out = "abc"[:n], "def"[:n], "xyz"[:n]
     # <rows| rho |cols> times s_o[col, row] for each subsystem, summed.
     spec = rows + cols + "," + ",".join(o + c + r for o, c, r in zip(out, cols, rows)) + "->" + out

@@ -89,12 +89,14 @@ class InfoCurve:
         th, iab, iae, ibe = arrays.values()
         if not (th.size and th.size == iab.size == iae.size == ibe.size):
             raise ValueError("curve arrays must be equal-length and nonempty")
-        if np.any(np.diff(th) <= 0.0):
+        if not all(np.isfinite(arr).all() for arr in arrays.values()):
+            raise ValueError("curve arrays must be finite")
+        if not np.all(np.diff(th) > 0.0):
             raise ValueError("theta grid must be strictly increasing")
-        if th[0] < -1e-12 or th[-1] > QUARTER_PI + 1e-12:
+        if not (th[0] >= -1e-12 and th[-1] <= QUARTER_PI + 1e-12):
             raise ValueError("theta grid must lie within [0, pi/4]")
         gap = float((iae - ibe).min())
-        if gap < -1e-6:
+        if not gap >= -1e-6:
             raise ValueError(f"probe-vs-receiver dominance violated: margin {gap:.3e}")
         for name, arr in arrays.items():
             arr.setflags(write=False)
@@ -114,8 +116,8 @@ class SecurityReport:
     def __post_init__(self) -> None:
         if not (0.0 < self.theta0 < QUARTER_PI):
             raise ValueError(f"threshold {self.theta0!r} outside (0, pi/4)")
-        if self.i0 < 0.0:
-            raise ValueError("information at the threshold cannot be negative")
+        if not self.i0 >= 0.0:
+            raise ValueError(f"information at the threshold cannot be negative or nan, got {self.i0!r}")
         if not (0.0 <= self.q0 <= 0.5):
             raise ValueError(f"threshold error rate {self.q0!r} outside [0, 1/2]")
         if not (0.0 <= self.q_cier0 <= 1.0):

@@ -25,6 +25,7 @@ LAYOUTS = "tests/test_protosim.py::TestTranscriptIO::test_line_endings_and_trail
 BARE_CR = "tests/test_protosim.py::TestTranscriptIO::test_bare_carriage_return_is_rejected"
 SIFT = "tests/test_protosim.py::TestBlockwise::test_sift_matches_whole_column_reference"
 SUMMARY = "tests/test_cli.py::TestSimulate::test_summary_matches_its_transcript"
+CURVE = "tests/test_security.py::TestSweepCurve::test_curve_arrays_rejected"
 
 
 class Mutant(NamedTuple):
@@ -229,12 +230,37 @@ MUTANTS = (
     Mutant(
         "InfoCurve takes a theta grid outside [0, pi/4]",
         "src/contqkd/security.py",
-        "if th[0] < -1e-12 or th[-1] > QUARTER_PI + 1e-12:",
+        "if not (th[0] >= -1e-12 and th[-1] <= QUARTER_PI + 1e-12):",
         "if False:",
-        (
-            "tests/test_security.py::TestSweepCurve::test_curve_arrays_rejected[below 0]",
-            "tests/test_security.py::TestSweepCurve::test_curve_arrays_rejected[past pi/4]",
-        ),
+        (f"{CURVE}[below 0]", f"{CURVE}[past pi/4]"),
+    ),
+    Mutant(
+        "InfoCurve takes a theta grid with a repeated point",
+        "src/contqkd/security.py",
+        "if not np.all(np.diff(th) > 0.0):",
+        "if not np.all(np.diff(th) >= 0.0):",
+        (f"{CURVE}[repeated theta]",),
+    ),
+    Mutant(
+        "InfoCurve takes non-finite arrays",
+        "src/contqkd/security.py",
+        "if not all(np.isfinite(arr).all() for arr in arrays.values()):",
+        "if False:",
+        ("tests/test_security.py::TestSweepCurve::test_non_finite_curve_rejected",),
+    ),
+    Mutant(
+        "SecurityReport takes a nan i0",
+        "src/contqkd/security.py",
+        "if not self.i0 >= 0.0:",
+        "if self.i0 < 0.0:",
+        ("tests/test_security.py::TestSecurityReport::test_figure_out_of_range_rejected",),
+    ),
+    Mutant(
+        "bipartite_reductions swaps the sender-probe and receiver-probe pairs",
+        "src/contqkd/attack.py",
+        "        partial_trace(rho_abe, (0, 2)),\n        partial_trace(rho_abe, (1, 2)),\n",
+        "        partial_trace(rho_abe, (1, 2)),\n        partial_trace(rho_abe, (0, 2)),\n",
+        ("tests/test_attack.py::TestClosedForm::test_reductions_match_closed_forms",),
     ),
 )
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -66,18 +65,15 @@ DENSITY_FLOOR = 1e-300
 _BLOCK = 256  # row block size for the orientation-average sweep
 
 
-def maximally_mixed(labels: Sequence[str]) -> DensityMatrix:
-    """Identity / dim on the given qubit labels."""
-    dim = 2 ** len(labels)
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim, labels)
+def maximally_mixed(n: int) -> DensityMatrix:
+    """Identity / dim on ``n`` qubits."""
+    dim = 2**n
+    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
 def tensor(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
-    """Kronecker product with concatenated labels; colliding labels raise ValueError."""
-    overlap = set(rho.labels) & set(sigma.labels)
-    if overlap:
-        raise ValueError(f"labels occur on both factors: {sorted(overlap)}")
-    return DensityMatrix(np.kron(rho.entries, sigma.entries), rho.labels + sigma.labels)
+    """Kronecker product: the qubits of ``rho``, then those of ``sigma``."""
+    return DensityMatrix(np.kron(rho.entries, sigma.entries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +225,8 @@ def _weighted_sum(values: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) ->
 
 
 def _marginals(rho_xy: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    rho_x = partial_trace(rho_xy, (rho_xy.labels[0],)).entries
-    rho_y = partial_trace(rho_xy, (rho_xy.labels[1],)).entries
+    rho_x = partial_trace(rho_xy, (0,)).entries
+    rho_y = partial_trace(rho_xy, (1,)).entries
     return rho_x, rho_y
 
 
@@ -418,7 +414,7 @@ def apply_attack(initial: DensityMatrix, iso: EveIsometry) -> DensityMatrix:
     arr = initial.entries.reshape(2, 2, 2, 2, 2, 2)
     sigma = np.ascontiguousarray(arr[:, :, 0, :, :, 0]).reshape(4, 4)
     k = np.kron(np.eye(2, dtype=complex), extension_matrix(iso))
-    return DensityMatrix(k @ sigma @ k.conj().T, initial.labels)
+    return DensityMatrix(k @ sigma @ k.conj().T)
 
 
 def render_transcript(transcript) -> str:

@@ -149,15 +149,13 @@ class TestApplyAttack:
 
     def test_line_start_reproduces_input(self):
         out = attacked_state(AttackParams(0.0, QUARTER))
-        np.testing.assert_allclose(
-            partial_trace(out, ("A", "B")).entries, singlet().entries, atol=1e-13
-        )
+        np.testing.assert_allclose(partial_trace(out, (0, 1)).entries, singlet().entries, atol=1e-13)
         assert np.trace(out.entries @ out.entries).real == pytest.approx(1.0, abs=1e-12)
 
     def test_full_swap_reductions(self):
         out = attacked_state(AttackParams(QUARTER, 0.0))
-        np.testing.assert_allclose(partial_trace(out, ("A", "E")).entries, SINGLET4, atol=1e-13)
-        np.testing.assert_allclose(partial_trace(out, ("A", "B")).entries, SWAP_AB, atol=1e-13)
+        np.testing.assert_allclose(partial_trace(out, (0, 2)).entries, SINGLET4, atol=1e-13)
+        np.testing.assert_allclose(partial_trace(out, (0, 1)).entries, SWAP_AB, atol=1e-13)
 
     def test_trace_and_purity_for_random_angles(self):
         rng = np.random.default_rng(31)
@@ -170,7 +168,7 @@ class TestApplyAttack:
         # Reference: the Kronecker-extended isometry acting on the density
         # matrix of singlet (x) |0>_E.
         rng = np.random.default_rng(37)
-        init = oracle.tensor(singlet(), DensityMatrix.from_ket(np.array([1.0, 0.0]), ("E",)))
+        init = oracle.tensor(singlet(), DensityMatrix.from_ket(np.array([1.0, 0.0])))
         for _ in range(20):
             params = AttackParams(*rng.uniform(0, QUARTER, 2))
             via_reference = oracle.apply_attack(init, build_isometry(params))
@@ -202,7 +200,7 @@ class TestBipartiteReductions:
         rng = np.random.default_rng(41)
         for _ in range(50):
             st = attacked_state(AttackParams(*rng.uniform(0, 2 * math.pi, 2)))
-            red = partial_trace(st, ("A",))
+            red = partial_trace(st, (0,))
             np.testing.assert_allclose(red.entries, np.eye(2) / 2, atol=1e-12)
 
     def test_swap_symmetry_at_line_endpoints(self):
@@ -238,6 +236,6 @@ class TestClosedForm:
     def test_reductions_match_closed_forms(self, theta, phi):
         # Trig polynomials worked out by hand, so the isometry is checked from outside.
         reductions = bipartite_reductions(attacked_state(AttackParams(theta, phi)))
-        for rho, form in zip(reductions, oracle.attack_fano_forms(theta, phi)):
+        for pair, rho, form in zip(("AB", "AE", "BE"), reductions, oracle.attack_fano_forms(theta, phi)):
             for got, ref in zip(fano_form(rho), form):
-                np.testing.assert_allclose(got, ref, rtol=0.0, atol=oracle.CLOSED_FORM_TOL, err_msg=str(rho.labels))
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=oracle.CLOSED_FORM_TOL, err_msg=pair)

@@ -275,13 +275,15 @@ class TestSimulate:
         assert unsifted["mi_alice_probe_bits"] == empirical_mi_with_probe(transcript, binning, "alice", **settings)
         assert unsifted["mi_bob_probe_bits"] == empirical_mi_with_probe(transcript, binning, "bob", **settings)
 
-        sifted = sift(transcript, SiftingPartition(*summary["sifted"]["cells"]))
-        bitwise = SiftingPartition(1, 1)
+        block = summary["sifted"]
+        sifted = sift(transcript, SiftingPartition(*block["cells"]))
+        bitwise = SiftingPartition(*block["mi_binning_cells"])
+        settings = {k: block[k] for k in ("miller_madow", "fold_antipodal")}
         assert len(sifted) > 0
-        assert summary["sifted"]["kept_rounds"] == len(sifted)
-        assert summary["sifted"]["keep_rate"] == len(sifted) / len(transcript)
-        assert summary["sifted"]["error_rate"] == sifted_error_rate(sifted)
-        assert summary["sifted"]["mi_bits"] == empirical_mi(sifted, bitwise, bitwise, miller_madow=True)
+        assert block["kept_rounds"] == len(sifted)
+        assert block["keep_rate"] == len(sifted) / len(transcript)
+        assert block["error_rate"] == sifted_error_rate(sifted)
+        assert block["mi_bits"] == empirical_mi(sifted, bitwise, bitwise, **settings)
 
     def test_writers_match_rowwise_reference_across_chunk_seam(self, tmp_path):
         rounds, theta, seed = _BLOCK + 3, 0.2, 4

@@ -73,7 +73,7 @@ def test_random_states_match_reference(parts, rank, directions):
     norm = float(np.trace(m).real)
     assume(norm > 1e-3)
     m = m / norm
-    _check_against_reference(DensityMatrix(0.5 * (m + m.conj().T), ("A", "B")), directions)
+    _check_against_reference(DensityMatrix(0.5 * (m + m.conj().T)), directions)
 
 
 @EXAMPLES

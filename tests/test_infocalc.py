@@ -178,7 +178,7 @@ class TestSelectedInformation:
 
     def test_product_state_carries_nothing(self):
         rng = np.random.default_rng(23)
-        rho = maximally_mixed(("A", "B"))
+        rho = maximally_mixed(2)
         for _ in range(5):
             val = fixed_readout_information(rho, random_direction(rng), random_direction(rng))
             assert val == pytest.approx(0.0, abs=1e-12)
@@ -202,8 +202,8 @@ class TestNonselectedInformation:
 
     def test_product_states_carry_nothing(self, quad_light):
         rho = tensor(
-            DensityMatrix.from_ket(np.array([0.6, 0.8j]), ("A",)),
-            maximally_mixed(("B",)),
+            DensityMatrix.from_ket(np.array([0.6, 0.8j])),
+            maximally_mixed(1),
         )
         assert nonselected_information(rho, quad_light, quad_light) == pytest.approx(0.0, abs=1e-10)
 
@@ -254,7 +254,7 @@ class TestNonselectedInformation:
 
     def test_requires_two_qubits(self, quad_light):
         with pytest.raises(ValueError):
-            nonselected_information(maximally_mixed(("A",)), quad_light, quad_light)
+            nonselected_information(maximally_mixed(1), quad_light, quad_light)
 
 
 class TestSphereKernel:
@@ -280,7 +280,6 @@ def _unchecked_pair(a, b, t) -> DensityMatrix:
             m = m + t[i][j] * np.kron(pauli[i], pauli[j])
     rho = object.__new__(DensityMatrix)
     object.__setattr__(rho, "entries", m / 4.0)
-    object.__setattr__(rho, "labels", ("A", "B"))
     return rho
 
 
@@ -322,5 +321,5 @@ class TestOrientationAverage:
 
     def test_product_and_mixed_states_vanish(self, quad_light):
         assert averaged_selected_information(
-            maximally_mixed(("A", "B")), quad_light, quad_light
+            maximally_mixed(2), quad_light, quad_light
         ) == pytest.approx(0.0, abs=1e-10)

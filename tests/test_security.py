@@ -67,12 +67,21 @@ def itp_step_bound(tol: float) -> int:
 
 
 def count_rate_readings(monkeypatch) -> tuple[list, list]:
-    """Log the i_ae readings (one per g evaluation) and i_ab readings of ``security``."""
-    i_ae, i_ab = [], []
-    real_ns, real_rate = security.nonselected_information, security._receiver_rate
+    """Log the i_ae readings (one per g evaluation) and i_ab readings of ``security``.
+
+    An i_ae reading is a rate of the pair that ``_reductions`` returns second.
+    """
+    i_ae, i_ab, sender_probe = [], [], []
+    real_reductions, real_ns = security._reductions, security.nonselected_information
+    real_rate = security._receiver_rate
+
+    def reductions(params):
+        pairs = real_reductions(params)
+        sender_probe.append(pairs[1])
+        return pairs
 
     def ns(rho, *rules):
-        if rho.labels == ("A", "E"):
+        if any(rho is rae for rae in sender_probe):
             i_ae.append(rho)
         return real_ns(rho, *rules)
 
@@ -80,6 +89,7 @@ def count_rate_readings(monkeypatch) -> tuple[list, list]:
         i_ab.append(args)
         return real_rate(*args)
 
+    monkeypatch.setattr(security, "_reductions", reductions)
     monkeypatch.setattr(security, "nonselected_information", ns)
     monkeypatch.setattr(security, "_receiver_rate", rate)
     return i_ae, i_ab
@@ -141,12 +151,21 @@ class TestSweepCurve:
             ([0.1, 0.2], (2, 2, 3), "equal-length and nonempty"),
             ([-0.01, 0.2], (2, 2, 2), r"within \[0, pi/4\]"),
             ([0.1, QUARTER + 1e-9], (2, 2, 2), r"within \[0, pi/4\]"),
+            ([0.1, 0.1], (2, 2, 2), "strictly increasing"),
         ],
-        ids=["empty", "short i_ab", "long i_be", "below 0", "past pi/4"],
+        ids=["empty", "short i_ab", "long i_be", "below 0", "past pi/4", "repeated theta"],
     )
     def test_curve_arrays_rejected(self, thetas, sizes, says):
         with pytest.raises(ValueError, match=says):
             InfoCurve(np.array(thetas), *(np.zeros(n) for n in sizes))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["thetas", "i_ab", "i_ae", "i_be"])
+    def test_non_finite_curve_rejected(self, name, value):
+        arrays = {"thetas": np.array([0.1, 0.2]), "i_ab": np.zeros(2), "i_ae": np.zeros(2), "i_be": np.zeros(2)}
+        arrays[name][1] = value
+        with pytest.raises(ValueError, match="curve arrays must be finite"):
+            InfoCurve(**arrays)
 
     def test_curve_validation(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -160,7 +179,7 @@ class TestReconciledRate:
         assert reconciled_i_ab(singlet(), quad_light) == pytest.approx(1.0, abs=1e-6)
 
     def test_maximally_mixed_gives_zero(self, quad_light):
-        assert reconciled_i_ab(maximally_mixed(("A", "B")), quad_light) == pytest.approx(0.0, abs=1e-10)
+        assert reconciled_i_ab(maximally_mixed(2), quad_light) == pytest.approx(0.0, abs=1e-10)
 
     def test_full_swap_gives_zero(self, quad_light):
         rab, _, _ = bipartite_reductions(attacked_state(AttackParams(QUARTER, 0.0)))
@@ -286,6 +305,7 @@ class TestSecurityReport:
             ("q0", 0.5 + 1e-9, "threshold error rate 0.500000001 outside"),
             ("q_cier0", -1e-3, "threshold information error rate -0.001 outside"),
             ("q_cier0", 1.0 + 1e-9, "threshold information error rate 1.000000001 outside"),
+            ("i0", math.nan, "information at the threshold cannot be negative or nan, got nan"),
         ],
     )
     def test_figure_out_of_range_rejected(self, field, value, says):
