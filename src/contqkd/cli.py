@@ -6,7 +6,10 @@ JSON shaped {"manifest": ..., "data": ...}).  ``simulate`` has no
 ``--format``: it writes the csv transcript of ``protosim.write_transcript``
 plus a JSON summary sidecar.  Every command with ``--output`` also writes a
 JSON manifest sidecar recording every parsed option, seed, quadrature
-resolution, tool version and wall-clock duration.  Re-running a command with
+resolution, tool version and wall-clock duration; with ``--reconciled``,
+``curve`` and ``critical`` also name the fixed rule of the reconciled rate
+(``line_rule``, which is not an option: a rerun reads only the parameters,
+quadrature and seed).  Re-running a command with
 the manifest's parameters reproduces the data files byte for byte for one BLAS
 kernel and SIMD target; across them transcripts stay byte-identical and the
 analysis numbers agree within about 3e-14 relative.  ``critical`` prints its
@@ -51,6 +54,7 @@ from .protosim import (
 )
 from .qstate import NumericalCorruptionError, check_int
 from .security import (
+    LINE_RULE,
     NONSELECTED_MAX_BITS,
     QUARTER_PI,
     RECONCILED_MAX_BITS,
@@ -431,6 +435,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         "quadrature": rule,
         "version": __version__,
     }
+    if getattr(args, "reconciled", False):
+        manifest["line_rule"] = dict(LINE_RULE)
     try:
         args.func(args, manifest)
         if args.output:

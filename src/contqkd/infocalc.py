@@ -17,9 +17,11 @@ Every two-qubit state enters in its Fano form (U. Fano, Rev. Mod. Phys. 55,
 a, b and correlation tensor T, with joint outcome density
 p(n, m) = (1 + a.n + b.m + n.T.m)/4.  Being linear in m for fixed n, it has
 a closed-form inner sphere integral, and only the outer sphere is discretized,
-by a ``SphereQuadrature``: always the product of Gauss-Legendre in
-u = cos(theta) and a uniform periodic rule in phi, built by its one
-constructor ``SphereQuadrature.gauss_product``.  The singlet value is exact
+by a ``SphereQuadrature``: the product of Gauss-Legendre in u = cos(theta)
+and a uniform periodic rule in phi, built by its one public constructor
+``SphereQuadrature.gauss_product``, for every rule a caller picks (the one
+other rule, ``security``'s fixed rule for the reconciled rate on the optimal
+line, is private to it).  The singlet value is exact
 to roundoff; against a 128x256 rule ``DEFAULT_RULE`` is off by up to 3.8e-8
 bits on the CLI's default 17x17 ``surface`` grid (``i_be`` at theta 0.7363, phi 0).
 This module owns directions: ``bloch_vectors`` maps (u, phi) to the unit
@@ -63,27 +65,32 @@ def bloch_vectors(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
 class SphereQuadrature:
     """Gauss-Legendre x uniform-azimuth product rule on the Bloch sphere.
 
-    ``gauss_product`` is the one constructor (K. Atkinson, "Numerical
+    ``gauss_product`` is the one public constructor (K. Atkinson, "Numerical
     integration on the sphere", J. Austral. Math. Soc. B 23, 332 (1982)).
     A rule is its nodes' unit Bloch vectors ``vectors``, shape (N, 3), and
     their ``weights``, shape (N,), read-only in a rule ``gauss_product`` built
     (a pickled or deep-copied rule has writeable arrays sharing no memory with
-    the original's); the weights are positive, sum to the sphere volume 2 and
-    integrate degree <= 2 polynomials in the direction components exactly, by
-    construction.
+    the original's).  In a rule ``gauss_product`` built, the weights are
+    positive, sum to the sphere volume 2 and integrate degree <= 2
+    polynomials in the direction components exactly, by construction;
+    ``security``'s private line rule is an instance too, exact only for
+    integrands symmetric about x, and none of this holds for it.
     """
 
     weights: np.ndarray
     vectors: np.ndarray
 
     @classmethod
+    @lru_cache(maxsize=8, typed=True)
     def gauss_product(cls, n_polar: int, n_azimuth: int) -> "SphereQuadrature":
         """The product rule of n_polar x n_azimuth nodes.
 
         n_polar >= 2 Legendre nodes in u = cos(theta); n_azimuth >= 4
         midpoint nodes in phi (exact for trigonometric polynomials of degree
         < n_azimuth by periodicity), polar-major.  Both counts must be integers
-        (``qstate.check_int``); anything else raises ValueError.
+        (``qstate.check_int``); anything else raises ValueError.  The last 8
+        rules are cached and shared, which their read-only arrays make safe;
+        the cache is keyed by type too, so 32.0 never finds the rule of 32.
         """
         check_int("n_polar", n_polar, 2)
         check_int("n_azimuth", n_azimuth, 4)
@@ -99,11 +106,11 @@ class SphereQuadrature:
         return rule
 
 
-@lru_cache(maxsize=1)
 def default_quadrature() -> SphereQuadrature:
-    """The ``DEFAULT_RULE`` product rule of the command-line defaults, built once and cached.
+    """The ``DEFAULT_RULE`` product rule of the command-line defaults.
 
-    No function here falls back to it: every rate takes its rule from the caller.
+    ``gauss_product`` caches it, so every call returns the one instance.  No
+    function here falls back to it: every rate takes its rule from the caller.
     """
     return SphereQuadrature.gauss_product(*DEFAULT_RULE)
 

@@ -62,7 +62,8 @@ class DensityMatrix:
     """Hermitian unit-trace operator on a tensor product of n >= 1 qubits.
 
     ``entries`` is 2**n x 2**n, its qubits in tensor order.  Construction
-    validates the shape, Hermiticity, unit trace and positive
+    validates the shape, finite entries, Hermiticity (every entry within
+    ``ATOL`` of its mirror's conjugate), unit trace and positive
     semidefiniteness up to roundoff, so a successfully built instance is
     always a physical state.
     """
@@ -74,7 +75,9 @@ class DensityMatrix:
         n = mat.shape[0].bit_length() - 1 if mat.ndim == 2 else 0
         if n < 1 or mat.shape != (2**n, 2**n):
             raise ValueError(f"matrix shape {mat.shape} is not 2^n x 2^n for any n >= 1")
-        if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix has non-finite entries")
+        if np.abs(mat - mat.conj().T).max() > ATOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > ATOL:

@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
 
 from .attack import AttackParams, attacked_state, bipartite_reductions
-from .infocalc import SPHERE_VOLUME, SphereQuadrature, fano_form, nonselected_information, table_information
-from .qstate import DensityMatrix, check_int
+from .infocalc import SPHERE_VOLUME, ZERO_BITS, SphereQuadrature, fano_form, nonselected_information, table_information
+from .qstate import ATOL, DensityMatrix, NumericalCorruptionError, check_int
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -63,6 +64,39 @@ def i_max_bits(reconciled: bool) -> float:
 _ITP_KAPPA1 = 0.2 / QUARTER_PI
 _ITP_KAPPA2 = 2.0
 _ITP_N0 = 1
+
+
+# The fixed rule of the receiver's reconciled rate on the optimal line
+# (``_LINE_RULE``), as the manifests of ``critical`` and ``curve`` name it.
+LINE_RULE = MappingProxyType({"kind": "tanh-sinh", "step": 0.125, "nodes": 51})
+
+
+def _tanh_sinh_line_rule(step: float, nodes: int) -> SphereQuadrature:
+    """The tanh-sinh rule of ``nodes`` (odd) nodes at ``step``, on a great circle through x.
+
+    Takahasi & Mori, Publ. RIMS 9, 721 (1974): x_k = tanh(pi/2 sinh(k h)) with
+    weights h (pi/2) cosh(k h) / cosh(pi/2 sinh(k h))^2, for |k| <= (nodes - 1)/2
+    at h = ``step``; it integrates over [-1, 1] with the endpoint singularities
+    of the information integrands.  Node k is the vector (x_k, sqrt(1 - x_k^2), 0),
+    the root taken as 1 / cosh(pi/2 sinh(k h)), and the weights sum to 2.
+    Under the sphere measure n_x is uniform on [-1, 1], so the rule integrates
+    an integrand that depends on n through n_x alone as the 1-D rule does, to
+    roundoff at the ``LINE_RULE`` settings.  It is exact only for such
+    integrands: a pair's are so when its Fano form is symmetric about x
+    (``_require_line_symmetry``), and the rule is no sphere rule otherwise.
+    """
+    t = step * np.arange(-(nodes // 2), nodes // 2 + 1)
+    s = 0.5 * math.pi * np.sinh(t)
+    c = np.cosh(s)
+    rule = SphereQuadrature()
+    vectors = np.stack([np.tanh(s), 1.0 / c, np.zeros_like(s)], axis=1)
+    for name, arr in (("weights", step * 0.5 * math.pi * np.cosh(t) / (c * c)), ("vectors", vectors)):
+        arr.setflags(write=False)
+        object.__setattr__(rule, name, arr)
+    return rule
+
+
+_LINE_RULE = _tanh_sinh_line_rule(LINE_RULE["step"], LINE_RULE["nodes"])
 
 
 class BracketError(RuntimeError):
@@ -140,13 +174,14 @@ def reconciled_i_ab(rho_ab: DensityMatrix, quad: SphereQuadrature) -> float:
     direction with the sphere measure, discretized by the caller's rule
     ``quad`` (zero-width reconciliation cells; the finite-cell version lives
     in the protocol simulator).  With both parties reading along +-n, the
-    2x2 table of the Fano form is (1 +- a.n +- b.n +- n.T.n)/4.
+    2x2 table of the Fano form is (1 +- a.n +- b.n +- n.T.n)/4.  Values at or
+    below ``infocalc.ZERO_BITS`` read as 0.0, as the continuous rates do.
     """
     a, b, t = fano_form(rho_ab)
     n = quad.vectors
     info = table_information(n @ a, n @ b, ((n @ t) * n).sum(axis=1))
     value = math.fsum((info * quad.weights).tolist()) / SPHERE_VOLUME
-    return max(0.0, value)
+    return value if value > ZERO_BITS else 0.0
 
 
 def _reductions(params: AttackParams) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
@@ -203,10 +238,24 @@ def pair_fidelity_deficit(params: AttackParams) -> float:
     return _snap_zero(0.25 * (3.0 + float(np.trace(_pair_correlations(params)))))
 
 
+def _require_line_symmetry(rab: DensityMatrix) -> None:
+    """NumericalCorruptionError unless a and b lie along x and T = diag(t1, t2, t2), to ``qstate.ATOL``."""
+    a, b, t = fano_form(rab)
+    want = np.diag([t[0, 0], t[1, 1], t[1, 1]])
+    off = float(max(np.abs(a[1:]).max(), np.abs(b[1:]).max(), np.abs(t - want).max()))
+    if off > ATOL:
+        raise NumericalCorruptionError(f"pair is {off:.3e} off symmetry about x, where the line rule is exact")
+
+
 def _receiver_rate(rab: DensityMatrix, reconciled: bool, quad: SphereQuadrature) -> float:
-    """i_ab: reconciled shared-basis rate, or the continuous-readout rate."""
+    """i_ab: the reconciled rate on ``_LINE_RULE``, or the continuous-readout rate on ``quad``.
+
+    The reconciled rate holds only for pairs symmetric about x, as every
+    pair on the optimal line is; any other raises NumericalCorruptionError.
+    """
     if reconciled:
-        return reconciled_i_ab(rab, quad)
+        _require_line_symmetry(rab)
+        return reconciled_i_ab(rab, _LINE_RULE)
     return nonselected_information(rab, quad)
 
 
@@ -215,8 +264,12 @@ def information_rates(
 ) -> tuple[float, float, float]:
     """(i_ab, i_ae, i_be) of the attacked singlet, in bits.
 
-    The probe's rates are continuous-readout values; ``i_ab`` is too unless
-    ``reconciled``, when it is the shared-basis rate of ``reconciled_i_ab``.
+    The probe's rates are continuous-readout values on the rule ``quad``;
+    ``i_ab`` is too unless ``reconciled``, when it is the shared-basis rate of
+    ``reconciled_i_ab`` on the fixed line rule ``LINE_RULE``, exact to
+    roundoff.  That reading holds on the optimal line only (its callers are
+    ``sweep_curve`` and the line-rate tests): off it, ``reconciled`` raises
+    NumericalCorruptionError.
     """
     rab, rae, rbe = _reductions(params)
     return (
@@ -227,7 +280,11 @@ def information_rates(
 
 
 def sweep_curve(thetas: Sequence[float], reconciled: bool = False, *, quad: SphereQuadrature) -> InfoCurve:
-    """Evaluate the three information rates, with the rule ``quad``, on a grid along the optimal line."""
+    """Evaluate the three information rates on a grid along the optimal line.
+
+    The continuous-readout rates use the rule ``quad``; a ``reconciled``
+    i_ab uses the fixed line rule (``information_rates``).
+    """
     grid = np.asarray(list(thetas), dtype=float)
     iab = np.empty(grid.size)
     iae = np.empty(grid.size)
@@ -240,10 +297,11 @@ def sweep_curve(thetas: Sequence[float], reconciled: bool = False, *, quad: Sphe
 def cier(i: float, i_max: float) -> float:
     """Information error rate Q = 1 - i / i_max, dimensionless in [0, 1].
 
-    Rates computed by quadrature can overshoot the analytic maximum by the
-    outer-rule error (a few 1e-9 bits at the default 32x64 resolution, up
-    to ~3e-7 at 16x32), so overshoot up to 1e-4 clamps to Q = 0; anything
-    larger, and a non-finite ``i`` or ``i_max``, is a usage error.
+    Rates integrated on a rule can overshoot the analytic maximum by the
+    rule's error (the caller's rule can be as coarse as 2x4) or by roundoff
+    (the fixed line rule of the reconciled rate), so overshoot up to 1e-4
+    clamps to Q = 0; anything larger, and a non-finite ``i`` or ``i_max``,
+    is a usage error.
     """
     if not (math.isfinite(i) and math.isfinite(i_max)):
         raise ValueError(f"information {i!r} and its maximum {i_max!r} must be finite")
@@ -260,7 +318,8 @@ def critical_point(reconciled: bool = False, *, quad: SphereQuadrature, tol: flo
     """Locate the security threshold on the optimal line by the ITP method.
 
     Finds the root of g(theta) = i_ab(theta) - i_ae(theta) over [0, pi/4],
-    with the rates integrated by the rule ``quad``, to within ``tol``
+    with the continuous-readout rates integrated by the rule ``quad`` and a
+    ``reconciled`` i_ab by the fixed line rule (``information_rates``), to within ``tol``
     radians, which must be finite and positive; a ``tol`` below the spacing
     of doubles there stops at two adjacent doubles.  The bracket endpoints
     must straddle the root (g > 0 with no attack, g < 0 at the full swap);

@@ -262,6 +262,42 @@ MUTANTS = (
         "        partial_trace(rho_abe, (1, 2)),\n        partial_trace(rho_abe, (0, 2)),\n",
         ("tests/test_attack.py::TestClosedForm::test_reductions_match_closed_forms",),
     ),
+    Mutant(
+        "the line rule at step 1/4, 25 nodes",
+        "src/contqkd/security.py",
+        '"step": 0.125, "nodes": 51',
+        '"step": 0.25, "nodes": 25',
+        # The rate is then up to 2.9e-10 off (at 0.7); the threshold moves by only 1.6e-13, inside the root test's 1e-12.
+        ("tests/test_security.py::TestLineRates::test_default_rule_matches_mpmath",),
+    ),
+    Mutant(
+        "the reconciled rate skips its symmetry check",
+        "src/contqkd/security.py",
+        "if off > ATOL:",
+        "if False:",
+        ("tests/test_security.py::TestLineRule::test_pair_off_symmetry_rejected",),
+    ),
+    Mutant(
+        "reconciled_i_ab clamps at 0 instead of snapping at ZERO_BITS",
+        "src/contqkd/security.py",
+        "return value if value > ZERO_BITS else 0.0",
+        "return max(0.0, value)",
+        ("tests/test_security.py::TestLineRule::test_full_swap_reads_exact_zero",),
+    ),
+    Mutant(
+        "DensityMatrix holds Hermiticity to 1e-10 instead of qstate.ATOL",
+        "src/contqkd/qstate.py",
+        "if np.abs(mat - mat.conj().T).max() > ATOL:",
+        "if np.abs(mat - mat.conj().T).max() > 1e-10:",
+        ("tests/test_qstate.py::TestDensityMatrix::test_hermiticity_floor_is_atol",),
+    ),
+    Mutant(
+        "gauss_product's cache ignores the argument types",
+        "src/contqkd/infocalc.py",
+        "@lru_cache(maxsize=8, typed=True)",
+        "@lru_cache(maxsize=8, typed=False)",
+        ("tests/test_infocalc.py::TestSphereQuadrature::test_rule_is_built_once_and_a_float_count_still_rejected",),
+    ),
 )
 
 

@@ -409,6 +409,26 @@ def line_rates_mpmath(theta: float, dps: int = 40) -> tuple:
     return (*(continuous(*f) for f in forms), reconciled(*forms[0]))
 
 
+def reconciled_root_mpmath(dps: int = 40) -> tuple:
+    """(theta0, cier0) of the reconciled threshold, as mpmath numbers at ``dps`` digits.
+
+    Run by hand to regenerate the committed root; it needs mpmath, which the
+    tests do not import.  theta0 is the root on the optimal line of the
+    reconciled i_ab minus i_ae, both from ``line_rates_mpmath``, found by
+    mpmath's secant from 0.5139; cier0 = 1 - reconciled i_ab(theta0), the
+    reconciled maximum being one bit.
+    """
+    import mpmath
+
+    def gap(theta):
+        _, i_ae, _, reconciled = line_rates_mpmath(theta, dps)
+        return reconciled - i_ae
+
+    mpmath.mp.dps = dps
+    theta0 = mpmath.findroot(gap, mpmath.mpf("0.5139"))
+    return theta0, 1 - line_rates_mpmath(theta0, dps)[3]
+
+
 def apply_attack(initial: DensityMatrix, iso: EveIsometry) -> DensityMatrix:
     """Evolve a (sender, channel, probe) state whose probe is in |0> through the coupling."""
     arr = initial.entries.reshape(2, 2, 2, 2, 2, 2)

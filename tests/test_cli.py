@@ -181,6 +181,17 @@ class TestCritical:
             "reconciled_max": cier(data["i0_bits"], RECONCILED_MAX_BITS),
         }
 
+    @pytest.mark.parametrize("command", ["critical", "curve"])
+    def test_manifest_names_the_line_rule_when_reconciled(self, tmp_path, command):
+        # The fixed rule of the reconciled rate is recorded beside the options, not among them.
+        # Without --reconciled the rule is not read, and the manifest stays as it was before the rule existed.
+        for reconciled, want in ((True, {"kind": "tanh-sinh", "step": 0.125, "nodes": 51}), (False, None)):
+            out = tmp_path / f"{command}-{reconciled}.json"
+            argv = [command, "--format", "json", "--output", str(out), *LIGHT] + (["--reconciled"] if reconciled else [])
+            assert run(argv) == 0
+            manifest = json.loads((tmp_path / (out.name + ".manifest.json")).read_text())
+            assert manifest.get("line_rule") == want and "line_rule" not in manifest["parameters"]
+
     def test_tol_below_double_spacing_returns(self):
         # --tol accepts any positive float; one below the spacing of doubles
         # at the threshold must still end the search.  A subprocess with a

@@ -16,7 +16,7 @@ from contqkd import (
     singlet,
     reconciled_i_ab,
 )
-from contqkd.infocalc import _sphere_relative_entropy
+from contqkd.infocalc import _sphere_relative_entropy, default_quadrature
 from contqkd.qstate import PSD_FLOOR
 from conftest import (
     SINGLET_BITS,
@@ -144,6 +144,13 @@ class TestSphereQuadrature:
     def test_non_integer_counts_rejected(self, n_polar, n_azimuth):
         with pytest.raises(ValueError, match="must be an integer"):
             SphereQuadrature.gauss_product(n_polar, n_azimuth)
+
+    def test_rule_is_built_once_and_a_float_count_still_rejected(self):
+        rule = SphereQuadrature.gauss_product(32, 64)
+        assert SphereQuadrature.gauss_product(32, 64) is rule and default_quadrature() is rule
+        # The cache is keyed by type too, so the integral float never finds the int's rule.
+        with pytest.raises(ValueError, match="must be an integer"):
+            SphereQuadrature.gauss_product(32.0, 64)
 
     def test_numpy_integer_counts_accepted(self):
         q = SphereQuadrature.gauss_product(np.int64(8), np.int64(16))

@@ -28,7 +28,7 @@ from contqkd import (
 )
 from contqkd.infocalc import fano_form
 from contqkd.protosim import _joint_law, _law_matrix
-from contqkd.qstate import SINGLET_KET, pauli_tensor
+from contqkd.qstate import ATOL, SINGLET_KET, pauli_tensor
 from conftest import cos_polar_azimuth, random_direction
 from oracle import basis_kets, maximally_mixed, tensor
 
@@ -124,6 +124,26 @@ class TestDensityMatrix:
     def test_non_hermitian_rejected(self):
         m = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("unit", [1.0, 1j], ids=["real", "imaginary"])
+    @pytest.mark.parametrize("scale, passes", [(0.5, True), (2.0, False)], ids=["ATOL/2", "2 ATOL"])
+    def test_hermiticity_floor_is_atol(self, unit, scale, passes):
+        # One off-diagonal entry ``scale`` ATOL away from its mirror's conjugate.
+        m = np.array([[0.5, 0.0], [scale * ATOL * unit, 0.5]], dtype=complex)
+        if passes:
+            DensityMatrix(m)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                DensityMatrix(m)
+
+    @pytest.mark.parametrize(
+        "entry", [math.inf, -math.inf, complex(0.0, math.inf), math.nan], ids=["inf", "-inf", "inf j", "nan"]
+    )
+    def test_non_finite_entries_rejected(self, entry):
+        # An infinite pair is its own conjugate mirror, so only the finiteness check names it.
+        m = np.array([[0.5, entry], [np.conj(entry), 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="non-finite entries"):
             DensityMatrix(m)
 
     def test_wrong_trace_rejected(self):

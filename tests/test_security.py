@@ -32,6 +32,7 @@ from contqkd import (
 from contqkd import security
 from contqkd.attack import attacked_pure_state
 from contqkd.infocalc import default_quadrature, fano_form
+from contqkd.qstate import NumericalCorruptionError
 from contqkd.security import (
     NONSELECTED_MAX_BITS,
     BracketError,
@@ -56,9 +57,13 @@ LINE_RATES = (
     (0.7, ("6.80242684355966598983779160804e-3", "2.65572294636084543149817139757e-1",
            "6.60173975302994049143135159231e-3", "1.63330603731955062769079287996e-2")),
 )
-# Bounds of the default 32x64 rule, fixed before the first comparison.  Measured at these angles: i_ab and i_ae
-# within 2.7e-16, i_be within 1.5e-10 (at 0.7), and the reconciled rate up to 1.7e-7 low (at 0.7).
-LINE_RATE_TOL = (1e-14, 1e-14, 1e-9, 1e-6)
+# Bounds of the default 32x64 rule, and for the reconciled rate of the fixed line rule, fixed before the first
+# comparison.  Measured at these angles: i_ab and i_ae within 2.7e-16, i_be within 1.5e-10 (at 0.7), and the
+# reconciled rate within 2.3e-16 (on the 32x64 rule it was up to 1.7e-7 low, at 0.7).
+LINE_RATE_TOL = (1e-14, 1e-14, 1e-9, 1e-14)
+# The reconciled threshold (theta0, cier0) to 17 significant digits.  Generated with mpmath 1.3.0 by
+# ``oracle.reconciled_root_mpmath(40)``, whose values at 50 digits agree to 3e-42.
+RECONCILED_ROOT = (0.51389546249523687, 0.81868022796018290)
 
 
 def itp_step_bound(tol: float) -> int:
@@ -194,6 +199,31 @@ class TestLineRates:
         reconciled = security.information_rates(params, default_quadrature(), reconciled=True)[0]
         for got, ref, tol in zip((i_ab, i_ae, i_be, reconciled), references, LINE_RATE_TOL):
             assert abs(got - float(ref)) <= tol
+
+
+class TestLineRule:
+    def test_reconciled_threshold_is_the_exact_root(self):
+        report = critical_point(reconciled=True, quad=default_quadrature(), tol=1e-12)
+        assert abs(report.theta0 - RECONCILED_ROOT[0]) <= 1e-12
+        assert abs(report.q_cier0 - RECONCILED_ROOT[1]) <= 1e-12
+
+    def test_rule_is_the_tanh_sinh_rule_on_one_great_circle(self):
+        rule = security._LINE_RULE
+        assert rule.weights.size == security.LINE_RULE["nodes"] == 51
+        assert abs(math.fsum(rule.weights.tolist()) - 2.0) <= 1e-15
+        assert np.all(rule.weights > 0.0) and not rule.weights.flags.writeable
+        np.testing.assert_allclose(np.linalg.norm(rule.vectors, axis=1), 1.0, atol=1e-15)
+        assert np.all(rule.vectors[:, 2] == 0.0) and np.all(np.diff(rule.vectors[:, 0]) >= 0.0)
+
+    @pytest.mark.parametrize("params", [AttackParams(0.3, 0.2), AttackParams(0.1, 0.0), AttackParams(0.7, 1.0)])
+    def test_pair_off_symmetry_rejected(self, quad_light, params):
+        security.information_rates(params, quad_light)  # the continuous rates hold anywhere
+        with pytest.raises(NumericalCorruptionError, match="symmetry about x"):
+            security.information_rates(params, quad_light, reconciled=True)
+
+    def test_full_swap_reads_exact_zero(self):
+        # The line rule leaves 7.2e-17 bits of roundoff there (5.6e-18 on the 32x64 rule), at or below ZERO_BITS.
+        assert security.information_rates(optimal_params(QUARTER), default_quadrature(), reconciled=True)[0] == 0.0
 
 
 class TestQber:
