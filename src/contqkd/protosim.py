@@ -30,14 +30,16 @@ numpy SIMD targets.
 
 A transcript file is csv: the round index, then ``Transcript``'s fields in
 their order.  Those fields are the one declaration of the columns: each
-one's kind gives its dtype, its csv format and its valid values, so
-``run_protocol`` allocates, ``write_transcript`` formats and
-``read_transcript`` checks and casts every column by it.
-``write_transcript`` is the only writer.  Each block is rendered to its own
+one's kind gives its dtype, its column renderer and its valid values, so
+``run_protocol`` allocates, ``write_transcript`` checks and renders, and
+``read_transcript`` checks and casts every column by it; the writer refuses
+a column its reader would reject.  ``write_transcript`` is the only writer.
+Each block is rendered column by column (floats by ``repr``, bits as one
+ASCII string) into one flat list of fields that is joined once, to its own
 part file beside the output, by a pool of spawned processes, one per usable
-core, as the row render bounds the writer, or, with one block or one core,
-by the calling process; the caller copies the parts in round order into a
-file beside them, moved onto the output only once it is whole.
+core, as ``repr`` bounds the writer, or, with one block or one core, by the
+calling process; the caller copies the parts in round order into a file
+beside them, moved onto the output only once it is whole.
 ``read_transcript`` counts a file's lines in one binary pass, allocates the
 columns once at that length, parses and checks the rows one block at a time
 into them, and rejects a file that breaks the schema; its peak is the
@@ -137,17 +139,21 @@ class SiftingPartition:
 
 
 class _Kind(NamedTuple):
-    """A transcript column's kind: how it is stored, written to csv and checked when read back."""
+    """A transcript column's kind: how it is stored, rendered to csv and checked, when written and when read back."""
 
     dtype: type
-    fmt: str  # %r of a Python float is its shortest round-trip repr; %d of a bool is 0/1
-    valid: Callable[[np.ndarray], np.ndarray]  # the parsed float values the column accepts
+    render: Callable[[np.ndarray], Iterable[str]]  # a whole column of valid values to its csv fields, one per round
+    valid: Callable[[np.ndarray], np.ndarray]  # the values, of any dtype, the column accepts
 
 
-_BIT = _Kind(np.int8, "%d", lambda col: (col == 0.0) | (col == 1.0))
+# The repr of a Python float is its shortest round-trip form.  A bit column, of any dtype, is one ASCII
+# string of '0'/'1' characters: ``astype``, not ``view``, so that a float 0.0/1.0 column renders the same.
+_BIT = _Kind(
+    np.int8, lambda col: (col.astype(np.uint8) + 48).tobytes().decode(), lambda col: (col == 0.0) | (col == 1.0)
+)
 _FLAG = _BIT._replace(dtype=np.bool_)
-_U = _Kind(np.float64, "%r", lambda col: (col >= -1.0) & (col <= 1.0))
-_PHI = _Kind(np.float64, "%r", lambda col: (col >= 0.0) & (col < TWO_PI))
+_U = _Kind(np.float64, lambda col: map(repr, col.tolist()), lambda col: (col >= -1.0) & (col <= 1.0))
+_PHI = _U._replace(valid=lambda col: (col >= 0.0) & (col < TWO_PI))
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -179,9 +185,10 @@ class Transcript:
 
 # Each column's kind by name, in ``Transcript``'s field order.
 _KINDS: dict[str, _Kind] = {f.name: f.metadata["kind"] for f in fields(Transcript)}
-# The csv header, and the format of one row: the round index, then the columns.
+# The csv header: the round index, then the columns.
 _TRANSCRIPT_FIELDS = ("round", *_KINDS)
-_ROW_FORMAT = ",".join(["%d", *(kind.fmt for kind in _KINDS.values())]) + "\n"
+# One row's fields, each followed by its separator: ``_render_part`` fills the fields column by column.
+_ROW_TEMPLATE = [None, ","] * len(_KINDS) + [None, "\n"]
 
 
 def _law_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -430,36 +437,55 @@ def sifted_error_rate(transcript: Transcript) -> float:
     return float((transcript.alice_bit == transcript.bob_bit).mean())
 
 
+def _check_column(name: str, col: np.ndarray, start: int) -> None:
+    """ValueError unless every value of column ``name``, whose first row is round ``start``, passes its kind's check."""
+    ok = _KINDS[name].valid(col)
+    if not ok.all():
+        raise ValueError(f"transcript {name} out of range in row {start + int(np.argmin(ok))}")
+
+
 def _render_part(parts: str, block: tuple) -> str:
-    """Render a block (first round, *column slices in field order) to a csv file in ``parts``; return its path."""
+    """Render a block (first round, *column slices in field order) to a csv file in ``parts``; return its path.
+
+    Each column is checked as the reader checks it, then rendered whole into
+    its slot of every row.
+    """
     start, *columns = block
-    rows = zip(range(start, start + len(columns[0])), *(c.tolist() for c in columns))
+    n = len(columns[0])
+    step = len(_ROW_TEMPLATE)
+    flat = _ROW_TEMPLATE * n
+    flat[0::step] = map(str, range(start, start + n))
+    for slot, ((name, kind), col) in enumerate(zip(_KINDS.items(), columns), 1):
+        _check_column(name, col, start)  # before the render: a bit's cast would wrap or warn on a bad value
+        flat[2 * slot :: step] = kind.render(col)
     part = os.path.join(parts, f"{start}.csv")
     with open(part, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join([_ROW_FORMAT % row for row in rows]))
+        fh.write("".join(flat))
     return part
 
 
 def write_transcript(transcript: Transcript, path: str) -> None:
     """One CSV record per round in ``_TRANSCRIPT_FIELDS`` order; floats round-trip.
 
-    Every block of ``_BLOCK`` rounds is rendered to its own part file
-    (``_render_part``) in a temporary directory beside ``path``: with one
-    block or one usable core by this process, otherwise, as the row render
-    bounds the writer, by a pool of spawned processes, at most one per usable
-    core and one per block.  This process writes the header to a file in that
-    directory, then copies the parts into it in block order, removing each
-    once it is copied: the file does not depend on the worker count, and on
-    the pool route the rendered text never enters this process.  Only after
-    the last block does ``os.replace`` move it onto ``path`` (a symlink there
-    is replaced, not written through), so a failed write leaves ``path`` as it
-    was; the directory goes on every exit path.  Spawned workers start fresh
-    interpreters, so nothing forks a process whose BLAS threads run, and they
-    import the caller's main module, which must therefore guard its entry
-    point with ``if __name__ == "__main__"`` (an unguarded one kills the
-    workers, which raises OSError chained from ``BrokenProcessPool``).  Each
-    task carries its own column slices; ``read_transcript`` parses the file
-    back in the same blocks.
+    ValueError, and no file written, if a column holds a value that its kind's
+    check, the one ``read_transcript`` makes, rejects.  Every block of
+    ``_BLOCK`` rounds is checked and rendered column by column to its own part
+    file (``_render_part``) in a temporary directory beside ``path``: with one
+    block or one usable core by this process, otherwise, as the floats'
+    ``repr`` bounds the writer, by a pool of spawned processes, at most one
+    per usable core and one per block.  This process writes the header to a
+    file in that directory, then copies the parts into it in block order,
+    removing each once it is copied: the file does not depend on the worker
+    count, and on the pool route the rendered text never enters this process.
+    Only after the last block does ``os.replace`` move it onto ``path`` (a
+    symlink there is replaced, not written through), so a failed write leaves
+    ``path`` as it was; the directory goes on every exit path.  Spawned
+    workers start fresh interpreters, so nothing forks a process whose BLAS
+    threads run, and they import the caller's main module, which must
+    therefore guard its entry point with ``if __name__ == "__main__"`` (an
+    unguarded one kills the workers, which raises OSError chained from
+    ``BrokenProcessPool``).  Each task carries its own column slices;
+    ``read_transcript`` parses the file back in the same blocks.
     """
     columns = [getattr(transcript, name) for name in _KINDS]
     slices = _blocks(len(transcript))
@@ -515,10 +541,8 @@ def _cast_block(table: np.ndarray, start: int, columns: dict[str, np.ndarray]) -
     parsed = dict(zip(_TRANSCRIPT_FIELDS, table.reshape(rows, width).T))  # views into the table
     if not np.array_equal(parsed.pop("round"), np.arange(start, start + rows)):
         raise ValueError("transcript rounds must run 0..n-1 in order")
-    for name, kind in _KINDS.items():
-        ok = kind.valid(parsed[name])  # checked as parsed, so a cast cannot hide a bad value
-        if not ok.all():
-            raise ValueError(f"transcript {name} out of range in row {start + int(np.argmin(ok))}")
+    for name in _KINDS:
+        _check_column(name, parsed[name], start)  # checked as parsed, so a cast cannot hide a bad value
         columns[name][start : start + rows] = parsed[name]
 
 

@@ -109,6 +109,20 @@ MUTANTS = (
         (f"{SEAMS}[16387-1cpu]", f"{SEAMS}[16387-4cpu]"),
     ),
     Mutant(
+        "the writer skips the kind check",
+        "src/contqkd/protosim.py",
+        "        _check_column(name, col, start)  # before the render",
+        "        pass  # before the render",
+        ("tests/test_protosim.py::TestTranscriptIO::test_value_the_reader_rejects_is_not_written",),
+    ),
+    Mutant(
+        "the writer renders a float column with %.17g instead of repr",
+        "src/contqkd/protosim.py",
+        "lambda col: map(repr, col.tolist())",
+        'lambda col: map("%.17g".__mod__, col.tolist())',
+        (SEAMS,),
+    ),
+    Mutant(
         "_row_bound drops a last line with no line end",
         "src/contqkd/protosim.py",
         'lines += tail not in (b"", b"\\n")',

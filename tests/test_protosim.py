@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -444,6 +445,37 @@ def ending_transcript(tmp_path_factory):
     return t, path.read_text().splitlines()
 
 
+# A value the reader rejects, by the column it is put in, as a column of the value's own type: the writer refuses each.
+UNWRITABLE = {
+    "nan bit": ("eve_bit", math.nan),
+    "bit 2": ("bob_bit", 2),
+    "bit -1": ("alice_bit", -1),
+    "u above 1": ("alice_u", 1.0000000000000002),
+    "phi 2 pi": ("bob_phi", 2.0 * math.pi),
+}
+
+# Floats at the edges of the float kinds' ranges and of repr's forms: signed zeros, the smallest subnormal,
+# exponent form (below 1e-4) and the largest double below 2 pi.  Each float column draws those its kind accepts.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-7, -2.5e-7, 1.0, -1.0, float(np.nextafter(2.0 * math.pi, 0.0))]
+
+
+@st.composite
+def written_transcripts(draw):
+    """A transcript of in-range columns; each bit column is bool, int8 or float 0.0/1.0."""
+    n = draw(st.integers(1, 12))
+    columns = {}
+    for name, kind in _KINDS.items():
+        if kind.dtype is np.float64:
+            edges = [x for x in EDGE_FLOATS if kind.valid(np.array(x))]
+            value = st.one_of(st.sampled_from(edges), st.floats(-1.0, 2.0 * math.pi, exclude_max=True))
+            values = st.lists(value.filter(lambda x, valid=kind.valid: valid(np.array(x))), min_size=n, max_size=n)
+            columns[name] = np.array(draw(values))
+        else:
+            bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            columns[name] = np.array(bits, dtype=draw(st.sampled_from([np.bool_, np.int8, np.float64])))
+    return Transcript(**columns)
+
+
 def assert_same_transcript(got: Transcript, want: Transcript) -> None:
     for f in fields(Transcript):
         a, b = getattr(got, f.name), getattr(want, f.name)
@@ -515,12 +547,12 @@ class TestTranscriptIO:
         assert_same_text(path.read_text(), oracle.render_transcript(t))
 
     def test_worker_failure_raises_and_leaves_no_worker(self, tmp_path):
-        # A NaN bit cannot be rendered with %d, so the worker holding the
-        # second block raises.
+        # A NaN bit fails its kind's check, so the worker holding the second
+        # block raises.
         t = run_protocol(ProtocolConfig(rounds=3 * _BLOCK, attack=NO_ATTACK, seed=5))
         eve_bit = t.eve_bit.astype(float)
         eve_bit[_BLOCK + 1] = math.nan
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match=f"^transcript eve_bit out of range in row {_BLOCK + 1}$"):
             write_transcript(replace(t, eve_bit=eve_bit), str(tmp_path / "transcript.csv"))
         assert multiprocessing.active_children() == []
         assert list(tmp_path.iterdir()) == []  # no transcript, no part: the failed write left nothing
@@ -532,10 +564,37 @@ class TestTranscriptIO:
         t = run_protocol(ProtocolConfig(rounds=rounds, attack=NO_ATTACK, seed=5))
         eve_bit = t.eve_bit.astype(float)
         eve_bit[-1] = math.nan  # the last block cannot be rendered
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match=f"^transcript eve_bit out of range in row {rounds - 1}$"):
             write_transcript(replace(t, eve_bit=eve_bit), str(path))
         assert path.read_bytes() == b"an earlier run\n"
         assert [p.name for p in tmp_path.iterdir()] == ["transcript.csv"]
+
+    @pytest.mark.parametrize("column, value", list(UNWRITABLE.values()), ids=list(UNWRITABLE))
+    @pytest.mark.parametrize("rounds", [3, 3 * _BLOCK], ids=["in process", "pool"])
+    def test_value_the_reader_rejects_is_not_written(self, tmp_path, rounds, column, value):
+        # The writer checks each column as the reader would, so no value it renders is one the reader rejects; the
+        # bad value sits in the middle block of a pooled write.
+        t = run_protocol(ProtocolConfig(rounds=rounds, attack=NO_ATTACK, seed=5))
+        row = rounds // 2
+        col = getattr(t, column).astype(type(value))
+        col[row] = value
+        with pytest.raises(ValueError, match=f"^transcript {column} out of range in row {row}$"):
+            write_transcript(replace(t, **{column: col}), str(tmp_path / "transcript.csv"))
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(written_transcripts())
+    def test_render_is_repr_and_reads_back(self, t):
+        # Any in-range column renders as the row-wise reference does, repr for a float and 0/1 for a bit of any
+        # dtype, and the file reads back bit for bit at the kinds' dtypes.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "transcript.csv")
+            write_transcript(t, path)
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert fh.read() == oracle.render_transcript(t)
+            back = read_transcript(path)
+        assert_same_transcript(back, Transcript(**{n: getattr(t, n).astype(k.dtype) for n, k in _KINDS.items()}))
 
     def test_unguarded_script_fails_instead_of_hanging(self, tmp_path):
         # Spawned workers import the main module; one without a __main__
