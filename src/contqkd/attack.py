@@ -64,11 +64,11 @@ class EveIsometry:
         if rows.shape != (4, 2):
             raise ValueError(f"probe component array must be 4x2, got {rows.shape}")
         cross = np.vdot(rows[0], rows[2]) + np.vdot(rows[1], rows[3])
-        if abs(cross) > ATOL:
+        if not abs(cross) <= ATOL:
             raise ValueError(f"isometry columns not orthogonal: residual {abs(cross):.3e}")
         n0 = np.vdot(rows[0], rows[0]).real + np.vdot(rows[1], rows[1]).real
         n1 = np.vdot(rows[2], rows[2]).real + np.vdot(rows[3], rows[3]).real
-        if abs(n0 - 1.0) > ATOL or abs(n1 - 1.0) > ATOL:
+        if not (abs(n0 - 1.0) <= ATOL and abs(n1 - 1.0) <= ATOL):
             raise ValueError(f"isometry columns not normalized: {n0!r}, {n1!r}")
         rows.setflags(write=False)
         object.__setattr__(self, "probe_components", rows)

@@ -9,9 +9,9 @@ JSON manifest sidecar recording every parsed option, seed, quadrature
 resolution, tool version and wall-clock duration; with ``--reconciled``,
 ``curve`` and ``critical`` also name the fixed rule of the reconciled rate
 (``line_rule``, which is not an option: a rerun reads only the parameters,
-quadrature and seed).  Re-running a command with
-the manifest's parameters reproduces the data files byte for byte for one BLAS
-kernel and SIMD target; across them transcripts stay byte-identical and the
+quadrature and seed).  Re-running a command with the manifest's parameters
+reproduces the data files byte for byte for one SIMD target, whatever the
+OpenBLAS kernel; across SIMD targets transcripts stay byte-identical and the
 analysis numbers agree within about 3e-14 relative.  ``critical`` prints its
 report to stdout and writes files only with ``--output``; ``--format``
 without ``--output`` is a usage error.

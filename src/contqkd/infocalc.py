@@ -122,7 +122,7 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
 
 def _require_density(low: float, kind: str) -> None:
     """Raise when the lowest value of a density lies below ``qstate.PSD_FLOOR``."""
-    if low < PSD_FLOOR:
+    if not PSD_FLOOR <= low:
         raise NumericalCorruptionError(f"{kind} density dipped to {low!r}")
 
 

@@ -40,11 +40,11 @@ part file beside the output, by a pool of spawned processes, one per usable
 core, as ``repr`` bounds the writer, or, with one block or one core, by the
 calling process; the caller copies the parts in round order into a file
 beside them, moved onto the output only once it is whole.
-``read_transcript`` counts a file's lines in one binary pass, allocates the
-columns once at that length, parses and checks the rows one block at a time
-into them, and rejects a file that breaks the schema; its peak is the
-columns plus about two blocks, whatever the length of the run, and each
-blank line leaves 36 bytes allocated behind the returned columns.
+``read_transcript`` counts a file's rows in one binary pass, allocates the
+columns once at that count, parses and checks the rows one block at a time
+into them, and rejects a file that breaks the schema, a blank line
+included; its peak is the columns plus about two blocks, whatever the
+length of the run.
 """
 
 from __future__ import annotations
@@ -185,8 +185,9 @@ class Transcript:
 
 # Each column's kind by name, in ``Transcript``'s field order.
 _KINDS: dict[str, _Kind] = {f.name: f.metadata["kind"] for f in fields(Transcript)}
-# The csv header: the round index, then the columns.
+# The csv header: the round index, then the columns; ``_HEADER`` is its line, without the line end.
 _TRANSCRIPT_FIELDS = ("round", *_KINDS)
+_HEADER = ",".join(_TRANSCRIPT_FIELDS)
 # One row's fields, each followed by its separator: ``_render_part`` fills the fields column by column.
 _ROW_TEMPLATE = [None, ","] * len(_KINDS) + [None, "\n"]
 
@@ -226,7 +227,7 @@ def _joint_law(
     vb = _bloch_rows(u_b, phi_b)
     p = (va[:, :, None] * vb[:, None, :]).reshape(-1, 16) @ w
     deviation = float(np.abs(p.sum(axis=1) - 1.0).max())
-    if deviation > ATOL:
+    if not deviation <= ATOL:
         raise NumericalCorruptionError(f"round probabilities sum off by {deviation:.3e}")
     return p
 
@@ -239,9 +240,8 @@ def _pick(p: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _blocks(n: int) -> list[slice]:
     """Slices of ``_BLOCK`` rounds, stops clipped to n, covering rounds 0..n-1 once each in order.
 
-    The one walk over a run of known length: sampling, sifting, binning and
-    rendering all go through it.  ``read_transcript`` walks with a counter
-    instead: before its last block it knows only an upper bound on n.
+    The one block walk: sampling, sifting, binning, rendering and reading
+    all go through it.
     """
     return [slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
 
@@ -505,7 +505,7 @@ def write_transcript(transcript: Transcript, path: str) -> None:
             render, broken = stack.enter_context(pool).map, BrokenExecutor
         staged = os.path.join(tmp, "transcript")  # no part takes this name: parts are named by their first round
         with open(staged, "wb") as fh:
-            fh.write((",".join(_TRANSCRIPT_FIELDS) + "\n").encode())
+            fh.write((_HEADER + "\n").encode())
             # A worker that dies, say on importing an unguarded main module, breaks the executor: an OSError, as
             # the file cannot be written.  A multiprocessing.Pool would respawn it forever.
             try:
@@ -518,11 +518,11 @@ def write_transcript(transcript: Transcript, path: str) -> None:
         os.replace(staged, path)
 
 
-def _row_bound(fh: BinaryIO) -> int:
+def _row_count(fh: BinaryIO) -> int:
     """The lines after the first in a binary file, split at '\n' only, as the reader's text layer splits them.
 
-    A '\r' ends no line.  Blank lines count too, so this bounds the rows from
-    above, and it is the row count of a file ``write_transcript`` wrote.
+    A '\r' ends no line, and a last line needs no line end.  This is the row
+    count of every file ``read_transcript`` accepts.
     """
     lines, tail = 0, b""
     while chunk := fh.read(1 << 20):
@@ -532,18 +532,20 @@ def _row_bound(fh: BinaryIO) -> int:
     return max(lines - 1, 0)
 
 
-def _cast_block(table: np.ndarray, start: int, columns: dict[str, np.ndarray]) -> None:
-    """Check one parsed block whose first row is round ``start`` and cast it into its rows of ``columns``."""
-    width = len(_TRANSCRIPT_FIELDS)
+def _cast_block(table: np.ndarray, block: slice, columns: dict[str, np.ndarray]) -> None:
+    """Check the parsed rows of the rounds in ``block`` and cast them into those rows of ``columns``."""
     rows = table.shape[0]
-    if rows and table.shape[1] != width:
+    if rows != block.stop - block.start:  # np.loadtxt skips a blank line, and only a blank line
+        raise ValueError(f"transcript rounds {block.start}..{block.stop - 1} parse to {rows} rows: a blank line is no row")
+    width = len(_TRANSCRIPT_FIELDS)
+    if table.shape[1] != width:
         raise ValueError(f"every transcript row must have {width} fields")
-    parsed = dict(zip(_TRANSCRIPT_FIELDS, table.reshape(rows, width).T))  # views into the table
-    if not np.array_equal(parsed.pop("round"), np.arange(start, start + rows)):
+    parsed = dict(zip(_TRANSCRIPT_FIELDS, table.T))  # views into the table
+    if not np.array_equal(parsed.pop("round"), np.arange(block.start, block.stop)):
         raise ValueError("transcript rounds must run 0..n-1 in order")
     for name in _KINDS:
-        _check_column(name, parsed[name], start)  # checked as parsed, so a cast cannot hide a bad value
-        columns[name][start : start + rows] = parsed[name]
+        _check_column(name, parsed[name], block.start)  # checked as parsed, so a cast cannot hide a bad value
+        columns[name][block] = parsed[name]
 
 
 def read_transcript(path: str) -> Transcript:
@@ -551,36 +553,29 @@ def read_transcript(path: str) -> Transcript:
 
     Valid rows have one field per column and rounds 0..n-1, and each column's
     values pass the check of its kind on ``Transcript``, before they are cast
-    to its dtype.  Blank lines are skipped; a '#' line is a malformed row, not a comment.
+    to its dtype.  Every line after the header is a row: a blank or '#' line is a malformed one.
     Lines end at '\n' only, so a CRLF file reads the same ('\r' is whitespace) and one with
     bare '\r' line ends is rejected; the first line, its end included, is the header and at most 3 more characters.
-    A first pass counts the file's lines in binary (``_row_bound``), and the
-    columns are allocated once at that length.  The rows are then parsed by
-    ``np.loadtxt`` one block of ``_BLOCK`` at a time, and each block is checked
-    and cast straight into its rows of the columns.  Peak memory is the
-    columns (36 bytes per round) plus about two blocks, whatever the length
-    of the run.  The columns returned are the allocated ones cut to the n
-    rows read, so each blank line leaves 36 bytes allocated behind them.
+    A first pass counts the file's rows in binary (``_row_count``), and the
+    columns are allocated once at that count.  The rows are then parsed by
+    ``np.loadtxt`` one block of ``_BLOCK`` at a time, as ``_blocks`` walks
+    them, and each block is checked and cast straight into its rows of the
+    columns.  Peak memory is the columns (36 bytes per round) plus about two
+    blocks, whatever the length of the run.
     """
     with open(path, "rb") as raw:
-        capacity = _row_bound(raw)
-    header = ",".join(_TRANSCRIPT_FIELDS)
+        n = _row_count(raw)
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        first = fh.readline(len(header) + 3)  # the header and a '\r\n' fit; a longer first line is not read whole
-        if first.strip() != header or len(first) == len(header) + 3 and not first.endswith("\n"):
+        first = fh.readline(len(_HEADER) + 3)  # the header and a '\r\n' fit; a longer first line is not read whole
+        if first.strip() != _HEADER or len(first) == len(_HEADER) + 3 and not first.endswith("\n"):
             raise ValueError(f"unexpected transcript header line {first!r}")
-        columns = {name: np.empty(capacity, dtype=kind.dtype) for name, kind in _KINDS.items()}
-        lines = filter(str.strip, fh)
+        columns = {name: np.empty(n, dtype=kind.dtype) for name, kind in _KINDS.items()}
         with warnings.catch_warnings():
-            # A header-only file, or one a whole number of blocks long, ends in an empty block.
+            # A block of only blank lines parses to no data: its row count rejects it, not a warning.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # Every block but the last is full, so block k starts at round k * _BLOCK.
-            for start in itertools.count(0, _BLOCK):
+            for s in _blocks(n):
                 table = np.loadtxt(
-                    itertools.islice(lines, _BLOCK), delimiter=",", dtype=float, ndmin=2, comments=None
+                    itertools.islice(fh, s.stop - s.start), delimiter=",", dtype=float, ndmin=2, comments=None
                 )
-                _cast_block(table, start, columns)
-                if table.shape[0] < _BLOCK:
-                    break
-    n = start + table.shape[0]
-    return Transcript(**{name: col[:n] for name, col in columns.items()})
+                _cast_block(table, s, columns)
+    return Transcript(**columns)

@@ -91,7 +91,7 @@ class DensityMatrix:
     @classmethod
     def from_ket(cls, vector: np.ndarray) -> "DensityMatrix":
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        v = v / math.sqrt(float(np.vdot(v, v).real))
+        v = v / math.sqrt(float((v.real * v.real + v.imag * v.imag).sum()))  # no BLAS: the same sum on every kernel
         return cls(np.outer(v, v.conj()))
 
 

@@ -243,7 +243,7 @@ def _require_line_symmetry(rab: DensityMatrix) -> None:
     a, b, t = fano_form(rab)
     want = np.diag([t[0, 0], t[1, 1], t[1, 1]])
     off = float(max(np.abs(a[1:]).max(), np.abs(b[1:]).max(), np.abs(t - want).max()))
-    if off > ATOL:
+    if not off <= ATOL:
         raise NumericalCorruptionError(f"pair is {off:.3e} off symmetry about x, where the line rule is exact")
 
 

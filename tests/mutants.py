@@ -1,16 +1,18 @@
 """Mutation checks kept with the tests: each row breaks the package in one known way, and its tests must fail.
 
-Run from anywhere, ``python tests/mutants.py``; pytest does not collect this file.  The runner copies
-``src``, ``tests`` and ``pyproject.toml`` into a temporary directory, never touching the working tree,
-and first runs every named test there unmutated: they must pass.  Then, for each row, it replaces the
-row's snippet, which must occur exactly once in its file, in a fresh copy and runs only the row's tests
-with that copy's ``src`` first on the path.  A mutant is killed when every one of its tests fails (a
-test named without parameters fails when any of its cases does).  The exit status is 1 if a snippet is
-missing or repeated, a named test fails unmutated, or a mutant survives.
+Run from anywhere, ``python tests/mutants.py``, with no options (``--help`` prints this and runs
+nothing); pytest does not collect this file.  The runner copies ``src``, ``tests`` and
+``pyproject.toml`` into a temporary directory, never touching the working tree, and first runs every
+named test there unmutated: they must pass.  Then, for each row, it replaces the row's snippet, which
+must occur exactly once in its file, in a fresh copy and runs only the row's tests with that copy's
+``src`` first on the path.  A mutant is killed when every one of its tests fails (a test named
+without parameters fails when any of its cases does).  The exit status is 1 if a snippet is missing
+or repeated, a named test fails unmutated, or a mutant survives, and 2 on any argument but ``--help``.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -123,7 +125,7 @@ MUTANTS = (
         (SEAMS,),
     ),
     Mutant(
-        "_row_bound drops a last line with no line end",
+        "_row_count drops a last line with no line end",
         "src/contqkd/protosim.py",
         'lines += tail not in (b"", b"\\n")',
         "lines += 0",
@@ -144,14 +146,14 @@ MUTANTS = (
     Mutant(
         "read_transcript reads the header line whole",
         "src/contqkd/protosim.py",
-        "fh.readline(len(header) + 3)",
+        "fh.readline(len(_HEADER) + 3)",
         "fh.readline()",
         ("tests/test_protosim.py::TestTranscriptIO::test_file_without_line_ends_is_rejected_with_a_short_message",),
     ),
     Mutant(
         "read_transcript takes a first line cut at the bound",
         "src/contqkd/protosim.py",
-        ' or len(first) == len(header) + 3 and not first.endswith("\\n")',
+        ' or len(first) == len(_HEADER) + 3 and not first.endswith("\\n")',
         "",
         ("tests/test_protosim.py::TestTranscriptIO::test_record_on_the_header_line_rejected",),
     ),
@@ -168,6 +170,16 @@ MUTANTS = (
         "if sum(k.size for k in new_keys) > keys.size:",
         "if False:",
         ("tests/test_protosim.py::TestBoundedMemory::test_information_estimate_transient_is_a_few_blocks",),
+    ),
+    Mutant(
+        "ITP projects to the far side of the midpoint",
+        "src/contqkd/security.py",
+        "mid - sigma * max(r, 0.0)",
+        "mid + sigma * max(r, 0.0)",
+        (
+            "tests/test_security.py::TestCriticalPoint::test_itp_steps_match_the_reference[flat then steep]",
+            "tests/test_security.py::TestCriticalPoint::test_itp_steps_match_the_reference[unequal step]",
+        ),
     ),
     Mutant(
         "cier clamps overshoot up to 1e-2",
@@ -215,8 +227,8 @@ MUTANTS = (
     Mutant(
         "_joint_law holds its rows to 1e-10 instead of qstate.ATOL",
         "src/contqkd/protosim.py",
-        "if deviation > ATOL:",
-        "if deviation > 1e-10:",
+        "if not deviation <= ATOL:",
+        "if not deviation <= 1e-10:",
         ("tests/test_protosim.py::TestRoundSampling::test_off_normal_law_rejected",),
     ),
     Mutant(
@@ -229,10 +241,18 @@ MUTANTS = (
     Mutant(
         "_cast_block skips its field count",
         "src/contqkd/protosim.py",
-        "if rows and table.shape[1] != width:",
+        "if table.shape[1] != width:",
         "if False:",
-        # numpy's reshape then raises a ValueError of its own, which does not name the field count.
+        # The missing column then raises a KeyError, which is no ValueError.
         ("tests/test_protosim.py::TestTranscriptIO::test_rows_all_one_field_short_rejected",),
+    ),
+    Mutant(
+        "_cast_block skips its row count",
+        "src/contqkd/protosim.py",
+        "if rows != block.stop - block.start:",
+        "if False:",
+        # A short block then fails the round order or the field count instead, neither naming the blank line.
+        ("tests/test_protosim.py::TestTranscriptIO::test_blank_lines_rejected",),
     ),
     Mutant(
         "cier takes information down to -1e-2",
@@ -287,7 +307,7 @@ MUTANTS = (
     Mutant(
         "the reconciled rate skips its symmetry check",
         "src/contqkd/security.py",
-        "if off > ATOL:",
+        "if not off <= ATOL:",
         "if False:",
         ("tests/test_security.py::TestLineRule::test_pair_off_symmetry_rejected",),
     ),
@@ -304,6 +324,13 @@ MUTANTS = (
         "if np.abs(mat - mat.conj().T).max() > ATOL:",
         "if np.abs(mat - mat.conj().T).max() > 1e-10:",
         ("tests/test_qstate.py::TestDensityMatrix::test_hermiticity_floor_is_atol",),
+    ),
+    Mutant(
+        "_require_density lets a nan density through",
+        "src/contqkd/infocalc.py",
+        "if not PSD_FLOOR <= low:",
+        "if low < PSD_FLOOR:",
+        ("tests/test_infocalc.py::TestPositivityChecks::test_nan_table_raises",),
     ),
     Mutant(
         "gauss_product's cache ignores the argument types",
@@ -338,6 +365,7 @@ def caught(test: str, failed: list[str]) -> bool:
 
 
 def main() -> int:
+    argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     bad = [m for m in MUTANTS if (ROOT / m.file).read_text(encoding="utf-8").count(m.snippet) != 1]
     for m in bad:
         print(f"BAD ROW   {m.name}: its snippet is not in {m.file} exactly once")

@@ -34,6 +34,10 @@ from outside; no package path reads them.  ``line_rates_mpmath`` integrates
 the four rates on the optimal line from them in mpmath, to regenerate the
 committed references by hand.
 
+``itp`` is the ITP root search as Oliveira & Takahashi state it (ACM TOMS
+47(1), 2020, Algorithm 1), the reference for the threshold search of
+``security.critical_point``.
+
 ``render_transcript`` is the original round-by-round transcript renderer, the
 reference for the column-wise CSV writer and the JSON transcript rows.
 ``sift``, ``party_codes`` and ``plugin_mi`` are the original whole-array
@@ -427,6 +431,50 @@ def reconciled_root_mpmath(dps: int = 40) -> tuple:
     mpmath.mp.dps = dps
     theta0 = mpmath.findroot(gap, mpmath.mpf("0.5139"))
     return theta0, 1 - line_rates_mpmath(theta0, dps)[3]
+
+
+def itp(
+    f, a: float, b: float, eps: float, radius_eps: float, kappa1: float, kappa2: float, n0: int
+) -> tuple[list[float], int, float]:
+    """ITP (interpolate, truncate, project) on [a, b], where f(a) < 0 < f(b), to a bracket at most 2 eps wide.
+
+    Oliveira & Takahashi, ACM TOMS 47(1), 2020, Algorithm 1, step for step.
+    ``radius_eps`` stands for eps in the projection radius r only: at eps it
+    is the paper's, and a little below eps it is a guard against the
+    rounding of a step, which the paper's exact arithmetic does not need.
+    Returns the points evaluated inside [a, b] in order, how many of them the
+    projection moved, and the estimate (a + b)/2 of the final bracket (the
+    point itself on an exact zero).
+    """
+    y_a, y_b = f(a), f(b)
+    n_max = math.ceil(math.log2((b - a) / (2.0 * eps))) + n0
+    points, projected, j = [], 0, 0
+    while b - a > 2.0 * eps:
+        # Calculating parameters
+        x_half = 0.5 * (a + b)
+        r = radius_eps * 2.0 ** (n_max - j) - 0.5 * (b - a)
+        delta = kappa1 * (b - a) ** kappa2
+        # Interpolation
+        x_f = (y_b * a - y_a * b) / (y_b - y_a)
+        # Truncation
+        sigma = math.copysign(1.0, x_half - x_f)
+        x_t = x_f + sigma * delta if delta <= abs(x_half - x_f) else x_half
+        # Projection
+        if abs(x_t - x_half) <= r:
+            x_itp = x_t
+        else:
+            x_itp, projected = x_half - sigma * r, projected + 1
+        # Updating
+        y_itp = f(x_itp)
+        points.append(x_itp)
+        if y_itp > 0.0:
+            b, y_b = x_itp, y_itp
+        elif y_itp < 0.0:
+            a, y_a = x_itp, y_itp
+        else:
+            a = b = x_itp
+        j += 1
+    return points, projected, 0.5 * (a + b)
 
 
 def apply_attack(initial: DensityMatrix, iso: EveIsometry) -> DensityMatrix:

@@ -94,6 +94,12 @@ class TestIsometryIdentities:
         with pytest.raises(ValueError, match="not orthogonal"):
             EveIsometry(bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_rows_rejected(self, value):
+        # A non-finite residual fails the tolerance checks as a large one does.
+        with pytest.raises(ValueError, match="not orthogonal|not normalized"):
+            EveIsometry(np.full((4, 2), value))
+
     @pytest.mark.parametrize("shape", [(2, 4), (4, 2, 1), (8,)])
     def test_rows_must_be_four_by_two(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"must be 4x2, got {shape}")):

@@ -16,7 +16,7 @@ from contqkd import (
     singlet,
     reconciled_i_ab,
 )
-from contqkd.infocalc import _sphere_relative_entropy, default_quadrature
+from contqkd.infocalc import _sphere_relative_entropy, default_quadrature, table_information
 from contqkd.qstate import PSD_FLOOR
 from conftest import (
     SINGLET_BITS,
@@ -292,6 +292,14 @@ def _unchecked_pair(a, b, t) -> DensityMatrix:
 
 class TestPositivityChecks:
     ZERO = (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("arg", range(3), ids=["an", "bm", "corr"])
+    def test_nan_table_raises(self, arg):
+        # A nan density fails the floor check as a negative one does.
+        args = [np.array(0.0)] * 3
+        args[arg] = np.array(math.nan)
+        with pytest.raises(NumericalCorruptionError, match="dipped"):
+            table_information(*args)
 
     @pytest.mark.parametrize(
         "fano",

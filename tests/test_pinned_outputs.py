@@ -2,8 +2,8 @@
 
 Every number that ``critical``, ``curve`` and ``surface`` print is compared with
 ``pinned_outputs.json`` at 1e-12 relative, with a 1e-15 absolute floor for the
-exact zeros.  Across OpenBLAS kernels and numpy SIMD targets the numbers move
-by up to about 3e-14 relative (bit-identical for one of each), while a
+exact zeros.  The numbers are bit-identical across OpenBLAS kernels, and
+across numpy SIMD targets they move by up to about 3e-14 relative, while a
 change to the threshold search, say ITP's slack ``_ITP_N0`` at 0 instead of 1,
 moves the reconciled theta0 at ``--tol 1e-4`` from 0.5139002 to 0.5139123.  At
 ``--tol 1e-12`` the search ends within tol of the root, and one roundoff flip of

@@ -37,6 +37,7 @@ from contqkd.attack import attacked_pure_state
 from contqkd.infocalc import DEFAULT_RULE, bloch_vectors, default_quadrature
 from contqkd.protosim import (
     _BLOCK,
+    _HEADER,
     _KINDS,
     _TRANSCRIPT_FIELDS,
     _alphabet_size,
@@ -48,7 +49,7 @@ from contqkd.protosim import (
     _party_codes,
     _pick,
     _plugin_mi,
-    _row_bound,
+    _row_count,
     empirical_mi_with_probe,
     sifted_error_rate,
 )
@@ -419,14 +420,18 @@ def seam_transcript(tmp_path_factory):
     return t, path.read_text().splitlines()
 
 
-# A transcript's lines (header first) laid out as file text: '\r\n' line ends,
-# a missing last line end, and blank or whitespace-only lines after the last
-# round.  The reader accepts each.
+# A transcript's lines (header first) laid out as file text: '\r\n' line ends
+# and a missing last line end.  The reader accepts each.
 LINE_LAYOUTS = {
     "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
     "no final newline": lambda lines: "\n".join(lines),
-    "trailing blank lines": lambda lines: "\n".join(lines) + "\n\n\n",
-    "trailing whitespace lines": lambda lines: "\n".join(lines) + "\n  \t\n \r\n\t",
+}
+
+# Blank or whitespace-only lines after the last round: every line after the
+# header is a row, so the reader rejects each.
+TRAILING_BLANK_LAYOUTS = {
+    "blank": lambda lines: "\n".join(lines) + "\n\n\n",
+    "whitespace": lambda lines: "\n".join(lines) + "\n  \t\n \r\n\t",
 }
 
 # Layouts with bare '\r' line ends, which end no line, and the error each
@@ -642,7 +647,7 @@ class TestTranscriptIO:
 
     @pytest.mark.parametrize("rounds", [_BLOCK, 2 * _BLOCK + 3])
     def test_roundtrip_across_block_seams(self, tmp_path, rounds):
-        # A whole number of blocks ends the read on an empty block.
+        # A whole number of blocks, and a partial last block.
         t = run_protocol(ProtocolConfig(rounds=rounds, attack=optimal_params(0.2), seed=13))
         path = tmp_path / "transcript.csv"
         path.write_text(oracle.render_transcript(t))
@@ -688,22 +693,25 @@ class TestTranscriptIO:
         assert len(t) == 0
         assert t.disclosed.dtype == bool and t.eve_bit.dtype == np.int8 and t.alice_u.dtype == float
 
-    def test_blank_lines_skipped(self, tmp_path, seam_transcript):
-        # Blank and whitespace-only lines go before, at and after the read-block
-        # seam between lines _BLOCK and _BLOCK + 1; they do not count as rounds.
-        t, lines = seam_transcript
+    def test_blank_lines_rejected(self, tmp_path, seam_transcript):
+        # One blank or whitespace-only line goes right after the header, before,
+        # at or after the read-block seam between lines _BLOCK and _BLOCK + 1,
+        # or after the last round; a header and one blank line is rejected too.
+        # Each is a malformed row, and no warning escapes.  np.loadtxt skips a
+        # blank line ('\r' is whitespace), so its block comes up short, and it
+        # rejects a whitespace-only one in its own words (None).
+        lines = seam_transcript[1]
         path = tmp_path / "transcript.csv"
-        path.write_text(
-            "\n".join(
-                [
-                    *lines[:2], "", *lines[2:4], "  \t", *lines[4:_BLOCK],
-                    "", "  \t", lines[_BLOCK], "  \t", "", lines[_BLOCK + 1], "", "  \t",
-                    *lines[_BLOCK + 2 :], "", "",
-                ]
-            )
-            + "\n"
-        )
-        assert_same_transcript(read_transcript(str(path)), t)
+        blanks = {"": "a blank line is no row", "\r": "a blank line is no row", "  \t": None}
+        for blank, at in itertools.product(blanks, [1, 3, _BLOCK, _BLOCK + 1, _BLOCK + 2, len(lines)]):
+            path.write_text("\n".join([*lines[:at], blank, *lines[at:]]) + "\n")
+            with pytest.raises(ValueError, match=blanks[blank]) as err:
+                read_transcript(str(path))
+            assert len(str(err.value)) < 200, (blank, at)
+        for blank, message in blanks.items():
+            path.write_text(f"{_HEADER}\n{blank}\n")
+            with pytest.raises(ValueError, match=message):
+                read_transcript(str(path))
 
     @pytest.mark.parametrize("rounds", [_BLOCK, 2 * _BLOCK + 3], ids=["whole blocks", "partial block"])
     @pytest.mark.parametrize("layout", LINE_LAYOUTS, ids=list(LINE_LAYOUTS))
@@ -717,6 +725,16 @@ class TestTranscriptIO:
         back = read_transcript(str(path))
         assert all(getattr(back, f.name).size == rounds for f in fields(Transcript))
         assert_same_transcript(back, t)
+
+    @pytest.mark.parametrize("rounds", [_BLOCK, 2 * _BLOCK + 3], ids=["whole blocks", "partial block"])
+    @pytest.mark.parametrize("layout", TRAILING_BLANK_LAYOUTS, ids=list(TRAILING_BLANK_LAYOUTS))
+    def test_trailing_blank_lines_rejected(self, tmp_path, ending_transcript, layout, rounds):
+        lines = ending_transcript[1]
+        path = tmp_path / "transcript.csv"
+        path.write_bytes(TRAILING_BLANK_LAYOUTS[layout](lines[: rounds + 1]).encode())
+        with pytest.raises(ValueError) as err:
+            read_transcript(str(path))
+        assert len(str(err.value)) < 200
 
     @pytest.mark.parametrize("rounds", [_BLOCK, 2 * _BLOCK + 3], ids=["whole blocks", "partial block"])
     @pytest.mark.parametrize("layout", BARE_CR_LAYOUTS, ids=list(BARE_CR_LAYOUTS))
@@ -746,13 +764,13 @@ class TestTranscriptIO:
         # and no line end; the count is that of splitting at '\n'.
         data = b"h\r\n" + b"x" * ((1 << 20) - 4 + offset) + b"\r\n" + b"y\rz"
         lines = io.TextIOWrapper(io.BytesIO(data), newline="\n").readlines()
-        assert _row_bound(io.BytesIO(data)) == len(lines) - 1 == 2
+        assert _row_count(io.BytesIO(data)) == len(lines) - 1 == 2
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.text(alphabet="x, \t\r\n", max_size=40))
     def test_row_bound_is_the_text_layer_line_count(self, text):
         lines = io.TextIOWrapper(io.BytesIO(text.encode()), newline="\n").readlines()
-        assert _row_bound(io.BytesIO(text.encode())) == max(len(lines) - 1, 0)
+        assert _row_count(io.BytesIO(text.encode())) == max(len(lines) - 1, 0)
 
     def test_comment_line_rejected(self, tmp_path):
         t = run_protocol(ProtocolConfig(rounds=4, attack=optimal_params(0.1), seed=3))

@@ -40,7 +40,7 @@ from contqkd.security import (
     pair_fidelity_deficit,
 )
 from conftest import SINGLET_BITS
-from oracle import CLOSED_FORM_TOL, attack_readings, critical_cier_dim, maximally_mixed, outcome_probabilities
+from oracle import CLOSED_FORM_TOL, attack_readings, critical_cier_dim, itp, maximally_mixed, outcome_probabilities
 
 QUARTER = math.pi / 4
 
@@ -432,6 +432,42 @@ class TestCriticalPoint:
             theta0 = critical_point(quad=quad_light, tol=tol).theta0
             assert len(i_ae) - 2 <= itp_step_bound(tol), tol
             assert abs(theta0 - ref) <= 0.5 * (tol + 1e-13), tol
+
+    @pytest.mark.parametrize(
+        "i_ab",
+        [lambda theta: 0.25 * (1.0 - (theta / QUARTER) ** 64), lambda theta: 0.9 if theta < 0.3 else 0.05],
+        ids=["flat then steep", "unequal step"],
+    )
+    def test_itp_steps_match_the_reference(self, monkeypatch, quad_light, i_ab):
+        # A rigged i_ab on which the projection fires: critical_point evaluates the points of
+        # the reference ITP on the same g, in the same order, and reports its estimate.
+        def rigged(rab, reconciled, quad):
+            t_zz = float(fano_form(rab)[2][2, 2])  # -cos(2 theta) on the line
+            return i_ab(0.5 * math.acos(min(1.0, max(-1.0, -t_zz))))
+
+        def minus_g(theta):  # the reference brackets f(a) < 0 < f(b); critical_point has g(0) > 0 > g(pi/4)
+            rab, rae, _ = security._reductions(optimal_params(theta))
+            return nonselected_information(rae, quad_light) - rigged(rab, False, quad_light)
+
+        evaluated = []
+
+        def logged_params(theta):
+            evaluated.append(theta)
+            return optimal_params(theta)
+
+        monkeypatch.setattr(security, "_receiver_rate", rigged)
+        monkeypatch.setattr(security, "optimal_params", logged_params)
+        for tol in (1e-3, 1e-6, 1e-9):
+            del evaluated[:]
+            report = critical_point(quad=quad_light, tol=tol)
+            # critical_point stops at a bracket tol wide, but projects as if to one two ulps of pi/4
+            # narrower on each side, which covers the rounding a step can add.
+            kappas = (security._ITP_KAPPA1, security._ITP_KAPPA2, security._ITP_N0)
+            guard = 0.5 * tol - 2.0 * math.ulp(QUARTER)
+            points, projected, estimate = itp(minus_g, 0.0, QUARTER, 0.5 * tol, guard, *kappas)
+            assert projected >= 1, tol
+            assert evaluated == [0.0, QUARTER, *points, estimate], tol
+            assert report.theta0 == estimate, tol
 
     def test_tol_must_be_positive(self, quad_light):
         for tol in (0.0, -1e-3, math.nan, math.inf):
