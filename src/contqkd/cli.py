@@ -25,11 +25,15 @@ parsing); 2 numerical failure, for a failed bracket or a broken invariant,
 including any ValueError raised while computing; 3 I/O failure, a dead
 transcript-writer worker included; 4 out of memory, for an allocation the
 machine cannot meet (say ``simulate --rounds`` far beyond the memory).
+
+The parser is built once per process, by the first ``run``, and every later
+``run`` parses with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -356,7 +360,9 @@ def _cmd_simulate(args: argparse.Namespace, manifest: dict) -> None:
     _write_json(args.output + ".summary.json", {"manifest": manifest, "summary": summary})
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of every command, built on the first call; later calls return it."""
     parser = _Parser(prog="contqkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

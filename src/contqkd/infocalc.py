@@ -149,16 +149,22 @@ def _sphere_relative_entropy(alpha: np.ndarray | float, r: np.ndarray | float) -
     h(x) = x^2 ln(x)/2 - x^2/4, which equals 2 alpha ln(alpha) + alpha g(r/alpha)
     for g(x) = [(1 + x)^2 ln(1 + x) - (1 - x)^2 ln(1 - x)] / (2x) - 1.  This
     returns alpha g(r/alpha), with the Taylor series of g for r << alpha;
-    lanes with alpha <= 0 (where positivity forces r ~ 0) give 0.
+    lanes with alpha <= 0 (where positivity forces r ~ 0) give 0.  Each lane
+    computes only its own branch, the series below ``_SERIES_X`` and the
+    closed form from there on, and gets the bits it would get if both were
+    computed on every lane of the array and one picked.
     """
     x = np.divide(r, alpha, out=np.zeros(np.broadcast(alpha, r).shape), where=alpha > 0.0)
-    x = np.minimum(x, 1.0)
-    x2 = x * x
-    series = x2 * (1.0 / 3.0 + x2 * (1.0 / 30.0 + x2 * (1.0 / 105.0 + x2 / 252.0)))
-    xs = np.where(x < _SERIES_X, 1.0, x)
+    np.minimum(x, 1.0, out=x)
+    series = x < _SERIES_X
+    closed = ~series
+    g = np.empty_like(x)
+    x2 = np.square(x[series])
+    g[series] = x2 * (1.0 / 3.0 + x2 * (1.0 / 30.0 + x2 * (1.0 / 105.0 + x2 / 252.0)))
+    xs = x[closed]
     tail = (1.0 - xs) ** 2 * np.log1p(-np.where(xs < 1.0, xs, 0.0))
-    closed = ((1.0 + xs) ** 2 * np.log1p(xs) - tail) / (2.0 * xs) - 1.0
-    return alpha * np.where(x < _SERIES_X, series, closed)
+    g[closed] = ((1.0 + xs) ** 2 * np.log1p(xs) - tail) / (2.0 * xs) - 1.0
+    return alpha * g
 
 
 def nonselected_information(
@@ -175,15 +181,19 @@ def nonselected_information(
     closed form at alpha = 1/2, r = |b|/2, the p ln(alpha) parts of the three
     terms cancel and only the bounded remainder is summed over the caller's
     rule ``quad_x``, in a fixed order, so the result is bit-reproducible.
-    Values below ``ZERO_BITS`` read as 0.0.
+    Each r sums its three squared components in order, which gives the bits
+    of ``np.linalg.norm`` over the rows, and the p_y term is the last lane of
+    the one kernel call.  Values below ``ZERO_BITS`` read as 0.0.
     """
     a, b, t = fano_form(rho_xy)
     alpha = 0.25 * (1.0 + quad_x.vectors @ a)
-    r = 0.25 * np.linalg.norm(b + quad_x.vectors @ t, axis=1)
+    tn = quad_x.vectors @ t
+    c = [tn[:, j] + b[j] for j in range(3)]  # per column: b added to (N, 3) rows loops 3 lanes at a time
+    r = 0.25 * np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
     _require_density(float((alpha - r).min()), "joint")
-    joint = math.fsum((quad_x.weights * _sphere_relative_entropy(alpha, r)).tolist())
-    marginal = float(_sphere_relative_entropy(0.5, 0.5 * float(np.linalg.norm(b))))
-    value = (joint - marginal) / math.log(2.0)
+    rel = _sphere_relative_entropy(np.append(alpha, 0.5), np.append(r, 0.5 * float(np.linalg.norm(b))))
+    joint = math.fsum((quad_x.weights * rel[:-1]).data)  # a memoryview yields Python floats, with no list
+    value = (joint - float(rel[-1])) / math.log(2.0)
     return value if value > ZERO_BITS else 0.0
 
 

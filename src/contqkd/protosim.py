@@ -560,8 +560,9 @@ def read_transcript(path: str) -> Transcript:
     columns are allocated once at that count.  The rows are then parsed by
     ``np.loadtxt`` one block of ``_BLOCK`` at a time, as ``_blocks`` walks
     them, and each block is checked and cast straight into its rows of the
-    columns.  Peak memory is the columns (36 bytes per round) plus about two
-    blocks, whatever the length of the run.
+    columns; a block ``np.loadtxt`` rejects raises a ValueError that names the
+    block's rounds, chained from numpy's.  Peak memory is the columns (36
+    bytes per round) plus about two blocks, whatever the length of the run.
     """
     with open(path, "rb") as raw:
         n = _row_count(raw)
@@ -574,8 +575,11 @@ def read_transcript(path: str) -> Transcript:
             # A block of only blank lines parses to no data: its row count rejects it, not a warning.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             for s in _blocks(n):
-                table = np.loadtxt(
-                    itertools.islice(fh, s.stop - s.start), delimiter=",", dtype=float, ndmin=2, comments=None
-                )
+                try:
+                    table = np.loadtxt(
+                        itertools.islice(fh, s.stop - s.start), delimiter=",", dtype=float, ndmin=2, comments=None
+                    )
+                except ValueError as exc:  # numpy counts rows within the block; name the block's rounds
+                    raise ValueError(f"transcript rounds {s.start}..{s.stop - 1} do not parse: {exc}") from exc
                 _cast_block(table, s, columns)
     return Transcript(**columns)

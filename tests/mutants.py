@@ -28,6 +28,7 @@ BARE_CR = "tests/test_protosim.py::TestTranscriptIO::test_bare_carriage_return_i
 SIFT = "tests/test_protosim.py::TestBlockwise::test_sift_matches_whole_column_reference"
 SUMMARY = "tests/test_cli.py::TestSimulate::test_summary_matches_its_transcript"
 CURVE = "tests/test_security.py::TestSweepCurve::test_curve_arrays_rejected"
+EXACT = "tests/test_infocalc.py::TestKernelExactness"
 
 
 class Mutant(NamedTuple):
@@ -91,6 +92,27 @@ MUTANTS = (
         "_SERIES_X = 1e-2\n",
         "_SERIES_X = 1e-1\n",
         ("tests/test_infocalc.py::TestSphereKernel::test_matches_mpmath",),
+    ),
+    Mutant(
+        "inner-sphere kernel applies its closed form to the series lanes too",
+        "src/contqkd/infocalc.py",
+        "    closed = ~series\n",
+        "    closed = np.ones_like(series)\n",
+        (f"{EXACT}::test_mixed_lanes_match_all_lanes_reference",),
+    ),
+    Mutant(
+        "nonselected_information takes the receiver's term from the first lane",
+        "src/contqkd/infocalc.py",
+        "float(rel[-1])",
+        "float(rel[0])",
+        (f"{EXACT}::test_rates_match_reference_on_the_attack_grid",),
+    ),
+    Mutant(
+        "nonselected_information's r misses its third component",
+        "src/contqkd/infocalc.py",
+        " + c[2] * c[2]",
+        "",
+        (f"{EXACT}::test_rates_match_reference_on_the_attack_grid",),
     ),
     Mutant(
         "transcript declares alice_bit before alice_u",
@@ -253,6 +275,16 @@ MUTANTS = (
         "if False:",
         # A short block then fails the round order or the field count instead, neither naming the blank line.
         ("tests/test_protosim.py::TestTranscriptIO::test_blank_lines_rejected",),
+    ),
+    Mutant(
+        "read_transcript passes numpy's parse error on unnamed",
+        "src/contqkd/protosim.py",
+        "                except ValueError as exc:",
+        "                except TypeError as exc:",
+        (
+            "tests/test_protosim.py::TestTranscriptIO::test_record_outside_the_schema_rejected[u abc]",
+            "tests/test_protosim.py::TestTranscriptIO::test_record_outside_the_schema_rejected[u abc in the second block]",
+        ),
     ),
     Mutant(
         "cier takes information down to -1e-2",

@@ -34,6 +34,12 @@ from outside; no package path reads them.  ``line_rates_mpmath`` integrates
 the four rates on the optimal line from them in mpmath, to regenerate the
 committed references by hand.
 
+``sphere_relative_entropy`` and ``single_sphere_information`` are the
+package's inner-sphere kernel and continuous-readout rate as first written:
+both branches on every lane, ``r`` by ``np.linalg.norm`` and the receiver's
+marginal term as a separate scalar call.  They are the bit-for-bit references
+of the kernel that computes only each lane's branch.
+
 ``itp`` is the ITP root search as Oliveira & Takahashi state it (ACM TOMS
 47(1), 2020, Algorithm 1), the reference for the threshold search of
 ``security.critical_point``.
@@ -61,7 +67,7 @@ from contqkd import (
     build_isometry,
     partial_trace,
 )
-from contqkd.infocalc import fano_form, table_information
+from contqkd.infocalc import ZERO_BITS, fano_form, table_information
 
 SPHERE_VOLUME = 2.0
 DENSITY_FLOOR = 1e-300
@@ -246,6 +252,37 @@ def nonselected_information(
     py = _marginal_density(rho_y, ky)
     total = _weighted_sum(_mi_integrand(p, px, py), quad_x.weights, quad_y.weights)
     return max(0.0, total)
+
+
+# The series switch of the first kernel, fixed here so that a change to ``infocalc._SERIES_X`` shows.
+_FIRST_SERIES_X = 1e-2
+
+
+def sphere_relative_entropy(alpha: np.ndarray | float, r: np.ndarray | float) -> np.ndarray:
+    """``infocalc._sphere_relative_entropy`` as first written: both branches on every lane, then a pick."""
+    x = np.divide(r, alpha, out=np.zeros(np.broadcast(alpha, r).shape), where=alpha > 0.0)
+    x = np.minimum(x, 1.0)
+    x2 = x * x
+    series = x2 * (1.0 / 3.0 + x2 * (1.0 / 30.0 + x2 * (1.0 / 105.0 + x2 / 252.0)))
+    xs = np.where(x < _FIRST_SERIES_X, 1.0, x)
+    tail = (1.0 - xs) ** 2 * np.log1p(-np.where(xs < 1.0, xs, 0.0))
+    closed = ((1.0 + xs) ** 2 * np.log1p(xs) - tail) / (2.0 * xs) - 1.0
+    return alpha * np.where(x < _FIRST_SERIES_X, series, closed)
+
+
+def single_sphere_information(rho_xy: DensityMatrix, quad: SphereQuadrature) -> float:
+    """``infocalc.nonselected_information`` as first written, bits, without its checks.
+
+    ``r`` is ``np.linalg.norm`` of the rows, and the receiver's marginal term
+    is a separate scalar call of the all-lanes kernel.
+    """
+    a, b, t = fano_form(rho_xy)
+    alpha = 0.25 * (1.0 + quad.vectors @ a)
+    r = 0.25 * np.linalg.norm(b + quad.vectors @ t, axis=1)
+    joint = math.fsum((quad.weights * sphere_relative_entropy(alpha, r)).tolist())
+    marginal = float(sphere_relative_entropy(0.5, 0.5 * float(np.linalg.norm(b))))
+    value = (joint - marginal) / math.log(2.0)
+    return value if value > ZERO_BITS else 0.0
 
 
 def reconciled_i_ab(rho_ab: DensityMatrix, quad: SphereQuadrature) -> float:

@@ -22,6 +22,7 @@ from contqkd import (
     sift,
     write_transcript,
 )
+from contqkd import cli
 from contqkd.cli import MI_CELLS_PHI, MI_CELLS_U, _parse_angle, run
 from contqkd.protosim import _BLOCK, empirical_mi_with_probe, sifted_error_rate
 from contqkd.security import NONSELECTED_MAX_BITS, RECONCILED_MAX_BITS
@@ -453,6 +454,44 @@ class TestFormatLosslessness:
         parsed = [[float(x) for x in row] for row in rows]
         stored = json.loads(json_out.read_text())["data"]["rows"]
         assert parsed == stored
+
+
+class TestParserReuse:
+    # Relative outputs, so that the manifests on stdout name the same paths in both directories.
+    COMMANDS = [
+        ["critical", "--tol", "1e-3", *LIGHT, "--output", "critical.json", "--format", "json"],
+        ["surface", "--theta-steps", "1", "--output", "bad.csv"],
+        ["surface", "--theta-steps", "2", "--phi-steps", "3", *LIGHT, "--output", "surface.csv"],
+        ["critical", "--reconciled", "--tol", "1e-3", *LIGHT, "--output", "reconciled.csv"],
+    ]
+    DATA_FILES = ("critical.json", "surface.csv", "reconciled.csv")
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_commands_in_one_process_match_each_alone(self, tmp_path, monkeypatch, capsys):
+        package_root = str(Path(contqkd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+        alone, together = tmp_path / "alone", tmp_path / "together"
+        alone.mkdir()
+        together.mkdir()
+        expected = []
+        for argv in self.COMMANDS:
+            done = subprocess.run(
+                [sys.executable, "-m", "contqkd", *argv], capture_output=True, text=True, env=env, cwd=alone, timeout=120
+            )
+            expected.append((done.returncode, done.stdout, done.stderr))
+        monkeypatch.chdir(together)
+        got = []
+        for argv in self.COMMANDS:
+            code = run(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        assert [g[0] for g in got] == [0, 1, 0, 0]
+        assert got == expected
+        for name in self.DATA_FILES:
+            assert (together / name).read_bytes() == (alone / name).read_bytes(), name
+        assert not (together / "bad.csv").exists() and not (alone / "bad.csv").exists()
 
 
 class TestProcessBoundary:

@@ -272,6 +272,62 @@ class TestSphereKernel:
         assert np.abs(got - reference).max() <= SPHERE_KERNEL_ATOL
 
 
+def _same_bytes(got, ref) -> bool:
+    """Equal bit for bit, so that -0.0 against 0.0 or a differing nan payload counts."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+class TestKernelExactness:
+    """The kernel computes each lane's branch only, and the rate sums ``r``'s squares explicitly and
+    takes the receiver's term as the kernel's last lane; both match ``oracle``'s first versions bit for bit."""
+
+    def test_mixed_lanes_match_all_lanes_reference(self):
+        # alpha, r pairs: series lanes, closed-form lanes on both sides of the switch, x clipped at 1
+        # (r = alpha and r > alpha), alpha = 0, alpha < 0 (a -0.0 result) and alpha = -0.0.
+        pairs = [
+            (0.25, 0.0), (0.25, 2.5e-5), (0.25, 0.0024), (0.5, 0.00495), (0.25, 0.0025), (0.25, 0.003),
+            (0.3, 0.15), (0.25, 0.2497), (0.25, 0.25), (0.2, 0.3), (0.0, 0.0), (0.0, 1e-20),
+            (-1e-18, 0.0), (-0.0, 0.0), (0.5, 0.45), (1e-300, 5e-301),
+        ]
+        alpha, r = (np.array(column) for column in zip(*pairs))
+        ref = oracle.sphere_relative_entropy(alpha, r)
+        assert _same_bytes(_sphere_relative_entropy(alpha, r), ref)
+        assert np.signbit(ref[12]) and ref[12] == 0.0  # the alpha < 0 lane really is -0.0
+        rng = np.random.default_rng(5)
+        for scale in (1e-3, 1e-2, 0.3, 1.5):
+            alpha = rng.uniform(-0.05, 0.5, size=(7, 301))
+            r = np.abs(alpha) * scale * rng.uniform(0.0, 1.2, size=alpha.shape)
+            assert _same_bytes(_sphere_relative_entropy(alpha, r), oracle.sphere_relative_entropy(alpha, r))
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
+    def test_scalar_alpha_broadcasts_as_the_reference(self, alpha):
+        x = np.array([row[0] for row in SPHERE_KERNEL] + [1.0, 1.25, 0.0])
+        got = _sphere_relative_entropy(alpha, alpha * x)
+        assert _same_bytes(got, oracle.sphere_relative_entropy(alpha, alpha * x))
+
+    @pytest.mark.parametrize("rule", [(2, 4), (8, 16), (32, 64)], ids=["2x4", "8x16", "32x64"])
+    def test_rates_match_reference_on_the_attack_grid(self, rule):
+        quad = SphereQuadrature.gauss_product(*rule)
+        angles = np.linspace(0.0, math.pi / 4, 5)
+        for theta in angles:
+            for phi in angles:
+                for rho in bipartite_reductions(attacked_state(AttackParams(float(theta), float(phi)))):
+                    ref = oracle.single_sphere_information(rho, quad)
+                    assert _same_bytes(nonselected_information(rho, quad), ref), (theta, phi)
+
+    def test_receiver_term_rounds_squares_as_the_joint_lanes(self):
+        # The one exception to bit-for-bit: the reference's receiver term is a 0-d call, and numpy
+        # squares a 0-d value with the C library's pow, which may round a near-halfway square the
+        # other way; as the kernel's last lane it is squared as every joint lane is.  At these two
+        # attacks that moves the rate by 1.6e-16 and 3.2e-16 bits (glibc 2.36, numpy 2.4.6, x86-64).
+        quad = SphereQuadrature.gauss_product(8, 16)
+        for theta, phi in ((0.03959990739819067, 0.21119950612368357), (0.1121997376282069, 0.772198194264718)):
+            for rho in bipartite_reductions(attacked_state(AttackParams(theta, phi))):
+                got, ref = nonselected_information(rho, quad), oracle.single_sphere_information(rho, quad)
+                assert abs(got - ref) <= 1e-15, (theta, phi, got, ref)
+
+
 def _unchecked_pair(a, b, t) -> DensityMatrix:
     """Two-qubit operator with Fano form (a, b, T), built without validation."""
     pauli = [

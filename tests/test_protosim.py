@@ -388,8 +388,9 @@ def _set_field(name: str, value: str):
 
 
 # One record of a valid transcript, broken in one way each, and the error it
-# raises: "{row}" stands for the record's round, and None leaves the wording to
-# numpy's parser.
+# raises: "{row}" stands for the record's round, and "{first}".."{last}" for the
+# rounds of its read block, by which a row numpy's parser rejects is named.
+UNPARSED = r"^transcript rounds {first}\.\.{last} do not parse: "
 BROKEN_RECORDS = {
     "bit 7": (_set_field("alice_bit", "7"), "alice_bit out of range in row {row}$"),
     "u 3.0": (_set_field("alice_u", "3.0"), "alice_u out of range in row {row}$"),
@@ -403,8 +404,9 @@ BROKEN_RECORDS = {
     "u above 1": (_set_field("bob_u", "1.0000000000000002"), "bob_u out of range in row {row}$"),
     "phi nan": (_set_field("alice_phi", "nan"), "alice_phi out of range in row {row}$"),
     "repeated round": (_set_field("round", "0"), "rounds must run 0..n-1"),
-    "extra field": (lambda fields, header: fields.append("0"), None),
-    "short row": (lambda fields, header: fields.pop(), None),
+    "extra field": (lambda fields, header: fields.append("0"), UNPARSED),
+    "short row": (lambda fields, header: fields.pop(), UNPARSED),
+    "u abc": (_set_field("bob_u", "abc"), UNPARSED + ".*'abc'"),
 }
 
 # A valid transcript one block and four rounds long: its lines 1.._BLOCK hold
@@ -642,8 +644,12 @@ class TestTranscriptIO:
         lines[line] = ",".join(record)
         path = tmp_path / "transcript.csv"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=message and message.format(row=line - 1)):
+        first = (line - 1) // _BLOCK * _BLOCK
+        last = min(first + _BLOCK, SEAM_ROUNDS) - 1
+        with pytest.raises(ValueError, match=message.format(row=line - 1, first=first, last=last)) as err:
             read_transcript(str(path))
+        if message.startswith(UNPARSED):
+            assert isinstance(err.value.__cause__, ValueError)  # numpy's own error, chained
 
     @pytest.mark.parametrize("rounds", [_BLOCK, 2 * _BLOCK + 3])
     def test_roundtrip_across_block_seams(self, tmp_path, rounds):
@@ -699,18 +705,20 @@ class TestTranscriptIO:
         # or after the last round; a header and one blank line is rejected too.
         # Each is a malformed row, and no warning escapes.  np.loadtxt skips a
         # blank line ('\r' is whitespace), so its block comes up short, and it
-        # rejects a whitespace-only one in its own words (None).
+        # rejects a whitespace-only one, which then names the rounds of its block.
         lines = seam_transcript[1]
         path = tmp_path / "transcript.csv"
-        blanks = {"": "a blank line is no row", "\r": "a blank line is no row", "  \t": None}
+        blanks = {"": "a blank line is no row", "\r": "a blank line is no row", "  \t": UNPARSED}
         for blank, at in itertools.product(blanks, [1, 3, _BLOCK, _BLOCK + 1, _BLOCK + 2, len(lines)]):
             path.write_text("\n".join([*lines[:at], blank, *lines[at:]]) + "\n")
-            with pytest.raises(ValueError, match=blanks[blank]) as err:
+            first = (at - 1) // _BLOCK * _BLOCK
+            last = min(first + _BLOCK, SEAM_ROUNDS + 1) - 1
+            with pytest.raises(ValueError, match=blanks[blank].format(first=first, last=last)) as err:
                 read_transcript(str(path))
             assert len(str(err.value)) < 200, (blank, at)
         for blank, message in blanks.items():
             path.write_text(f"{_HEADER}\n{blank}\n")
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=message.format(first=0, last=0)):
                 read_transcript(str(path))
 
     @pytest.mark.parametrize("rounds", [_BLOCK, 2 * _BLOCK + 3], ids=["whole blocks", "partial block"])
