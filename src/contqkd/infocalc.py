@@ -23,7 +23,10 @@ and a uniform periodic rule in phi, built by its one public constructor
 other rule, ``security``'s fixed rule for the reconciled rate on the optimal
 line, is private to it).  The singlet value is exact
 to roundoff; against a 128x256 rule ``DEFAULT_RULE`` is off by up to 3.8e-8
-bits on the CLI's default 17x17 ``surface`` grid (``i_be`` at theta 0.7363, phi 0).
+bits at the points of the CLI's default 17x17 ``surface`` grid (``i_be`` at
+theta 0.7363, phi 0).  ``surface`` evaluates only the first point of each
+symmetry orbit, where theta is small, and copies the rest, so what it prints
+on its 9x9 and 17x17 grids is within 8.1e-10 bits of a 256x512 rule.
 This module owns directions: ``bloch_vectors`` maps (u, phi) to the unit
 Bloch vector for the quadrature nodes and for every direction ``protosim`` draws.
 """

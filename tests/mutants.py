@@ -29,6 +29,7 @@ SIFT = "tests/test_protosim.py::TestBlockwise::test_sift_matches_whole_column_re
 SUMMARY = "tests/test_cli.py::TestSimulate::test_summary_matches_its_transcript"
 CURVE = "tests/test_security.py::TestSweepCurve::test_curve_arrays_rejected"
 EXACT = "tests/test_infocalc.py::TestKernelExactness"
+ORBITS = "tests/test_cli.py::TestSurfaceOrbits"
 
 
 class Mutant(NamedTuple):
@@ -245,6 +246,31 @@ MUTANTS = (
         "SiftingPartition(cfg.cells_phi, cfg.cells_u)",
         # expected_keep_rate is symmetric in the swap, so only the counts read back from the transcript see it.
         (f"{SUMMARY}[on line]", f"{SUMMARY}[off line]"),
+    ),
+    Mutant(
+        "surface fills a half-turn partner without exchanging i_ab and i_ae",
+        "src/contqkd/cli.py",
+        "((n - 1 - i, m - 1 - j), True)",
+        "((n - 1 - i, m - 1 - j), False)",
+        (f"{ORBITS}::test_rows_match_direct_evaluation[4x6]", f"{ORBITS}::test_partners_are_bit_equal[4x6]"),
+    ),
+    Mutant(
+        "surface fills a reflection partner with i_ab and i_ae exchanged",
+        "src/contqkd/cli.py",
+        "((m - 1 - j, n - 1 - i), False)",
+        "((m - 1 - j, n - 1 - i), True)",
+        (f"{ORBITS}::test_rows_match_direct_evaluation[3x3]", f"{ORBITS}::test_partners_are_bit_equal[3x3]"),
+    ),
+    Mutant(
+        "surface applies the swap and the reflection to unequal grids",
+        "src/contqkd/cli.py",
+        "            if n == m:\n",
+        "            if True:\n",
+        (
+            f"{ORBITS}::test_rows_match_direct_evaluation[2x3]",
+            f"{ORBITS}::test_rows_match_direct_evaluation[5x7]",
+            f"{ORBITS}::test_one_rate_evaluation_per_orbit[2x3]",
+        ),
     ),
     Mutant(
         "_joint_law holds its rows to 1e-10 instead of qstate.ATOL",

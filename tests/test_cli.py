@@ -12,9 +12,11 @@ import pytest
 
 import contqkd
 from contqkd import (
+    AttackParams,
     ProtocolConfig,
     SiftingPartition,
     cier,
+    default_quadrature,
     empirical_mi,
     optimal_params,
     read_transcript,
@@ -25,7 +27,7 @@ from contqkd import (
 from contqkd import cli
 from contqkd.cli import MI_CELLS_PHI, MI_CELLS_U, _parse_angle, run
 from contqkd.protosim import _BLOCK, empirical_mi_with_probe, sifted_error_rate
-from contqkd.security import NONSELECTED_MAX_BITS, RECONCILED_MAX_BITS
+from contqkd.security import NONSELECTED_MAX_BITS, RECONCILED_MAX_BITS, information_rates
 from conftest import SINGLET_BITS, assert_same_text
 from oracle import render_transcript
 
@@ -115,6 +117,84 @@ class TestSurface:
             manifest = json.loads((tmp_path / (out.name + ".manifest.json")).read_text())
             assert run(argv_from_manifest(manifest)) == 0, manifest
             assert [path.read_bytes() for path in written] == first, argv
+
+
+# Square grids have the swap, the reflection and the half-turn; unequal ones the half-turn only (4x6 with no fixed point).
+ORBIT_GRIDS = [pytest.param(n, m, id=f"{n}x{m}") for n, m in ((3, 3), (9, 9), (2, 3), (5, 7), (4, 6))]
+# Evaluating every point at the default rule, partners disagreed by up to 1.35e-8 bits on these
+# grids (9x9, half-turn and swap; 3.79e-8 on 17x17): the rule's error, which a copied row inherits.
+ORBIT_BOUND = 2e-8
+
+
+def grid_maps(n, m):
+    """{name: (index map, whether it exchanges i_ab and i_ae)} of the maps of the n x m grid onto itself."""
+    maps = {"half-turn": (lambda i, j: (n - 1 - i, m - 1 - j), True)}
+    if n == m:
+        maps["swap"] = (lambda i, j: (j, i), True)
+        maps["reflection"] = (lambda i, j: (m - 1 - j, n - 1 - i), False)
+    return maps
+
+
+def surface_rows(tmp_path, n, m):
+    """{(i, j): (theta, phi, i_ab, i_ae, i_be)} of ``surface`` on the n x m grid at the default rule."""
+    out = tmp_path / f"surface{n}x{m}.csv"
+    assert run(["surface", "--theta-steps", str(n), "--phi-steps", str(m), "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == n * m
+    return {divmod(k, m): tuple(float(x) for x in row) for k, row in enumerate(rows)}
+
+
+def direct_rates(theta, phi):
+    """``information_rates`` evaluated at (theta, phi) itself, on the default rule."""
+    return information_rates(AttackParams(theta, phi), default_quadrature())
+
+
+class TestSurfaceOrbits:
+    @pytest.mark.parametrize("n, m", ORBIT_GRIDS)
+    def test_partners_are_bit_equal(self, n, m, tmp_path):
+        rows = surface_rows(tmp_path, n, m)
+        for name, (image, exchange) in grid_maps(n, m).items():
+            for point, (_, _, i_ab, i_ae, i_be) in rows.items():
+                want = (i_ae, i_ab, i_be) if exchange else (i_ab, i_ae, i_be)
+                assert rows[image(*point)][2:] == want, (name, point)
+
+    @pytest.mark.parametrize("n, m", ORBIT_GRIDS)
+    def test_rows_match_direct_evaluation(self, n, m, tmp_path):
+        for point, (theta, phi, *got) in surface_rows(tmp_path, n, m).items():
+            want = direct_rates(theta, phi)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= ORBIT_BOUND, (point, got, want)
+
+    @pytest.mark.parametrize("n, m", ORBIT_GRIDS)
+    def test_undisturbed_row_is_evaluated_directly(self, n, m, tmp_path):
+        theta, phi, *got = surface_rows(tmp_path, n, m)[0, m - 1]
+        assert (theta, phi) == (0.0, math.pi / 4)
+        assert tuple(got) == direct_rates(0.0, math.pi / 4)
+
+    # Burnside's count: an n x n grid has (n^2 + 2n + f)/4 orbits and an n x m grid with n != m
+    # (nm + f)/2, where f = 1 when n and m are both odd (the centre is its own half-turn), else 0.
+    @pytest.mark.parametrize(
+        "n, m, orbits",
+        [
+            pytest.param(n, m, k, id=f"{n}x{m}")
+            for n, m, k in ((3, 3, 4), (9, 9, 25), (17, 17, 81), (2, 3, 3), (5, 7, 18), (4, 6, 12))
+        ],
+    )
+    def test_one_rate_evaluation_per_orbit(self, n, m, orbits, tmp_path, monkeypatch):
+        evaluated = []
+
+        def counted(params, quad):
+            evaluated.append((params.theta, params.phi))
+            return information_rates(params, quad)
+
+        monkeypatch.setattr(cli, "information_rates", counted)
+        rows = surface_rows(tmp_path, n, m)
+        assert len(evaluated) == orbits
+        index = {row[:2]: point for point, row in rows.items()}
+        points = {index[angles] for angles in evaluated}
+        maps = grid_maps(n, m).values()
+        for point in rows:
+            orbit = {point, *(image(*point) for image, _ in maps)}
+            assert len(orbit & points) == 1, point
 
 
 class TestCurve:
