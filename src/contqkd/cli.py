@@ -30,8 +30,10 @@ including any ValueError raised while computing; 3 I/O failure, a dead
 transcript-writer worker included; 4 out of memory, for an allocation the
 machine cannot meet (say ``simulate --rounds`` far beyond the memory).
 
-The parser is built once per process, by the first ``run``, and every later
-``run`` parses with it.
+Each command's parser holds that command alone and is built once per process,
+by the command's first ``run``; a line that does not start with a command name
+goes to the full parser of every command, also built once, so a top-level
+message names them all.
 """
 
 from __future__ import annotations
@@ -387,41 +389,35 @@ def _cmd_simulate(args: argparse.Namespace, manifest: dict) -> None:
     _write_json(args.output + ".summary.json", {"manifest": manifest, "summary": summary})
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The one parser of every command, built on the first call; later calls return it."""
-    parser = _Parser(prog="contqkd", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("surface", help="information rates over the attack-angle square")
+def _add_surface(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta-steps", type=_int_in(2), default=17)
     p.add_argument("--phi-steps", type=_int_in(2), default=17)
     _add_quadrature(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_surface)
 
-    p = sub.add_parser("curve", help="rates along the optimal-eavesdropping line")
+
+def _add_curve(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta-steps", type=_int_in(2), default=33)
     p.add_argument("--reconciled", action="store_true")
     _add_quadrature(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_curve)
 
-    p = sub.add_parser("critical", help="security threshold on the optimal line")
+
+def _add_critical(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reconciled", action="store_true")
     p.add_argument(
         "--tol", type=_float_in(0.0, math.inf), default=1e-12, help="root-finder tolerance, radians"
     )
     _add_quadrature(p)
     _add_common(p, output_required=False)
-    p.set_defaults(func=_cmd_critical)
 
-    p = sub.add_parser("dims", help="alphabet-dimension scaling table")
+
+def _add_dims(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d-max", type=_int_in(2), default=64)
     _add_common(p)
-    p.set_defaults(func=_cmd_dims)
 
-    p = sub.add_parser("simulate", help="Monte Carlo protocol run")
+
+def _add_simulate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rounds", type=_int_in(1), default=100_000)
     p.add_argument("--theta", type=_parse_angle, default=0.0, help="attack angle (rad, or e.g. 22.5deg)")
     p.add_argument(
@@ -438,14 +434,40 @@ def build_parser() -> _Parser:
     p.add_argument("--mi-cells-phi", type=_int_in(1), default=MI_CELLS_PHI)
     _add_quadrature(p)
     p.add_argument("--output", required=True, help="transcript csv path")
-    p.set_defaults(func=_cmd_simulate)
 
+
+# name: (help, add its arguments, run it), in the order the top-level help lists them.
+_COMMANDS = {
+    "surface": ("information rates over the attack-angle square", _add_surface, _cmd_surface),
+    "curve": ("rates along the optimal-eavesdropping line", _add_curve, _cmd_curve),
+    "critical": ("security threshold on the optimal line", _add_critical, _cmd_critical),
+    "dims": ("alphabet-dimension scaling table", _add_dims, _cmd_dims),
+    "simulate": ("Monte Carlo protocol run", _add_simulate, _cmd_simulate),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of ``command`` alone, or of every command when None; each is built once per process."""
+    parser = _Parser(prog="contqkd", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_arguments, func) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse, run one command, then write its manifest sidecar; return the exit code."""
-    parser = build_parser()
+    """Parse, run one command, then write its manifest sidecar; return the exit code.
+
+    A line that starts with a command name is parsed by that command's parser
+    alone; any other line (empty, an option first, an unknown name) by the
+    full one, whose messages name every command.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "format", None) and not args.output:

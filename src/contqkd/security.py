@@ -32,6 +32,7 @@ visible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -184,8 +185,18 @@ def reconciled_i_ab(rho_ab: DensityMatrix, quad: SphereQuadrature) -> float:
     return value if value > ZERO_BITS else 0.0
 
 
+@functools.lru_cache(maxsize=1)
 def _reductions(params: AttackParams) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
-    """(rho_ab, rho_ae, rho_be) of the singlet attacked with ``params``."""
+    """(rho_ab, rho_ae, rho_be) of the singlet attacked with ``params``, kept for the last point.
+
+    ``AttackParams`` is frozen and a ``DensityMatrix`` immutable, so the kept
+    reductions are safe to share: a disturbance reading taken right after the
+    rates or the threshold search at the same point (``cli.critical_report``,
+    ``cli.simulate_summary``) reuses them.  The cache keeps one entry.  With
+    more, a second threshold search would skip the endpoints 0 and pi/4 the
+    first one reduced, so a search's evaluations would depend on what ran
+    before it, and a sweep would need one entry per grid point.
+    """
     return bipartite_reductions(attacked_state(params))
 
 

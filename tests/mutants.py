@@ -397,6 +397,23 @@ MUTANTS = (
         "@lru_cache(maxsize=8, typed=False)",
         ("tests/test_infocalc.py::TestSphereQuadrature::test_rule_is_built_once_and_a_float_count_still_rejected",),
     ),
+    Mutant(
+        "_reductions keeps no point (a cache of size 0)",
+        "src/contqkd/security.py",
+        "@functools.lru_cache(maxsize=1)",
+        "@functools.lru_cache(maxsize=0)",
+        (
+            "tests/test_security.py::TestReductionCache::test_report_reduces_no_more_than_the_search",
+            "tests/test_security.py::TestReductionCache::test_summary_reduces_its_attack_point_once",
+        ),
+    ),
+    Mutant(
+        "run always parses with the full parser",
+        "src/contqkd/cli.py",
+        "parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)",
+        "parser = build_parser(None)",
+        ("tests/test_cli.py::TestCommandParsers::test_run_builds_only_its_commands_parser",),
+    ),
 )
 
 

@@ -385,6 +385,34 @@ class TestSimulate:
         assert_same_text((tmp_path / "run.csv").read_text(), reference)
 
 
+# Command lines that parsing rejects, each with words its usage error must contain (``--output`` is appended).
+REJECTED = [
+    (["surface", "--phi-steps", "1"], "argument --phi-steps: expected an integer in [2, inf), got '1'"),
+    (["curve", "--quad-polar", "1"], "argument --quad-polar: expected an integer in [2, inf)"),
+    (["curve", "--quad-azimuth", "3"], "argument --quad-azimuth: expected an integer in [4, inf)"),
+    (["critical", "--tol", "0"], "argument --tol: must lie in (0.0, inf), got '0'"),
+    (["critical", "--tol", "abc"], "argument --tol: expected a number, got 'abc'"),
+    (["dims", "--d-max", "1"], "argument --d-max: expected an integer in [2, inf)"),
+    (["dims", "--quad-polar", "5"], "unrecognized arguments: --quad-polar 5"),
+    (["simulate", "--theta", "nan"], "argument --theta: angle must be finite, got 'nan'"),
+    (["simulate", "--theta", "abc"], "argument --theta: cannot parse angle 'abc'"),
+    (["simulate", "--phi", "infdeg"], "argument --phi: angle must be finite, got 'infdeg'"),
+    (["simulate", "--seed", "-1"], f"argument --seed: expected an integer in [0, {2**64}), got '-1'"),
+    (["simulate", "--seed", str(2**64)], f"--seed: expected an integer in [0, {2**64}), got '1844"),
+    (["simulate", "--disclose-fraction", "nan"], "--disclose-fraction: must lie in (0.0, 1.0), got 'nan'"),
+    (["simulate", "--disclose-fraction", "1"], "--disclose-fraction: must lie in (0.0, 1.0), got '1'"),
+    (["simulate", "--cells-u", "0"], "argument --cells-u: expected an integer in [1, inf)"),
+    (["simulate", "--mi-cells-phi", "0"], "argument --mi-cells-phi: expected an integer in [1, inf)"),
+    (
+        ["simulate", "--mi-cells-u", "1000000", "--mi-cells-phi", "100000"],
+        "--mi-cells-u x --mi-cells-phi must be <= 3037000499",
+    ),
+    (["simulate", "--rounds", "1.5"], "argument --rounds: expected an integer in [1, inf), got '1.5'"),
+    (["simulate", "--format", "json"], "unrecognized arguments: --format json"),
+    (["simulate", "--format", "csv"], "unrecognized arguments: --format csv"),
+]
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert run(["curve", "--theta-steps"]) == 1
@@ -433,37 +461,7 @@ class TestExitCodes:
             assert run(["critical", "--reconciled", "--tol", tol, *LIGHT]) == 1
         assert "usage error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv, says",
-        [
-            pytest.param(argv, says, id=" ".join(argv))
-            for argv, says in [
-                (["surface", "--phi-steps", "1"], "argument --phi-steps: expected an integer in [2, inf), got '1'"),
-                (["curve", "--quad-polar", "1"], "argument --quad-polar: expected an integer in [2, inf)"),
-                (["curve", "--quad-azimuth", "3"], "argument --quad-azimuth: expected an integer in [4, inf)"),
-                (["critical", "--tol", "0"], "argument --tol: must lie in (0.0, inf), got '0'"),
-                (["critical", "--tol", "abc"], "argument --tol: expected a number, got 'abc'"),
-                (["dims", "--d-max", "1"], "argument --d-max: expected an integer in [2, inf)"),
-                (["dims", "--quad-polar", "5"], "unrecognized arguments: --quad-polar 5"),
-                (["simulate", "--theta", "nan"], "argument --theta: angle must be finite, got 'nan'"),
-                (["simulate", "--theta", "abc"], "argument --theta: cannot parse angle 'abc'"),
-                (["simulate", "--phi", "infdeg"], "argument --phi: angle must be finite, got 'infdeg'"),
-                (["simulate", "--seed", "-1"], f"argument --seed: expected an integer in [0, {2**64}), got '-1'"),
-                (["simulate", "--seed", str(2**64)], f"--seed: expected an integer in [0, {2**64}), got '1844"),
-                (["simulate", "--disclose-fraction", "nan"], "--disclose-fraction: must lie in (0.0, 1.0), got 'nan'"),
-                (["simulate", "--disclose-fraction", "1"], "--disclose-fraction: must lie in (0.0, 1.0), got '1'"),
-                (["simulate", "--cells-u", "0"], "argument --cells-u: expected an integer in [1, inf)"),
-                (["simulate", "--mi-cells-phi", "0"], "argument --mi-cells-phi: expected an integer in [1, inf)"),
-                (
-                    ["simulate", "--mi-cells-u", "1000000", "--mi-cells-phi", "100000"],
-                    "--mi-cells-u x --mi-cells-phi must be <= 3037000499",
-                ),
-                (["simulate", "--rounds", "1.5"], "argument --rounds: expected an integer in [1, inf), got '1.5'"),
-                (["simulate", "--format", "json"], "unrecognized arguments: --format json"),
-                (["simulate", "--format", "csv"], "unrecognized arguments: --format csv"),
-            ]
-        ],
-    )
+    @pytest.mark.parametrize("argv, says", [pytest.param(argv, says, id=" ".join(argv)) for argv, says in REJECTED])
     def test_rejected_at_the_boundary(self, argv, says, tmp_path, capsys):
         # Each value is rejected while parsing, for its own reason, and no file is written.
         out = tmp_path / "x.csv"
@@ -548,6 +546,7 @@ class TestParserReuse:
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+        assert cli.build_parser("critical") is cli.build_parser("critical")
 
     def test_commands_in_one_process_match_each_alone(self, tmp_path, monkeypatch, capsys):
         package_root = str(Path(contqkd.__file__).resolve().parents[1])
@@ -572,6 +571,109 @@ class TestParserReuse:
         for name in self.DATA_FILES:
             assert (together / name).read_bytes() == (alone / name).read_bytes(), name
         assert not (together / "bad.csv").exists() and not (alone / "bad.csv").exists()
+
+
+# The full parser's message for an unknown command name: it lists every command.
+UNKNOWN_COMMAND = (
+    "usage error: argument command: invalid choice: 'transmogrify'"
+    " (choose from 'surface', 'curve', 'critical', 'dims', 'simulate')\n"
+)
+# One valid line per command, with options away from their defaults.
+VALID = [
+    ["surface", "--theta-steps", "3", "--phi-steps", "5", *LIGHT, "--output", "s.json", "--format", "json"],
+    ["curve", "--theta-steps", "4", "--reconciled", *LIGHT, "--output", "c.csv"],
+    ["critical", "--reconciled", "--tol", "1e-3", *LIGHT],
+    ["dims", "--d-max", "8", "--output", "d.csv", "--format", "csv"],
+    [
+        "simulate", "--rounds", "30", "--theta", "22.5deg", "--phi", "0.1", "--cells-u", "4", "--cells-phi", "6",
+        "--seed", "2", "--disclose-fraction", "0.3", "--mi-cells-u", "3", "--mi-cells-phi", "5", *LIGHT,
+        "--output", "r.csv",
+    ],
+]
+
+
+def parsed(parser, argv):
+    """``vars`` of the parsed line, or the message of its usage error."""
+    try:
+        return vars(parser.parse_args(argv))
+    except cli._UsageError as exc:
+        return f"usage error: {exc}"
+
+
+def subcommands(parser):
+    """The command names ``parser`` registers."""
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return list(action.choices)
+
+
+def parser_of_run(monkeypatch, argv):
+    """The parser ``run(argv)`` parses with, and its exit code."""
+    used = []
+    real = cli._Parser.parse_args
+
+    def spy(self, *args, **kwargs):
+        used.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", spy)
+    code = run(argv)
+    (parser,) = used
+    return parser, code
+
+
+class TestCommandParsers:
+    # A line that starts with a command name is parsed by that command's parser alone, which must read it as the
+    # full parser does; any other line goes to the full parser.
+    @pytest.mark.parametrize("argv", [pytest.param(argv, id=argv[0]) for argv in VALID])
+    def test_valid_line_parses_as_with_the_full_parser(self, argv):
+        one, full = parsed(cli.build_parser(argv[0]), argv), parsed(cli.build_parser(), argv)
+        assert isinstance(one, dict) and one == full
+
+    @pytest.mark.parametrize("command", [argv[0] for argv in VALID])
+    def test_help_is_the_full_parsers(self, command, capsys):
+        texts = []
+        for parser in (cli.build_parser(command), cli.build_parser()):
+            with pytest.raises(SystemExit) as done:
+                parser.parse_args([command, "--help"])
+            assert done.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith(f"usage: contqkd {command} [-h]")
+
+    @pytest.mark.parametrize("argv", [pytest.param(argv, id=" ".join(argv)) for argv, _ in REJECTED])
+    def test_usage_error_is_the_full_parsers(self, argv):
+        argv = [*argv, "--output", "x.csv"]
+        assert parsed(cli.build_parser(argv[0]), argv) == parsed(cli.build_parser(), argv)
+
+    def test_run_builds_only_its_commands_parser(self, monkeypatch):
+        parser, code = parser_of_run(monkeypatch, ["critical", "--tol", "1e-2", *LIGHT])
+        assert code == 0 and subcommands(parser) == ["critical"]
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["transmogrify"], ["--tol", "1", "critical"]], ids=["empty", "unknown", "option first"]
+    )
+    def test_line_without_a_command_first_gets_the_full_parser(self, argv, monkeypatch):
+        parser, code = parser_of_run(monkeypatch, argv)
+        assert code == 1 and subcommands(parser) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            ([], 1, "usage error: the following arguments are required: command\n"),
+            (["transmogrify"], 1, UNKNOWN_COMMAND),
+            (["-h"], 0, ""),
+        ],
+        ids=["empty", "unknown", "help"],
+    )
+    def test_top_level_lines_reach_the_process(self, argv, code, err, monkeypatch):
+        # The entry point reads sys.argv; the full parser's exit code and messages reach the process unchanged.
+        monkeypatch.setenv("COLUMNS", "80")
+        package_root = str(Path(contqkd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "contqkd", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        out = cli.build_parser().format_help() if code == 0 else ""
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
 class TestProcessBoundary:

@@ -29,9 +29,10 @@ from contqkd import (
     singlet,
     sweep_curve,
 )
-from contqkd import security
+from contqkd import cli, security
 from contqkd.attack import attacked_pure_state
 from contqkd.infocalc import default_quadrature, fano_form
+from contqkd.protosim import ProtocolConfig, SiftingPartition, run_protocol
 from contqkd.qstate import NumericalCorruptionError
 from contqkd.security import (
     NONSELECTED_MAX_BITS,
@@ -492,6 +493,71 @@ class TestCriticalPoint:
         assert len(thetas) == 3
         for theta0 in thetas:
             assert abs(theta0 - math.pi / 8) <= 1e-15
+
+
+def count_reductions(monkeypatch) -> list:
+    """Log each attacked state that ``security`` reduces, starting from an empty ``_reductions`` cache."""
+    reduced = []
+    real = security.bipartite_reductions
+
+    def counted(rho_abe):
+        reduced.append(rho_abe)
+        return real(rho_abe)
+
+    security._reductions.cache_clear()
+    monkeypatch.setattr(security, "bipartite_reductions", counted)
+    return reduced
+
+
+def clear_before(monkeypatch, module, *names) -> None:
+    """Empty the ``_reductions`` cache before every call of each ``module.name``."""
+    for name in names:
+        real = getattr(module, name)
+
+        def cleared(*args, _real=real, **kwargs):
+            security._reductions.cache_clear()
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, cleared)
+
+
+def line_summary(quad):
+    """``cli.simulate_summary`` of a short run at theta = pi/8 on the optimal line."""
+    cfg = ProtocolConfig(rounds=2000, attack=optimal_params(math.pi / 8), seed=3)
+    binning = SiftingPartition(cli.MI_CELLS_U, cli.MI_CELLS_PHI)
+    return cli.simulate_summary(cfg, quad, binning, run_protocol(cfg))
+
+
+class TestReductionCache:
+    # The readings that follow a search or the rates at the same point reuse its reductions.
+    @pytest.mark.parametrize("reconciled", [False, True], ids=["continuous", "reconciled"])
+    def test_report_reduces_no_more_than_the_search(self, monkeypatch, quad_light, reconciled):
+        reduced = count_reductions(monkeypatch)
+        critical_point(reconciled, quad=quad_light, tol=1e-3)
+        searched = len(reduced)
+        del reduced[:]
+        security._reductions.cache_clear()
+        cli.critical_report(reconciled, quad_light, 1e-3)
+        assert len(reduced) == searched
+
+    def test_summary_reduces_its_attack_point_once(self, monkeypatch, quad_light):
+        reduced = count_reductions(monkeypatch)
+        summary = line_summary(quad_light)
+        assert summary["quadrature_reference"] is not None
+        assert len(reduced) == 1
+
+    @pytest.mark.parametrize("reconciled", [False, True], ids=["continuous", "reconciled"])
+    def test_report_is_bit_equal_without_the_cache(self, monkeypatch, quad_light, reconciled):
+        security._reductions.cache_clear()
+        kept = cli.critical_report(reconciled, quad_light, 1e-3)
+        clear_before(monkeypatch, cli, "qber_sphere_averaged", "pair_fidelity_deficit")
+        assert repr(cli.critical_report(reconciled, quad_light, 1e-3)) == repr(kept)
+
+    def test_summary_is_bit_equal_without_the_cache(self, monkeypatch, quad_light):
+        security._reductions.cache_clear()
+        kept = line_summary(quad_light)
+        clear_before(monkeypatch, cli, "information_rates", "qber", "qber_sphere_averaged")
+        assert repr(line_summary(quad_light)) == repr(kept)
 
 
 class TestDimensionScaling:
